@@ -63,6 +63,7 @@ from .intlinalg import (
     Lattice,
     complement,
     homology_at,
+    homology_range,
     integer_kernel,
     lattice_sum,
     rank,

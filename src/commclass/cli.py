@@ -12,22 +12,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .cocycles import clutch
-from .cosetposet import CosetPoset, abelian_subgroups, coset_poset_homology
+from .cosetposet import CosetPoset
 from .errors import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     MathInvariantError,
+    ParseError,
     ValidationError,
 )
 from .fileio import parse_cocycle, parse_extension, parse_group
 from .groupring import coinvariants, moore_h2, pi2_e2_connected
 from .groups import abelianization
-from .intlinalg import AbelianGroupInvariants, IntMatrix, Lattice
-from .simplicial import build_c, build_e, homology
+from .intlinalg import AbelianGroupInvariants, IntMatrix, Lattice, homology_range
+from .simplicial import build_c, build_e
 from .torus import (
     commutator_lattices,
     pi1_split,
@@ -94,6 +96,10 @@ def _row(name: str, value, ref: str) -> dict:
 
 
 def _homology_rows(S, max_dim: int, counts_ref: str, hom_ref: str) -> list:
+    if max_dim < 0:
+        raise ValidationError("--max-dim must be nonnegative")
+    boundaries = [S.boundary_matrix(k) for k in range(1, max_dim + 2)]
+    h = homology_range(boundaries)
     rows = [
         _row("level-sizes", [S.level_size(k) for k in range(max_dim + 2)], counts_ref),
         _row(
@@ -101,11 +107,11 @@ def _homology_rows(S, max_dim: int, counts_ref: str, hom_ref: str) -> list:
             [len(S.nondegenerate(k)) for k in range(max_dim + 2)],
             counts_ref,
         ),
-        _row("H0", homology(S, 0), hom_ref),
-        _row("H~0", homology(S, 0, reduced=True), hom_ref),
+        _row("H0", h[0], hom_ref),
+        _row("H~0", homology_range(boundaries[:1], reduced=True)[0], hom_ref),
     ]
     for k in range(1, max_dim + 1):
-        rows.append(_row(f"H{k}", homology(S, k), hom_ref))
+        rows.append(_row(f"H{k}", h[k], hom_ref))
     return rows
 
 
@@ -248,15 +254,16 @@ def cmd_clutch(args):
 
 def cmd_coset_poset(args):
     G = parse_group(args.group)
-    subgroups = abelian_subgroups(G, budget=args.budget)
     poset = CosetPoset(G, budget=args.budget)
     vertices, edges = poset.size()
+    # distinct abelian subgroups never share a coset set, so each keeps a vertex
+    subgroups = len({els for els, _ in poset.vertex_info})
     rows = [
-        _row("abelian-subgroups", len(subgroups), "abelian-subgroup-count"),
+        _row("abelian-subgroups", subgroups, "abelian-subgroup-count"),
         _row("vertices", vertices, "coset-poset-size"),
         _row("edges", edges, "coset-poset-size"),
     ]
-    for i, h in enumerate(coset_poset_homology(G, top=args.max_dim, budget=args.budget)):
+    for i, h in enumerate(poset.homology(args.max_dim, budget=args.budget)):
         rows.append(_row(f"H~{i}", h, "coset-poset-homology"))
     return rows, {"group": args.group, "max_dim": args.max_dim}, 0
 
@@ -387,12 +394,25 @@ def _handle_fixtures(path: str, machine_text: str) -> tuple:
         with open(path) as fh:
             pinned = fh.read()
     except FileNotFoundError:
-        with open(path, "w") as fh:
-            fh.write(machine_text)
+        # write beside the target and rename, so no reader sees half a file
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(machine_text)
+            os.replace(tmp, path)
+        except OSError as e:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise ValidationError(f"cannot write fixtures file {path}: {e.strerror}")
         return "pinned", 0
+    except OSError as e:
+        raise ValidationError(f"cannot read fixtures file {path}: {e.strerror}")
     if pinned == machine_text:
         return "match", 0
-    pinned_rows = {r["name"]: r["value"] for r in json.loads(pinned).get("results", [])}
+    try:
+        pinned_rows = {r["name"]: r["value"] for r in json.loads(pinned).get("results", [])}
+    except (ValueError, TypeError, KeyError, AttributeError):
+        raise ParseError(f"fixtures file {path} is not a machine document")
     new_rows = {r["name"]: r["value"] for r in json.loads(machine_text)["results"]}
     drifted = sorted(
         set(pinned_rows) ^ set(new_rows)
@@ -405,6 +425,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         rows, inputs, code = args.handler(args)
+        machine_text = _machine_doc(args.command, inputs, rows)
+        if args.output == "machine":
+            sys.stdout.write(machine_text)
+        else:
+            _print_text(rows)
+        if args.fixtures:
+            status, fix_code = _handle_fixtures(args.fixtures, machine_text)
+            print(f"fixtures: {status}", file=sys.stderr)
+            code = max(code, fix_code)
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -414,17 +443,6 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-    machine_text = _machine_doc(args.command, inputs, rows)
-    if args.output == "machine":
-        sys.stdout.write(machine_text)
-    else:
-        _print_text(rows)
-
-    if args.fixtures:
-        status, fix_code = _handle_fixtures(args.fixtures, machine_text)
-        print(f"fixtures: {status}", file=sys.stderr)
-        code = max(code, fix_code)
     return code
 
 

@@ -66,12 +66,6 @@ class PLPath:
             raise ValidationError("element belongs to a different extension")
         return cls(parent, (0, 1), (element.t, element.t), element.f)
 
-    @classmethod
-    def from_breakpoints(cls, parent: TorusExtension, points, f=0):
-        """points: iterable of (time, lift vector)."""
-        pts = list(points)
-        return cls(parent, [t for t, _ in pts], [v for _, v in pts], f)
-
     def lift_at(self, t) -> tuple:
         t = Fraction(t)
         if not 0 <= t <= 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import DEFAULT_BUDGET, ValidationError, check_budget
 from .groups import FiniteGroup, Subgroup, closure
-from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_at
+from .intlinalg import IntMatrix, homology_range
 
 
 def abelian_subgroups(G: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list:
@@ -98,6 +98,15 @@ class CosetPoset:
         """(vertex count, edge count) of the order complex's 1-skeleton."""
         return len(self.vertices), sum(len(s) for s in self.successors)
 
+    def homology(self, top: int = 2, budget: int = DEFAULT_BUDGET) -> list:
+        """Reduced homology of the order complex in degrees 0..top."""
+        if top < 0:
+            raise ValidationError("top degree must be nonnegative")
+        levels = self.chains(top + 1, budget=budget)
+        return homology_range(
+            [_chain_boundary(levels, d) for d in range(1, top + 2)], reduced=True
+        )
+
 
 def _chain_boundary(levels, d) -> IntMatrix:
     """Boundary matrix from d-chains to (d-1)-chains (drop one vertex)."""
@@ -116,17 +125,4 @@ def _chain_boundary(levels, d) -> IntMatrix:
 
 def coset_poset_homology(G: FiniteGroup, top: int = 2, budget: int = DEFAULT_BUDGET) -> list:
     """Reduced homology of the coset-poset order complex in degrees 0..top."""
-    if top < 0:
-        raise ValidationError("top degree must be nonnegative")
-    poset = CosetPoset(G, budget=budget)
-    levels = poset.chains(top + 1, budget=budget)
-    out = []
-    for k in range(top + 1):
-        d_in = _chain_boundary(levels, k + 1)
-        if k == 0:
-            n0 = len(levels[0])
-            d_out = IntMatrix.from_rows([[1] * n0]) if n0 else IntMatrix.zero(1, 0)
-        else:
-            d_out = _chain_boundary(levels, k)
-        out.append(homology_at(d_out, d_in))
-    return out
+    return CosetPoset(G, budget=budget).homology(top, budget=budget)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import MathInvariantError, ValidationError
 from .groups import FiniteGroup
-from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_at, snf_diagonal
+from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
 
 
 def coinvariants(A: FiniteGroup) -> AbelianGroupInvariants:
@@ -25,8 +25,6 @@ def coinvariants(A: FiniteGroup) -> AbelianGroupInvariants:
     column per pair (a, b) with those three signed entries.
     """
     n = A.order
-    if n == 1:
-        return AbelianGroupInvariants(0, ())
     basis = list(range(1, n))
     pos = {a: i for i, a in enumerate(basis)}
     cols = []
@@ -38,26 +36,19 @@ def coinvariants(A: FiniteGroup) -> AbelianGroupInvariants:
                     i = pos[el]
                     col[i] = col.get(i, 0) + s
             cols.append(col)
-    M = IntMatrix.from_column_dicts(cols, n - 1)
-    divs = snf_diagonal(M)
-    free = (n - 1) - len(divs)
-    return AbelianGroupInvariants(free, tuple(d for d in divs if d > 1))
-
-
-def _augmentation_row(n: int) -> IntMatrix:
-    return IntMatrix.from_rows([[1] * n])
+    return homology_range([IntMatrix.from_column_dicts(cols, n - 1)])[0]
 
 
 def moore_h2(A: FiniteGroup) -> AbelianGroupInvariants:
     """Homology at the middle of Z[A x A] -> Z[A] -> Z.
 
-    The right map is the augmentation.  The left map sends the generator
+    The right map is the augmentation, so this is the reduced H_0 of the
+    one-boundary complex Z[A x A] -> Z[A].  The left map sends the generator
     (h1, h2) to [h1] - [h2*h1] + [h2] - [1]; every pair of elements is a
     generator.  The middle homology equals the coinvariants of the
     augmentation ideal, hence the abelianization of A.
     """
     n = A.order
-    d2 = _augmentation_row(n)
     cols = []
     for h1 in range(n):
         for h2 in range(n):
@@ -65,8 +56,7 @@ def moore_h2(A: FiniteGroup) -> AbelianGroupInvariants:
             for el, s in ((h1, 1), (A.mul(h2, h1), -1), (h2, 1), (0, -1)):
                 col[el] = col.get(el, 0) + s
             cols.append(col)
-    d3 = IntMatrix.from_column_dicts(cols, n)
-    return homology_at(d2, d3)
+    return homology_range([IntMatrix.from_column_dicts(cols, n)], reduced=True)[0]
 
 
 def pi2_e2_connected(invariant_factors) -> AbelianGroupInvariants:

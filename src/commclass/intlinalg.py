@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Smith normal form, Hermite form, integer
-kernels, lattices in Z^k, and homology of integer chain complex slots.
+kernels, lattices in Z^k, and homology of integer chain complexes.
 
 All arithmetic uses Python's arbitrary-precision integers.  Matrices are
 stored sparsely (one dict per row) so that boundary matrices of large chain
@@ -106,9 +106,6 @@ class IntMatrix:
 
     def get(self, i, j):
         return self._data[i].get(j, 0)
-
-    def row_dict(self, i):
-        return dict(self._data[i])
 
     def to_rows(self):
         return [[self._data[i].get(j, 0) for j in range(self.cols)] for i in range(self.rows)]
@@ -793,30 +790,43 @@ class AbelianGroupInvariants:
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-    def factor_list(self):
-        return list(self.torsion)
 
+def homology_range(boundaries, reduced: bool = False) -> list:
+    """Homology H_0..H_top of the complex with boundaries [d_1, ..., d_{top+1}],
+    d_k: C_k -> C_{k-1}, reducing each boundary once.
 
-def homology_at(d_out: IntMatrix, d_in: IntMatrix, check: bool = True) -> AbelianGroupInvariants:
-    """Homology ker(d_out)/im(d_in) at the middle slot of
-    Z^m --d_in--> Z^n --d_out--> Z^p, with d_out o d_in = 0.
-
-    ker(d_out) is a saturated direct summand of Z^n, so the torsion of the
-    quotient equals the torsion of Z^n / im(d_in): the invariant factors of
-    d_in that exceed 1.  The free rank is n - rank(d_out) - rank(d_in).
+    ker(d_k) is a saturated summand of C_k, so the torsion of H_k is that of
+    C_k / im(d_{k+1}) (the invariant factors of d_{k+1} above 1) and its free
+    rank is rank C_k - rank(d_k) - rank(d_{k+1}), with d_0 = 0.  With
+    reduced=True, d_0 is the augmentation C_0 -> Z instead, which must vanish
+    on im(d_1): every column of d_1 sums to zero.
     """
-    n = d_out.cols
-    if d_in.rows != n:
-        raise ValidationError(
-            f"non-composable dimensions: d_out is {d_out.rows}x{d_out.cols}, "
-            f"d_in is {d_in.rows}x{d_in.cols}"
-        )
-    if check and d_in.cols and d_out.rows:
-        if not (d_out @ d_in).is_zero():
-            raise ValidationError("composite d_out o d_in is nonzero")
-    rank_out = rank(d_out) if d_out.rows else 0
-    div_in = snf_diagonal(d_in) if d_in.cols else []
-    free = n - rank_out - len(div_in)
-    if free < 0:
-        raise MathInvariantError("negative free rank; matrices are inconsistent")
-    return AbelianGroupInvariants.from_divisors(free, div_in)
+    for k, (d_out, d_in) in enumerate(zip(boundaries, boundaries[1:]), start=1):
+        if d_out.cols != d_in.rows:
+            raise ValidationError(
+                f"non-composable dimensions: d_{k} is {d_out.rows}x{d_out.cols}, "
+                f"d_{k + 1} is {d_in.rows}x{d_in.cols}"
+            )
+        if d_in.cols and d_out.rows and not (d_out @ d_in).is_zero():
+            raise ValidationError(f"composite d_{k} o d_{k + 1} is nonzero")
+    rank_out = 0
+    if reduced and boundaries:
+        d_1 = boundaries[0]
+        if any(sum(col.values()) for col in d_1.column_dicts()):
+            raise ValidationError("augmentation o d_1 is nonzero")
+        rank_out = 1 if d_1.rows else 0
+    out = []
+    for d_in in boundaries:
+        div_in = snf_diagonal(d_in)
+        free = d_in.rows - rank_out - len(div_in)
+        if free < 0:
+            raise MathInvariantError("negative free rank; matrices are inconsistent")
+        out.append(AbelianGroupInvariants.from_divisors(free, div_in))
+        rank_out = len(div_in)
+    return out
+
+
+def homology_at(d_out: IntMatrix, d_in: IntMatrix) -> AbelianGroupInvariants:
+    """Homology ker(d_out)/im(d_in) at the middle slot of
+    Z^m --d_in--> Z^n --d_out--> Z^p, with d_out o d_in = 0."""
+    return homology_range([d_out, d_in])[1]

@@ -20,7 +20,7 @@ from .errors import (
     check_budget,
 )
 from .groups import FiniteGroup, commuting_tuples
-from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_at
+from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
 
 
 class SimplicialTruncation:
@@ -198,9 +198,6 @@ class SimplicialTruncation:
             cols.append(col)
         return IntMatrix.from_column_dicts(cols, nrows)
 
-    def chain_rank(self, k, normalized=True):
-        return len(self._nondegen[k]) if normalized else len(self.levels[k])
-
     def homology(self, k, reduced=False, normalized=True):
         return homology(self, k, reduced=reduced, normalized=normalized)
 
@@ -208,6 +205,15 @@ class SimplicialTruncation:
         tag = f"{self.label}, " if self.label else ""
         sizes = "/".join(str(len(level)) for level in self.levels)
         return f"SimplicialTruncation({tag}levels {sizes})"
+
+
+def _boundaries(S: SimplicialTruncation, top: int, normalized) -> list:
+    """The boundaries d_1..d_{top+1}, which H_0..H_top need."""
+    if top + 1 > S.max_degree:
+        raise TruncationError(
+            f"H_{top} needs levels through {top + 1}; truncation stops at {S.max_degree}"
+        )
+    return [S.boundary_matrix(k, normalized=normalized) for k in range(1, top + 2)]
 
 
 def homology(S: SimplicialTruncation, k: int, reduced=False, normalized=True) -> AbelianGroupInvariants:
@@ -218,25 +224,12 @@ def homology(S: SimplicialTruncation, k: int, reduced=False, normalized=True) ->
     """
     if k < 0:
         raise ValidationError("homology degree must be nonnegative")
-    if k + 1 > S.max_degree:
-        raise TruncationError(
-            f"H_{k} needs levels through {k + 1}; truncation stops at {S.max_degree}"
-        )
-    d_in = S.boundary_matrix(k + 1, normalized=normalized)
-    if k == 0:
-        n0 = S.chain_rank(0, normalized=normalized)
-        if reduced:
-            d_out = IntMatrix.from_rows([[1] * n0]) if n0 else IntMatrix.zero(1, 0)
-        else:
-            d_out = IntMatrix.zero(0, n0)
-    else:
-        d_out = S.boundary_matrix(k, normalized=normalized)
-    return homology_at(d_out, d_in)
+    return homology_range(_boundaries(S, k, normalized), reduced=reduced)[k]
 
 
 def reduced_homology_range(S: SimplicialTruncation, top: int, normalized=True) -> list:
     """Reduced homology in degrees 0..top as a list."""
-    return [homology(S, k, reduced=True, normalized=normalized) for k in range(top + 1)]
+    return homology_range(_boundaries(S, top, normalized), reduced=True)
 
 
 # ---------------------------------------------------------------------------

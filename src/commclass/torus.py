@@ -31,11 +31,6 @@ from .intlinalg import (
 )
 
 
-def _frac(x) -> Fraction:
-    f = Fraction(x)
-    return f
-
-
 def _mod1(vec) -> tuple:
     return tuple(Fraction(x) % 1 for x in vec)
 
@@ -170,7 +165,7 @@ class TorusExtension:
         return best
 
     def element(self, t, f=0) -> ExtElement:
-        t = _mod1(_frac(x) for x in t)
+        t = _mod1(t)
         if len(t) != self.rank:
             raise ValidationError(f"torus part must have length {self.rank}")
         f = int(f)

@@ -178,3 +178,105 @@ def test_verify_all_success_stub(capsys, monkeypatch):
     rows = {r["name"]: r["value"] for r in doc["results"]}
     assert rows["all-passed"] is True
     assert rows["criterion-01"]["passed"] is True
+
+
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("homology-e2g_S3", ("homology-e2g", "--group", "S3", "--max-dim", "2")),
+        ("homology-e2g_D8", ("homology-e2g", "--group", "D8", "--max-dim", "2")),
+        ("homology-e2g_Z2xZ2", ("homology-e2g", "--group", "Z2xZ2", "--max-dim", "2")),
+        ("homology-b2g_Q8", ("homology-b2g", "--group", "Q8", "--max-dim", "3")),
+        ("homology-b2g_Z2xZ2", ("homology-b2g", "--group", "Z2xZ2", "--max-dim", "3")),
+        ("coset-poset_S3", ("coset-poset", "--group", "S3")),
+        ("coset-poset_Q8", ("coset-poset", "--group", "Q8")),
+        ("moore-h2_Z4", ("moore-h2", "--group", "Z4")),
+        ("coinvariants_Z4", ("coinvariants", "--group", "Z4")),
+    ],
+)
+def test_machine_documents_match_pinned_fixtures(capsys, name, argv):
+    path = os.path.join(FIXTURE_DIR, name + ".json")
+    assert os.path.exists(path)
+    code, _, err = run(capsys, *argv, "--fixtures", path)
+    assert code == 0
+    assert "fixtures: match" in err
+
+
+def test_negative_max_dim_exits_2(capsys):
+    code, _, _ = run(capsys, "homology-e2g", "--group", "Z2", "--max-dim", "-1")
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, top_degree",
+    [
+        (("homology-e2g", "--group", "Z4", "--max-dim", "2"), 3),
+        (("homology-b2g", "--group", "Q8", "--max-dim", "3"), 4),
+    ],
+)
+def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, argv, top_degree):
+    from commclass import intlinalg, simplicial
+
+    built = {}
+    reduced = []
+    build = simplicial.SimplicialTruncation.boundary_matrix
+    snf = intlinalg.snf_diagonal
+
+    def counting_build(S, k, normalized=True):
+        M = build(S, k, normalized=normalized)
+        built.setdefault(k, []).append(M)
+        return M
+
+    def counting_snf(M):
+        reduced.append(M)
+        return snf(M)
+
+    monkeypatch.setattr(simplicial.SimplicialTruncation, "boundary_matrix", counting_build)
+    monkeypatch.setattr(intlinalg, "snf_diagonal", counting_snf)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert sorted(built) == list(range(1, top_degree + 1))
+    for k in range(2, top_degree + 1):
+        assert len(built[k]) == 1
+        assert sum(M is built[k][0] for M in reduced) == 1
+
+
+def test_coset_poset_enumerates_subgroups_once(capsys, monkeypatch):
+    from commclass import cosetposet
+
+    calls = []
+    enumerate_subgroups = cosetposet.abelian_subgroups
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_subgroups(*args, **kwargs)
+
+    monkeypatch.setattr(cosetposet, "abelian_subgroups", counting)
+    monkeypatch.setattr(cli, "abelian_subgroups", counting, raising=False)
+    code, _, _ = run(capsys, "coset-poset", "--group", "S3")
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("content", ["not json\n", '{"results": 5}\n', None])
+def test_unreadable_fixtures_exit_2(capsys, tmp_path, content):
+    path = tmp_path / "fixture"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    code, _, err = run(capsys, "moore-h2", "--group", "Z3", "--fixtures", str(path))
+    assert code == 2
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+def test_fixtures_pin_leaves_no_temporary_file(capsys, tmp_path):
+    path = tmp_path / "fix.json"
+    code, out, err = run(capsys, "moore-h2", "--group", "Z3", "--output", "machine", "--fixtures", str(path))
+    assert code == 0 and "fixtures: pinned" in err
+    assert path.read_text() == out
+    assert os.listdir(tmp_path) == ["fix.json"]

@@ -11,6 +11,7 @@ from commclass.intlinalg import (
     complement,
     determinant,
     homology_at,
+    homology_range,
     integer_kernel,
     lattice_sum,
     rank,
@@ -143,6 +144,48 @@ def test_homology_at_rejects_noncomplex():
     d_in = IntMatrix.from_columns([[1, 0]], 2)
     with pytest.raises(Exception):
         homology_at(d_out, d_in)
+
+
+def random_complex(top, reduced):
+    """Boundaries [d_1, ..., d_{top+1}] with d_k o d_{k+1} = 0, and the
+    homology they must give.  Each d_{k+1} is K R with K a saturated basis of
+    ker(d_k), so H_k is Z^{K.cols} / im(R).  With reduced, d_1 is built on
+    the kernel of the augmentation, so its columns sum to 0."""
+    n = rng.randrange(1, 5)
+    prev = IntMatrix.from_rows([[1] * n]) if reduced else IntMatrix.zero(0, n)
+    boundaries, homology = [], []
+    for _ in range(top + 1):
+        K = integer_kernel(prev)
+        s = rng.randrange(0, 5)
+        rows = [{j: rng.randint(-3, 3) for j in range(s)} for _ in range(K.cols)]
+        R = IntMatrix(K.cols, s, rows)
+        divs = snf_diagonal(R)
+        homology.append(AbelianGroupInvariants.from_divisors(K.cols - len(divs), divs))
+        prev = K @ R
+        boundaries.append(prev)
+    return boundaries, homology
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_homology_range_matches_homology_at_per_slot(reduced):
+    for _ in range(40):
+        top = rng.randrange(0, 4)
+        ds, expected = random_complex(top, reduced)
+        n0 = ds[0].rows
+        d_0 = IntMatrix.from_rows([[1] * n0]) if reduced else IntMatrix.zero(0, n0)
+        per_slot = [homology_at(d_out, d_in) for d_out, d_in in zip([d_0] + ds, ds)]
+        assert homology_range(ds, reduced=reduced) == per_slot == expected
+
+
+def test_homology_range_rejects_noncomplex():
+    d_1 = IntMatrix.from_rows([[1, 0]])
+    with pytest.raises(ValidationError, match="non-composable"):
+        homology_range([d_1, IntMatrix.zero(3, 1)])
+    with pytest.raises(ValidationError, match="nonzero"):
+        homology_range([d_1, IntMatrix.from_columns([[1, 0]], 2)])
+    with pytest.raises(ValidationError, match="augmentation"):
+        homology_range([d_1], reduced=True)
+    assert homology_range([d_1]) == [AbelianGroupInvariants(0, ())]
 
 
 def test_row_hnf_canonical():
