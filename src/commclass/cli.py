@@ -99,7 +99,9 @@ def _homology_rows(S, max_dim: int, counts_ref: str, hom_ref: str) -> list:
     if max_dim < 0:
         raise ValidationError("--max-dim must be nonnegative")
     boundaries = [S.boundary_matrix(k) for k in range(1, max_dim + 2)]
-    h = homology_range(boundaries)
+    h = homology_range(boundaries, reduced=True)
+    # C_0 is never empty here, so H0 is H~0 plus one free summand
+    h0 = AbelianGroupInvariants(h[0].free_rank + 1, h[0].torsion)
     rows = [
         _row("level-sizes", [S.level_size(k) for k in range(max_dim + 2)], counts_ref),
         _row(
@@ -107,8 +109,8 @@ def _homology_rows(S, max_dim: int, counts_ref: str, hom_ref: str) -> list:
             [len(S.nondegenerate(k)) for k in range(max_dim + 2)],
             counts_ref,
         ),
-        _row("H0", h[0], hom_ref),
-        _row("H~0", homology_range(boundaries[:1], reduced=True)[0], hom_ref),
+        _row("H0", h0, hom_ref),
+        _row("H~0", h[0], hom_ref),
     ]
     for k in range(1, max_dim + 1):
         rows.append(_row(f"H{k}", h[k], hom_ref))

@@ -56,6 +56,14 @@ def _require(doc, key, where, kind=None):
     return value
 
 
+def _int_list(value, where: str) -> list:
+    if not isinstance(value, list) or any(
+        not isinstance(v, int) or isinstance(v, bool) for v in value
+    ):
+        raise ParseError(f"{where}: expected a list of integers")
+    return value
+
+
 def group_from_spec(doc, where: str = "group") -> FiniteGroup:
     fmt = _require(doc, "format", where, str)
     if fmt == "catalog":
@@ -65,14 +73,18 @@ def group_from_spec(doc, where: str = "group") -> FiniteGroup:
         return catalog_group(name)
     if fmt == "table":
         table = _require(doc, "table", where, list)
+        for i, row in enumerate(table):
+            _int_list(row, f"{where}.table[{i}]")
         names = doc.get("names")
+        if names is not None and not isinstance(names, list):
+            raise ParseError(f"{where}.names: expected a list")
         label = doc.get("label")
         return FiniteGroup(table, names=names, label=label)
     if fmt == "perm":
         degree = _require(doc, "degree", where, int)
         gens = _require(doc, "generators", where, list)
-        for g in gens:
-            if not isinstance(g, list) or len(g) != degree:
+        for i, g in enumerate(gens):
+            if len(_int_list(g, f"{where}.generators[{i}]")) != degree:
                 raise ParseError(f"{where}.generators: each generator lists the images of 0..{degree - 1}")
         return permutation_group([tuple(g) for g in gens], label=doc.get("label"))
     raise ParseError(f"{where}.format: unknown format {fmt!r}")

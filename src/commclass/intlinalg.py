@@ -3,14 +3,15 @@ kernels, lattices in Z^k, and homology of integer chain complexes.
 
 All arithmetic uses Python's arbitrary-precision integers.  Matrices are
 stored sparsely (one dict per row) so that boundary matrices of large chain
-complexes stay affordable; the dense Smith routine with unimodular
-transforms is used for small matrices and as the exact fallback of the
-sparse elimination.
+complexes stay affordable.  Invariant factors of every matrix come from one
+path: greedy unit-pivot sparse elimination, then the dense Smith routine on
+the block left without a +-1 entry.  The dense Smith routine with
+unimodular transforms also serves the transform-carrying callers and is the
+independent oracle of the sparse path.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .errors import MathInvariantError, ValidationError
@@ -433,23 +434,19 @@ def _smith_with_uinv(M: IntMatrix):
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination for invariant factors of large matrices
-
-_DENSE_CUTOFF = 64 * 64
+# sparse elimination for invariant factors
 
 
 def snf_diagonal(M: IntMatrix):
     """Nonzero invariant factors of M (the nonzero diagonal of its SNF).
 
-    Small matrices go through the dense routine.  Large ones are reduced by
-    unit-pivot sparse elimination (each unit pivot is a unimodular
-    equivalence splitting off diag(1)); whatever remains without a +-1
-    entry is finished densely.
+    Greedy unit-pivot elimination (Dumas-Saunders-Villard): sweep the rows
+    from shortest to longest and pivot each on its +-1 entry in the
+    sparsest column.  Each pivot is a unimodular equivalence splitting off
+    diag(1).  Fill-in can create units in rows already swept, so sweeps
+    repeat until one finds no pivot; the block left without a +-1 entry
+    is finished densely.
     """
-    if M.rows * M.cols <= _DENSE_CUTOFF:
-        diag, *_ = _dense_smith(M.to_rows(), M.rows, M.cols, False)
-        return [d for d in diag if d]
-
     rows = {}
     cols = {}
     for i, r in enumerate(M._data):
@@ -459,67 +456,52 @@ def snf_diagonal(M: IntMatrix):
                 cols.setdefault(j, set()).add(i)
 
     ones = 0
-    heap = []
-    for i, r in rows.items():
-        li = len(r)
-        for j, v in r.items():
-            if v == 1 or v == -1:
-                heap.append(((li - 1) * (len(cols[j]) - 1), i, j))
-    heapq.heapify(heap)
-
-    while heap:
-        cost, i, j = heapq.heappop(heap)
-        r = rows.get(i)
-        if r is None:
-            continue
-        v = r.get(j)
-        if v is None or not (v == 1 or v == -1):
-            continue
-        true_cost = (len(r) - 1) * (len(cols[j]) - 1)
-        if true_cost != cost:
-            heapq.heappush(heap, (true_cost, i, j))
-            continue
-        # eliminate with pivot (i, j), value +-1
-        prow = rows.pop(i)
-        for j2 in prow:
-            cols[j2].discard(i)
-        pcol = cols.pop(j)
-        for i2 in sorted(pcol):
-            r2 = rows[i2]
-            f = r2[j] * v
-            del r2[j]
-            for j2, pv in prow.items():
-                if j2 == j:
-                    continue
-                new = r2.get(j2, 0) - f * pv
-                if new:
-                    if j2 not in r2:
-                        cols[j2].add(i2)
-                    r2[j2] = new
-                    if new == 1 or new == -1:
-                        heapq.heappush(
-                            heap, ((len(r2) - 1) * (len(cols[j2]) - 1), i2, j2)
-                        )
-                elif j2 in r2:
-                    del r2[j2]
-                    cols[j2].discard(i2)
-            if not r2:
-                del rows[i2]
-        ones += 1
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for i in sorted(rows, key=lambda i: len(rows[i])):
+            prow = rows.get(i)
+            if prow is None:
+                continue
+            units = [j for j, v in prow.items() if v == 1 or v == -1]
+            if not units:
+                continue
+            j = min(units, key=lambda j: len(cols[j]))
+            v = prow[j]
+            del rows[i]
+            for j2 in prow:
+                cols[j2].discard(i)
+            for i2 in cols.pop(j):
+                r2 = rows[i2]
+                f = r2.pop(j) * v
+                for j2, pv in prow.items():
+                    if j2 == j:
+                        continue
+                    new = r2.get(j2, 0) - f * pv
+                    if new:
+                        if j2 not in r2:
+                            cols[j2].add(i2)
+                        r2[j2] = new
+                    elif j2 in r2:
+                        del r2[j2]
+                        cols[j2].discard(i2)
+                if not r2:
+                    del rows[i2]
+            ones += 1
+            pivoted = True
 
     divisors = [1] * ones
     if rows:
         # no +-1 entries remain; finish densely on the remaining block
-        live_rows = sorted(rows)
-        live_cols = sorted({j for r in rows.values() for j in r})
+        live_cols = dict.fromkeys(j for r in rows.values() for j in r)
         colpos = {j: a for a, j in enumerate(live_cols)}
         block = []
-        for i in live_rows:
-            row = [0] * len(live_cols)
-            for j, v in rows[i].items():
+        for r in rows.values():
+            row = [0] * len(colpos)
+            for j, v in r.items():
                 row[colpos[j]] = v
             block.append(row)
-        diag, *_ = _dense_smith(block, len(live_rows), len(live_cols), False)
+        diag, *_ = _dense_smith(block, len(block), len(colpos), False)
         divisors.extend(d for d in diag if d)
     return divisors
 

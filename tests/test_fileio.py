@@ -79,6 +79,18 @@ def test_group_spec_errors():
     with pytest.raises(ParseError) as e:
         group_from_spec({"name": "S3"}, where="g")
     assert "missing field 'format'" in str(e.value)
+    for doc, field in [
+        ({"format": "table", "table": [[0, 1.0], [1.0, 0]]}, "g.table[0]"),
+        ({"format": "table", "table": [[False, True], [True, False]]}, "g.table[0]"),
+        ({"format": "table", "table": [[0, 1], 5]}, "g.table[1]"),
+        ({"format": "table", "table": [[0, 1], [1, 0]], "names": 5}, "g.names"),
+        ({"format": "perm", "degree": 2, "generators": [[0, "x"]]}, "g.generators[0]"),
+        ({"format": "perm", "degree": 2, "generators": [[1.0, 0]]}, "g.generators[0]"),
+        ({"format": "perm", "degree": 2, "generators": [5]}, "g.generators[0]"),
+    ]:
+        with pytest.raises(ParseError) as e:
+            group_from_spec(doc, where="g")
+        assert field in str(e.value)
 
 
 def test_parse_extension_inline_and_catalog(tmp_path):

@@ -80,19 +80,29 @@ def test_smith_normal_form_random():
 
 
 def test_sparse_path_matches_dense():
-    # matrices above the size cutoff take the unit-pivot route; the dense
-    # routine is the oracle
+    # every matrix takes the unit-pivot route and its dense tail; the dense
+    # routine on the whole matrix is the oracle
     from commclass.intlinalg import _dense_smith
 
-    for _ in range(10):
-        m, n = rng.randrange(65, 75), rng.randrange(65, 75)
-        rows = [[0] * n for _ in range(m)]
-        for _ in range(140):
-            rows[rng.randrange(m)][rng.randrange(n)] = rng.randint(-4, 4)
-        M = IntMatrix.from_rows(rows)
-        assert m * n > 64 * 64
+    def check(rows, m, n):
+        M = IntMatrix(m, n, [dict(enumerate(r)) for r in rows])
         dense = _dense_smith([list(r) for r in rows], m, n, False)[0]
         assert snf_diagonal(M) == [d for d in dense if d]
+
+    for m, n in [(0, 0), (0, 4), (4, 0), (1, 1)]:
+        check([[0] * n for _ in range(m)], m, n)
+    for _ in range(30):
+        m, n = rng.randrange(1, 76), rng.randrange(1, 76)
+        rows = [[0] * n for _ in range(m)]
+        for _ in range(m + n):
+            rows[rng.randrange(m)][rng.randrange(n)] = rng.randint(-4, 4)
+        check(rows, m, n)
+    # no +-1 entry: everything goes to the dense tail
+    rows = [[rng.choice([0, 0, 2, -3, 4, 6]) for _ in range(12)] for _ in range(9)]
+    check(rows, 9, 12)
+    # the unit appears only after fill-in, in a row already swept
+    check([[2, 3, 0], [1, 1, 5]], 2, 3)
+    assert snf_diagonal(IntMatrix.from_rows([[2, 3, 0], [1, 1, 5]])) == [1, 1]
 
 
 def test_integer_kernel():
