@@ -51,7 +51,8 @@ def _require(doc, key, where, kind=None):
     if key not in doc:
         raise ParseError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true/false load as bool, a subclass of int; no field takes one
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ParseError(f"{where}.{key}: wrong type {type(value).__name__}")
     return value
 

@@ -20,7 +20,7 @@ from .errors import (
     check_budget,
 )
 from .groups import FiniteGroup, commuting_tuples
-from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
+from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_at, homology_range
 
 
 class SimplicialTruncation:
@@ -207,24 +207,26 @@ class SimplicialTruncation:
         return f"SimplicialTruncation({tag}levels {sizes})"
 
 
-def _boundaries(S: SimplicialTruncation, top: int, normalized) -> list:
-    """The boundaries d_1..d_{top+1}, which H_0..H_top need."""
+def _boundaries(S: SimplicialTruncation, top: int, normalized, bottom: int = 1) -> list:
+    """The boundaries d_bottom..d_{top+1}; H_0..H_top need d_1..d_{top+1}."""
     if top + 1 > S.max_degree:
         raise TruncationError(
             f"H_{top} needs levels through {top + 1}; truncation stops at {S.max_degree}"
         )
-    return [S.boundary_matrix(k, normalized=normalized) for k in range(1, top + 2)]
+    return [S.boundary_matrix(k, normalized=normalized) for k in range(bottom, top + 2)]
 
 
 def homology(S: SimplicialTruncation, k: int, reduced=False, normalized=True) -> AbelianGroupInvariants:
     """Integral homology H_k (or reduced homology) of the chain complex of S.
 
     Needs the boundary out of degree k+1, so the truncation must extend at
-    least one level beyond k.
+    least one level beyond k.  Only d_k and d_{k+1} are built.
     """
     if k < 0:
         raise ValidationError("homology degree must be nonnegative")
-    return homology_range(_boundaries(S, k, normalized), reduced=reduced)[k]
+    if k == 0:
+        return homology_range(_boundaries(S, 0, normalized), reduced=reduced)[0]
+    return homology_at(*_boundaries(S, k, normalized, bottom=k))
 
 
 def reduced_homology_range(S: SimplicialTruncation, top: int, normalized=True) -> list:

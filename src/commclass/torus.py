@@ -8,6 +8,10 @@ finite central subgroup Z given by generators; elements then live in
 canonical coset representatives (lexicographically least (t, f) in the
 Z-orbit, torus part compared first).
 
+Element arithmetic is on integers: a torus part is stored as numerators
+n over one denominator d, in lowest terms with every n_i in [0, d).
+Fractions appear only at the input boundary and in the ExtElement.t view.
+
 On fundamental groups, commutation against a lift of q induces the integer
 matrix I - rho(q^-1) (psi_star); summing its images over all q and
 saturating yields the lattice of the subtorus generated by commutators.
@@ -17,7 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
+from operator import mul as _times
 
 from .errors import DEFAULT_BUDGET, ValidationError, check_budget
 from .groups import FiniteGroup
@@ -35,15 +40,30 @@ def _mod1(vec) -> tuple:
     return tuple(Fraction(x) % 1 for x in vec)
 
 
+def _reduced(n, d, f):
+    """(n, d, f) with the common factor of d and the numerators divided out."""
+    g = gcd(d, *n)
+    if g == 1:
+        return n, d, f
+    return tuple(x // g for x in n), d // g, f
+
+
 class ExtElement:
-    """An element of a TorusExtension: canonical representative (t, f)."""
+    """An element of a TorusExtension: canonical representative (t, f),
+    with t stored as numerators n over the denominator d."""
 
-    __slots__ = ("parent", "t", "f")
+    __slots__ = ("parent", "n", "d", "f")
 
-    def __init__(self, parent, t, f):
+    def __init__(self, parent, n, d, f):
         self.parent = parent
-        self.t = t
+        self.n = n
+        self.d = d
         self.f = f
+
+    @property
+    def t(self):
+        """The torus part as a tuple of Fractions in [0, 1)."""
+        return tuple(Fraction(x, self.d) for x in self.n)
 
     def __mul__(self, other):
         return self.parent.mul(self, other)
@@ -55,17 +75,18 @@ class ExtElement:
         return self.parent.commutator(self, other)
 
     def is_identity(self):
-        return self.f == 0 and all(x == 0 for x in self.t)
+        # lowest terms: d == 1 forces every numerator to 0
+        return self.f == 0 and self.d == 1
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
             return NotImplemented
         if self.parent is not other.parent:
             return False
-        return self.t == other.t and self.f == other.f
+        return self.f == other.f and self.d == other.d and self.n == other.n
 
     def __hash__(self):
-        return hash((id(self.parent), self.t, self.f))
+        return hash((id(self.parent), self.n, self.d, self.f))
 
     def __repr__(self):
         ts = ",".join(str(x) for x in self.t)
@@ -76,7 +97,17 @@ class ExtElement:
 class TorusExtension:
     """Split-or-central-quotient model of a torus-by-finite-group extension."""
 
-    __slots__ = ("rank", "F", "rho", "z_generators", "z_elements", "label")
+    __slots__ = (
+        "rank",
+        "F",
+        "rho",
+        "z_generators",
+        "z_elements",
+        "label",
+        "_rows",
+        "_translates",
+        "_zd",
+    )
 
     def __init__(self, rank: int, F: FiniteGroup, rho, central_quotient=(), label=None):
         if rank < 0:
@@ -104,6 +135,7 @@ class TorusExtension:
                         f"action is not a homomorphism at ({F.names[f]},{F.names[g]})"
                     )
         self.rho = tuple(rho)
+        self._rows = tuple(tuple(tuple(r) for r in M.to_rows()) for M in self.rho)
 
         gens = []
         for t, f in central_quotient:
@@ -130,6 +162,21 @@ class TorusExtension:
             gens.append((t, f))
         self.z_generators = tuple(gens)
         self.z_elements = self._close_central(gens)
+        # per finite part f, the z-orbit translates (rho(f) tz, f fz) with
+        # numerators over the common z-denominator; empty when split
+        self._zd = lcm(*(x.denominator for tz, _ in self.z_elements for x in tz))
+        self._translates = ()
+        if not self.is_split:
+            self._translates = tuple(
+                tuple(
+                    (
+                        tuple(int(x * self._zd) for x in self.rho[f].times_vector(tz)),
+                        F.mul(f, fz),
+                    )
+                    for tz, fz in self.z_elements
+                )
+                for f in range(F.order)
+            )
 
     def _close_central(self, gens):
         zero = tuple(Fraction(0) for _ in range(self.rank))
@@ -151,38 +198,46 @@ class TorusExtension:
     def is_split(self):
         return len(self.z_elements) == 1
 
-    def _canonical(self, t, f):
-        if self.is_split:
-            return t, f
+    def _canonical(self, n, d, f):
+        """Canonical representative of (n/d, f), reduced to lowest terms."""
+        if not self._translates:
+            return _reduced(n, d, f)
+        zd = self._zd
+        D = lcm(d, zd)
+        a, b = D // d, D // zd
+        n = [x * a for x in n]
         best = None
-        for tz, fz in self.z_elements:
-            cand = (
-                _mod1(a + b for a, b in zip(t, self.rho[f].times_vector(tz))),
-                self.F.mul(f, fz),
-            )
+        for tn, fz in self._translates[f]:
+            cand = (tuple((x + b * y) % D for x, y in zip(n, tn)), fz)
             if best is None or cand < best:
                 best = cand
-        return best
+        return _reduced(best[0], D, best[1])
 
     def element(self, t, f=0) -> ExtElement:
         t = _mod1(t)
         if len(t) != self.rank:
             raise ValidationError(f"torus part must have length {self.rank}")
+        f = self._finite_part(f)
+        d = lcm(*(x.denominator for x in t))
+        n = tuple(x.numerator * (d // x.denominator) for x in t)
+        return ExtElement(self, *self._canonical(n, d, f))
+
+    def _finite_part(self, f) -> int:
         f = int(f)
         if not 0 <= f < self.F.order:
             raise ValidationError("finite part out of range")
-        t, f = self._canonical(t, f)
-        return ExtElement(self, t, f)
+        return f
 
     def identity(self) -> ExtElement:
-        return self.element([0] * self.rank, 0)
+        return self.lift_element(0)
 
     def torus_element(self, t) -> ExtElement:
         return self.element(t, 0)
 
     def lift_element(self, f) -> ExtElement:
         """The canonical lift (0, f) of a finite-part element."""
-        return self.element([0] * self.rank, f)
+        zero = (0,) * self.rank
+        return ExtElement(self, *self._canonical(zero, 1, self._finite_part(f)))
 
     def _check_parent(self, x: ExtElement):
         if x.parent is not self:
@@ -191,18 +246,21 @@ class TorusExtension:
     def mul(self, x: ExtElement, y: ExtElement) -> ExtElement:
         self._check_parent(x)
         self._check_parent(y)
-        moved = self.rho[x.f].times_vector(y.t)
-        t = _mod1(a + b for a, b in zip(x.t, moved))
-        t, f = self._canonical(t, self.F.mul(x.f, y.f))
-        return ExtElement(self, t, f)
+        D = lcm(x.d, y.d)
+        a, b = D // x.d, D // y.d
+        yn = y.n
+        n = tuple(
+            (xi * a + b * sum(map(_times, row, yn))) % D
+            for xi, row in zip(x.n, self._rows[x.f])
+        )
+        return ExtElement(self, *self._canonical(n, D, self.F.mul(x.f, y.f)))
 
     def inv(self, x: ExtElement) -> ExtElement:
         self._check_parent(x)
         finv = self.F.inv(x.f)
-        moved = self.rho[finv].times_vector(x.t)
-        t = _mod1(-a for a in moved)
-        t, f = self._canonical(t, finv)
-        return ExtElement(self, t, f)
+        d, xn = x.d, x.n
+        n = tuple(-sum(map(_times, row, xn)) % d for row in self._rows[finv])
+        return ExtElement(self, *self._canonical(n, d, finv))
 
     def commutator(self, x: ExtElement, y: ExtElement) -> ExtElement:
         """[x, y] = x^-1 y^-1 x y."""
@@ -214,12 +272,15 @@ class TorusExtension:
         if M < 1:
             raise ValidationError("denominator must be >= 1")
         check_budget(M**self.rank * self.F.order, budget, "element pool")
-        coords = [Fraction(a, M) for a in range(M)]
         out = set()
-        for t in product(coords, repeat=self.rank):
+        for n in product(range(M), repeat=self.rank):
             for f in range(self.F.order):
-                out.add(self._canonical(t, f))
-        return [ExtElement(self, t, f) for t, f in sorted(out)]
+                out.add(self._canonical(n, M, f))
+        # every denominator divides L, so integer numerators over L sort as
+        # the Fraction tuples do
+        L = lcm(M, self._zd)
+        keyed = sorted((tuple(x * (L // d) for x in n), f, n, d) for n, d, f in out)
+        return [ExtElement(self, n, d, f) for _, f, n, d in keyed]
 
     def __repr__(self):
         tag = self.label or f"rank {self.rank} over {self.F!r}"

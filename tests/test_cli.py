@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +14,8 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
+REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
+SPEC_DIR = os.path.join(REPO_ROOT, "specs")
 
 
 def test_moore_h2_text(capsys):
@@ -196,11 +199,26 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
         ("moore-h2_Z4", ("moore-h2", "--group", "Z4")),
         ("coinvariants_Z4", ("coinvariants", "--group", "Z4")),
         ("homology-b2g_Z2xZ4", ("homology-b2g", "--group", "Z2xZ4", "--max-dim", "3")),
+        ("torus-analyze_su2_normalizer", ("torus-analyze", "--ext", "su2_normalizer")),
+        ("torus-analyze_o2_half", ("torus-analyze", "--ext", "o2_half")),
+        ("torus-analyze_perm_s3", ("torus-analyze", "--ext", "perm_s3")),
+        ("single-comm_d8_square_2", ("single-comm", "--ext", "d8_square", "--denominator", "2")),
+        (
+            "single-comm_su2_normalizer_12",
+            ("single-comm", "--ext", "su2_normalizer", "--denominator", "12"),
+        ),
+        ("clutch_o2_alpha", ("clutch", "--cocycle", "specs/o2_alpha.cocycle.json")),
+        (
+            "clutch_o2_alpha_invert",
+            ("clutch", "--cocycle", "specs/o2_alpha.cocycle.json", "--invert"),
+        ),
     ],
 )
-def test_machine_documents_match_pinned_fixtures(capsys, name, argv):
-    path = os.path.join(FIXTURE_DIR, name + ".json")
+def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv):
+    path = os.path.abspath(os.path.join(FIXTURE_DIR, name + ".json"))
     assert os.path.exists(path)
+    # the clutch documents record the spec path as given, relative to the repository root
+    monkeypatch.chdir(REPO_ROOT)
     code, _, err = run(capsys, *argv, "--fixtures", path)
     assert code == 0
     assert "fixtures: match" in err
@@ -245,6 +263,34 @@ def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, arg
         assert sum(M is built[k][0] for M in reduced) == 1
 
 
+def test_single_degree_homology_builds_and_reduces_two_boundaries(monkeypatch):
+    from commclass import intlinalg, simplicial
+    from commclass.catalog import catalog_group
+
+    S = simplicial.build_c(catalog_group("Q8"), 4)
+    built = []
+    reduced = []
+    build = simplicial.SimplicialTruncation.boundary_matrix
+    snf = intlinalg.snf_diagonal
+
+    def counting_build(S, k, normalized=True):
+        built.append(k)
+        return build(S, k, normalized=normalized)
+
+    def counting_snf(M):
+        reduced.append(M)
+        return snf(M)
+
+    monkeypatch.setattr(simplicial.SimplicialTruncation, "boundary_matrix", counting_build)
+    monkeypatch.setattr(intlinalg, "snf_diagonal", counting_snf)
+    for k, degrees in [(3, [3, 4]), (1, [1, 2]), (0, [1])]:
+        built.clear()
+        reduced.clear()
+        S.homology(k)
+        assert built == degrees
+        assert len(reduced) == len(degrees)
+
+
 def test_coset_poset_enumerates_subgroups_once(capsys, monkeypatch):
     from commclass import cosetposet
 
@@ -281,3 +327,18 @@ def test_fixtures_pin_leaves_no_temporary_file(capsys, tmp_path):
     assert code == 0 and "fixtures: pinned" in err
     assert path.read_text() == out
     assert os.listdir(tmp_path) == ["fix.json"]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.join(REPO_ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "commclass", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "torus-analyze" in proc.stdout

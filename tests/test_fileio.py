@@ -87,6 +87,7 @@ def test_group_spec_errors():
         ({"format": "perm", "degree": 2, "generators": [[0, "x"]]}, "g.generators[0]"),
         ({"format": "perm", "degree": 2, "generators": [[1.0, 0]]}, "g.generators[0]"),
         ({"format": "perm", "degree": 2, "generators": [5]}, "g.generators[0]"),
+        ({"format": "perm", "degree": True, "generators": [[0]]}, "g.degree"),
     ]:
         with pytest.raises(ParseError) as e:
             group_from_spec(doc, where="g")
@@ -132,6 +133,10 @@ def test_extension_spec_errors(tmp_path):
     with pytest.raises(ParseError) as e:
         parse_extension(write(tmp_path, "d.json", bad))
     assert "central_quotient[0].t: expected 2 coordinates" in str(e.value)
+    bad = dict(base, rank=True, action={"1": [[-1]]})
+    with pytest.raises(ParseError) as e:
+        parse_extension(write(tmp_path, "e.json", bad))
+    assert "rank: wrong type bool" in str(e.value)
 
 
 def test_parse_cocycle_with_sibling_extension(tmp_path):

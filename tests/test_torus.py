@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -60,6 +61,110 @@ def test_operator_forms_match_methods():
     assert x.commutator(y) == E.commutator(x, y)
     assert E.identity().is_identity()
     assert not x.is_identity()
+
+
+# A Fraction reference for the element arithmetic, from the defining data:
+# (t, f)(t', f') = (t + rho(f) t', f f'), then the least (t, f) in the Z-orbit.
+
+
+def ref_apply(E, f, t):
+    return tuple(sum(r * x for r, x in zip(row, t)) for row in E.rho[f].to_rows())
+
+
+def ref_canonical(E, t, f):
+    orbit = []
+    for tz, fz in E.z_elements:
+        moved = ref_apply(E, f, tz)
+        orbit.append((tuple((a + b) % 1 for a, b in zip(t, moved)), E.F.mul(f, fz)))
+    return min(orbit)
+
+
+def ref_mul(E, x, y):
+    moved = ref_apply(E, x[1], y[0])
+    return ref_canonical(E, tuple(a + b for a, b in zip(x[0], moved)), E.F.mul(x[1], y[1]))
+
+
+def ref_inv(E, x):
+    finv = E.F.inv(x[1])
+    return ref_canonical(E, tuple(-a for a in ref_apply(E, finv, x[0])), finv)
+
+
+def test_element_arithmetic_matches_fraction_reference():
+    sampler = random.Random(0x7ea)
+    for name, E in catalog_extensions():
+        for den in (12, 7):
+            for _ in range(30):
+                raw = []
+                for _ in range(2):
+                    t = tuple(Fraction(sampler.randrange(den), den) for _ in range(E.rank))
+                    raw.append((t, sampler.randrange(E.F.order)))
+                x, y = (E.element(t, f) for t, f in raw)
+                rx, ry = (ref_canonical(E, t, f) for t, f in raw)
+                for el, want in (
+                    (x, rx),
+                    (E.mul(x, y), ref_mul(E, rx, ry)),
+                    (E.inv(x), ref_inv(E, rx)),
+                    (
+                        E.commutator(x, y),
+                        ref_mul(E, ref_mul(E, ref_inv(E, rx), ref_inv(E, ry)), ref_mul(E, rx, ry)),
+                    ),
+                ):
+                    assert (el.t, el.f) == want, name
+                    assert all(type(c) is Fraction and 0 <= c < 1 for c in el.t)
+                    zero = (Fraction(0),) * E.rank
+                    assert el.is_identity() == (want == (zero, 0))
+
+
+def test_equal_inputs_give_equal_elements():
+    for name in ("o2", "o2_half", "su2_normalizer", "swap2"):
+        E = catalog_extension(name)
+        f = E.F.order - 1
+        forms = [[Fraction(1, 2)], [Fraction(2, 4)], [Fraction(-1, 2)], [Fraction(3, 2)], ["-1/2"]]
+        zeros = [[0], [1], [Fraction(-3)], [Fraction(4, 2)]]
+        for group in (forms, zeros):
+            els = [E.element(t * E.rank, f) for t in group]
+            assert all(el == els[0] and hash(el) == hash(els[0]) for el in els)
+            assert len(set(els)) == 1
+        ident = E.element([1] * E.rank, 0)
+        assert ident == E.identity() and hash(ident) == hash(E.identity())
+        assert ident.is_identity()
+    # in su2_normalizer (1/2, 2) is the identity coset
+    E = catalog_extension("su2_normalizer")
+    assert E.element([Fraction(1, 2)], 2).is_identity()
+    assert not E.element([Fraction(1, 2)], 0).is_identity()
+
+
+def test_element_arithmetic_constructs_no_fraction(monkeypatch):
+    from commclass import torus
+
+    cases = []
+    for name in ("o2", "su2_normalizer", "o2_half", "perm_s3"):
+        E = catalog_extension(name)
+        x = E.element(random_point(E.rank), E.F.order - 1)
+        y = E.element(random_point(E.rank), 0)
+        cases.append((E, x, y))
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction constructed in element arithmetic")
+
+    monkeypatch.setattr(torus, "Fraction", no_fraction)
+    for E, x, y in cases:
+        E.commutator(E.mul(x, y), E.inv(x))
+        E.lift_element(1)
+        E.elements_of_denominator(3)
+
+
+def test_element_pools_are_sorted_by_t_then_f():
+    for name, E in catalog_extensions():
+        for M in (3, 4):
+            pool = E.elements_of_denominator(M)
+            assert pool == sorted(pool, key=lambda e: (e.t, e.f))
+            want = {
+                ref_canonical(E, tuple(Fraction(a, M) for a in n), f)
+                for n in product(range(M), repeat=E.rank)
+                for f in range(E.F.order)
+            }
+            assert [(e.t, e.f) for e in pool] == sorted(want)
 
 
 def test_o2_psi_and_lattices():
