@@ -28,8 +28,14 @@ from .errors import (
 from .fileio import parse_cocycle, parse_extension, parse_group
 from .groupring import coinvariants, moore_h2, pi2_e2_connected
 from .groups import abelianization
-from .intlinalg import AbelianGroupInvariants, IntMatrix, Lattice, homology_range
-from .simplicial import build_c, build_e
+from .intlinalg import (
+    AbelianGroupInvariants,
+    IntMatrix,
+    Lattice,
+    check_chain_complex,
+    homology_range,
+)
+from .simplicial import build_c, build_e, cone_morse_boundaries
 from .torus import (
     commutator_lattices,
     pi1_split,
@@ -95,10 +101,16 @@ def _row(name: str, value, ref: str) -> dict:
 # subcommand handlers; each returns (rows, inputs, exit_code)
 
 
-def _homology_rows(S, max_dim: int, counts_ref: str, hom_ref: str) -> list:
+def _homology_rows(S, max_dim: int, counts_ref: str, hom_ref: str, shrink=None) -> list:
+    """Level counts and homology rows.  shrink, when given, maps the checked
+    boundaries of S to those of a smaller complex with the same homology,
+    and that complex is the one reduced."""
     if max_dim < 0:
         raise ValidationError("--max-dim must be nonnegative")
     boundaries = [S.boundary_matrix(k) for k in range(1, max_dim + 2)]
+    if shrink is not None:
+        check_chain_complex(boundaries, reduced=True)
+        boundaries = shrink(boundaries)
     h = homology_range(boundaries, reduced=True)
     # C_0 is never empty here, so H0 is H~0 plus one free summand
     h0 = AbelianGroupInvariants(h[0].free_rank + 1, h[0].torsion)
@@ -133,7 +145,11 @@ def cmd_homology_e2g(args):
     G = parse_group(args.group)
     S = build_e(G, args.max_dim + 1, budget=args.budget)
     rows = _homology_rows(
-        S, args.max_dim, "total-space-level-counts", "total-space-homology"
+        S,
+        args.max_dim,
+        "total-space-level-counts",
+        "total-space-homology",
+        shrink=lambda boundaries: cone_morse_boundaries(G, S, boundaries),
     )
     return rows, {"group": args.group, "max_dim": args.max_dim}, 0
 

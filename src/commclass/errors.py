@@ -35,3 +35,13 @@ def check_budget(size: int, budget: int, what: str) -> None:
         raise BudgetExceededError(
             f"{what}: enumeration size {size} exceeds budget {budget}"
         )
+
+
+def check_power_budget(base: int, exponent: int, budget: int, what: str) -> None:
+    """check_budget for base**exponent items.  The power is not formed when
+    it must exceed the budget, so a huge exponent is refused at once."""
+    if base > 1 and exponent > max(budget, 1).bit_length():
+        raise BudgetExceededError(
+            f"{what}: enumeration size {base}^{exponent} exceeds budget {budget}"
+        )
+    check_budget(base**exponent, budget, what)

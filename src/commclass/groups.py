@@ -11,7 +11,13 @@ from __future__ import annotations
 
 import random
 
-from .errors import BudgetExceededError, ValidationError, check_budget, DEFAULT_BUDGET
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    ValidationError,
+    check_budget,
+    check_power_budget,
+)
 from .intlinalg import IntMatrix, snf_diagonal
 
 _ASSOC_FULL_CHECK_MAX = 64
@@ -356,7 +362,7 @@ def commuting_tuples(G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> li
     """All n-tuples of pairwise commuting elements, in lexicographic order."""
     if n < 0:
         raise ValidationError("tuple length must be nonnegative")
-    check_budget(G.order**n, budget, f"commuting tuples of length {n}")
+    check_power_budget(G.order, n, budget, f"commuting tuples of length {n}")
     if n == 0:
         return [()]
     out = []
@@ -384,7 +390,7 @@ def almost_commuting_tuples(G: FiniteGroup, K: Subgroup, n: int, budget: int = D
         raise ValidationError("almost-commuting tuples require K central in G")
     if n < 0:
         raise ValidationError("tuple length must be nonnegative")
-    check_budget(G.order**n, budget, f"almost commuting tuples of length {n}")
+    check_power_budget(G.order, n, budget, f"almost commuting tuples of length {n}")
     if n == 0:
         return [()]
     out = []

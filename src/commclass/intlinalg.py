@@ -121,6 +121,16 @@ class IntMatrix:
                 cols[j][i] = v
         return cols
 
+    def submatrix(self, row_indices, col_indices):
+        """The matrix on the given rows and columns, in the given order."""
+        colpos = {j: b for b, j in enumerate(col_indices)}
+        out = IntMatrix(len(row_indices), len(col_indices))
+        data = self._data
+        out._data = [
+            {colpos[j]: v for j, v in data[i].items() if j in colpos} for i in row_indices
+        ]
+        return out
+
     def transpose(self):
         t = IntMatrix(self.cols, self.rows)
         for i, row in enumerate(self._data):
@@ -310,8 +320,12 @@ def _dense_smith(rows, m, n, want_transforms):
     """Core dense SNF. Returns (diag_entries, U, Uinv, V, A) as lists.
 
     Entries are cleared with single extended-gcd row/column mixes rather
-    than repeated division, which keeps coefficient growth polynomial;
-    the divisibility chain is restored afterwards on diagonal pairs.
+    than repeated division; the divisibility chain is restored afterwards
+    on diagonal pairs.  Coefficient growth is unbounded in general: on some
+    sparse random matrices the entries grow exponentially with the pivot
+    count.  Of the boundary matrices, only the dense tail of snf_diagonal
+    (the block left without a +-1 entry) and the oracle tests reach it;
+    the transform-carrying callers take small lattice bases.
     """
     A = [row[:] for row in rows]
     tr = _Transforms(m, n, want_transforms)
@@ -773,6 +787,24 @@ class AbelianGroupInvariants:
         return " + ".join(parts) if parts else "0"
 
 
+def check_chain_complex(boundaries, reduced: bool = False) -> None:
+    """Check that [d_1, ..., d_{top+1}] is a chain complex: adjacent
+    boundaries compose, d_k o d_{k+1} = 0, and with reduced=True the
+    augmentation C_0 -> Z vanishes on im(d_1) (every column of d_1 sums to
+    zero).  Raises ValidationError at the first failure."""
+    for k, (d_out, d_in) in enumerate(zip(boundaries, boundaries[1:]), start=1):
+        if d_out.cols != d_in.rows:
+            raise ValidationError(
+                f"non-composable dimensions: d_{k} is {d_out.rows}x{d_out.cols}, "
+                f"d_{k + 1} is {d_in.rows}x{d_in.cols}"
+            )
+        if d_in.cols and d_out.rows and not (d_out @ d_in).is_zero():
+            raise ValidationError(f"composite d_{k} o d_{k + 1} is nonzero")
+    if reduced and boundaries:
+        if any(sum(col.values()) for col in boundaries[0].column_dicts()):
+            raise ValidationError("augmentation o d_1 is nonzero")
+
+
 def homology_range(boundaries, reduced: bool = False) -> list:
     """Homology H_0..H_top of the complex with boundaries [d_1, ..., d_{top+1}],
     d_k: C_k -> C_{k-1}, reducing each boundary once.
@@ -783,20 +815,8 @@ def homology_range(boundaries, reduced: bool = False) -> list:
     reduced=True, d_0 is the augmentation C_0 -> Z instead, which must vanish
     on im(d_1): every column of d_1 sums to zero.
     """
-    for k, (d_out, d_in) in enumerate(zip(boundaries, boundaries[1:]), start=1):
-        if d_out.cols != d_in.rows:
-            raise ValidationError(
-                f"non-composable dimensions: d_{k} is {d_out.rows}x{d_out.cols}, "
-                f"d_{k + 1} is {d_in.rows}x{d_in.cols}"
-            )
-        if d_in.cols and d_out.rows and not (d_out @ d_in).is_zero():
-            raise ValidationError(f"composite d_{k} o d_{k + 1} is nonzero")
-    rank_out = 0
-    if reduced and boundaries:
-        d_1 = boundaries[0]
-        if any(sum(col.values()) for col in d_1.column_dicts()):
-            raise ValidationError("augmentation o d_1 is nonzero")
-        rank_out = 1 if d_1.rows else 0
+    check_chain_complex(boundaries, reduced)
+    rank_out = 1 if reduced and boundaries and boundaries[0].rows else 0
     out = []
     for d_in in boundaries:
         div_in = snf_diagonal(d_in)

@@ -18,6 +18,7 @@ from .errors import (
     TruncationError,
     ValidationError,
     check_budget,
+    check_power_budget,
 )
 from .groups import FiniteGroup, commuting_tuples
 from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_at, homology_range
@@ -238,12 +239,23 @@ def reduced_homology_range(S: SimplicialTruncation, top: int, normalized=True) -
 # the two models
 
 
+def _check_depth(N: int, budget: int) -> None:
+    """The face tables of a depth-N truncation copy at least
+    sum_{k=1..N} k(k+1) = N(N+1)(N+2)/3 tuple entries, even with one simplex
+    per level (the trivial group), so the depth itself counts against the
+    budget."""
+    check_budget(N * (N + 1) * (N + 2) // 3, budget, f"face tables of depth {N}")
+
+
 def build_c(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialTruncation:
     """Truncation of the commuting-tuple nerve: level k lists the pairwise
     commuting k-tuples, faces multiply adjacent entries (dropping at the
     ends), degeneracies insert the identity."""
     if N < 0:
         raise ValidationError("degree bound must be nonnegative")
+    # refuse before enumerating the lower levels
+    check_power_budget(G.order, N, budget, f"commuting tuples of length {N}")
+    _check_depth(N, budget)
     levels = [commuting_tuples(G, k, budget=budget) for k in range(N + 1)]
 
     def face(k, t, i):
@@ -278,7 +290,8 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     degeneracies repeat one."""
     if N < 0:
         raise ValidationError("degree bound must be nonnegative")
-    check_budget(G.order ** (N + 1), budget, f"tuples of length {N + 1}")
+    check_power_budget(G.order, N + 1, budget, f"tuples of length {N + 1}")
+    _check_depth(N, budget)
     levels = []
     for k in range(N + 1):
         level = []
@@ -299,6 +312,43 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
 
     label = f"homogeneous-model({G.label or G.order}, N={N})"
     return SimplicialTruncation(levels, face, degeneracy, label=label)
+
+
+def cone_morse_boundaries(G: FiniteGroup, S: SimplicialTruncation, boundaries: list) -> list:
+    """Boundaries of the Morse complex of the cone matching on the
+    normalized homogeneous model S = build_e(G, ...), given its normalized
+    boundaries [d_1, ..., d_{top+1}]; the result has the same homology.
+
+    A nondegenerate simplex (g0, ..., gk) with g0 != 1 is matched with
+    (1, g0, ..., gk) when that simplex exists, that is when g0 commutes with
+    every gi.  The critical cells are the vertex (1) and, for k >= 1, the
+    simplices (g0, ..., gk) with g0 != 1 and some gi outside the centralizer
+    of g0.  Every face of (1, f) other than f starts with 1, so every
+    gradient path has length one (Skoldberg, Trans. AMS 2006): the Morse d_1
+    is the zero 1 x c_1 matrix, since every vertex flows to (1), and for
+    k >= 2 the Morse d_k is d_k on the critical rows and columns.
+    """
+    for k, d in enumerate(boundaries, start=1):
+        if k > S.max_degree or (d.rows, d.cols) != (
+            len(S.nondegenerate(k - 1)),
+            len(S.nondegenerate(k)),
+        ):
+            raise ValidationError(f"d_{k} is not a normalized boundary of {S!r}")
+    # level 0 has no degenerate simplices, so (1) sits at its own index
+    critical = [[S.index[0][(0,)]]]
+    for k in range(1, len(boundaries) + 1):
+        level = S.levels[k]
+        critical.append(
+            [
+                pos
+                for pos, idx in enumerate(S.nondegenerate(k))
+                if level[idx][0] and not G.commuting_set(level[idx][0]).issuperset(level[idx])
+            ]
+        )
+    morse = [IntMatrix.zero(1, len(critical[1]))] if boundaries else []
+    for k in range(2, len(boundaries) + 1):
+        morse.append(boundaries[k - 1].submatrix(critical[k - 1], critical[k]))
+    return morse
 
 
 def p_map(G: FiniteGroup, e) -> tuple:

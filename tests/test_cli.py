@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -212,6 +213,11 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
             "clutch_o2_alpha_invert",
             ("clutch", "--cocycle", "specs/o2_alpha.cocycle.json", "--invert"),
         ),
+        ("homology-e2g_Z12", ("homology-e2g", "--group", "Z12", "--max-dim", "2")),
+        ("homology-e2g_A4", ("homology-e2g", "--group", "A4", "--max-dim", "2")),
+        ("homology-e2g_D12", ("homology-e2g", "--group", "D12", "--max-dim", "2")),
+        ("homology-e2g_Q16", ("homology-e2g", "--group", "Q16", "--max-dim", "2")),
+        ("homology-e2g_Q8oZ4", ("homology-e2g", "--group", "Q8oZ4", "--max-dim", "2")),
     ],
 )
 def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv):
@@ -234,33 +240,75 @@ def test_negative_max_dim_exits_2(capsys):
     [
         (("homology-e2g", "--group", "Z4", "--max-dim", "2"), 3),
         (("homology-b2g", "--group", "Q8", "--max-dim", "3"), 4),
+        (("homology-e2g", "--group", "S3", "--max-dim", "2"), 3),
     ],
 )
 def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, argv, top_degree):
     from commclass import intlinalg, simplicial
+    from commclass.catalog import catalog_group
 
     built = {}
+    truncations = []
     reduced = []
+    products = []
     build = simplicial.SimplicialTruncation.boundary_matrix
     snf = intlinalg.snf_diagonal
+    matmul = intlinalg.IntMatrix.__matmul__
 
     def counting_build(S, k, normalized=True):
         M = build(S, k, normalized=normalized)
         built.setdefault(k, []).append(M)
+        truncations.append(S)
         return M
 
     def counting_snf(M):
         reduced.append(M)
         return snf(M)
 
+    def recording_matmul(A, B):
+        products.append((A, B))
+        return matmul(A, B)
+
     monkeypatch.setattr(simplicial.SimplicialTruncation, "boundary_matrix", counting_build)
     monkeypatch.setattr(intlinalg, "snf_diagonal", counting_snf)
+    monkeypatch.setattr(intlinalg.IntMatrix, "__matmul__", recording_matmul)
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert sorted(built) == list(range(1, top_degree + 1))
     for k in range(1, top_degree + 1):
         assert len(built[k]) == 1
-        assert sum(M is built[k][0] for M in reduced) == 1
+    full = [built[k][0] for k in range(1, top_degree + 1)]
+    # d_k o d_{k+1} = 0 is still checked on the full boundaries
+    for k in range(1, top_degree):
+        assert any(A is full[k - 1] and B is full[k] for A, B in products)
+    # one elimination per degree
+    assert len(reduced) == top_degree
+    if argv[0] == "homology-b2g":
+        for k in range(1, top_degree + 1):
+            assert sum(M is full[k - 1] for M in reduced) == 1
+        return
+    # homology-e2g eliminates only the critical cells of the cone matching,
+    # never a full boundary
+    G = catalog_group(argv[2])
+    S = truncations[0]
+    critical = [1]
+    for k in range(1, top_degree + 1):
+        critical.append(
+            sum(
+                1
+                for e in S.levels[k]
+                if all(a != b for a, b in zip(e, e[1:]))
+                and e[0] != 0
+                and any(not G.commute(e[0], g) for g in e)
+            )
+        )
+    for k, M in enumerate(reduced, start=1):
+        assert all(M is not B for B in full)
+        assert (M.rows, M.cols) == (critical[k - 1], critical[k])
+    if G.is_abelian:
+        assert critical == [1] + [0] * top_degree
+    else:
+        assert all(critical[1:])
 
 
 def test_single_degree_homology_builds_and_reduces_two_boundaries(monkeypatch):
@@ -342,3 +390,66 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert "torus-analyze" in proc.stdout
+
+
+_FUZZ_SPECS = [
+    {"format": "catalog", "name": "Z2"},
+    {"format": "catalog", "name": "Z1"},
+    {"format": "table", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "names": ["e", "a", "b"]},
+    {"format": "table", "table": [[0]]},
+    {"format": "perm", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]], "label": "S3"},
+]
+_FUZZ_JUNK = [None, True, False, 0, -1, 3, 2**70, 1.5, "", "x", "Z3", [], [[]], [0, 1], [[0, 1]], {}]
+_FUZZ_KEYS = ["format", "name", "table", "names", "degree", "generators", "label"]
+
+
+def _fuzz_spec(rng):
+    doc = json.loads(json.dumps(rng.choice(_FUZZ_SPECS)))
+    for _ in range(rng.randint(1, 3)):
+        lists = [v for v in doc.values() if isinstance(v, list) and v]
+        if lists and rng.random() < 0.6:
+            # table rows, generators, names: change, drop or repeat one entry
+            value = rng.choice(lists)
+            i = rng.randrange(len(value))
+            if isinstance(value[i], list) and value[i] and rng.random() < 0.8:
+                junk = rng.randint(-2, 4) if rng.random() < 0.7 else rng.choice(_FUZZ_JUNK)
+                value[i][rng.randrange(len(value[i]))] = junk
+            elif rng.random() < 0.5:
+                del value[i]
+            else:
+                value.append(json.loads(json.dumps(value[i])))
+        elif rng.random() < 0.3:
+            doc.pop(rng.choice(_FUZZ_KEYS), None)
+        else:
+            doc[rng.choice(_FUZZ_KEYS)] = rng.choice(_FUZZ_JUNK)
+    text = json.dumps(doc)
+    if rng.random() < 0.15:
+        text = text[: rng.randrange(len(text))]
+    return text
+
+
+def test_fuzz_homology_commands_exit_with_documented_codes(capsys, tmp_path):
+    rng = random.Random(20261018)
+    max_dims = ["-7", "-1", "0", "1", "2", "x", "", "2.5", "1e2", "40", "1000000", str(10**20)]
+    budgets = ["-5", "0", "1", "30", "10000000", "abc", "", "3.0"]
+    seen = set()
+    for case in range(160):
+        if rng.random() < 0.5:
+            group = str(tmp_path / f"g{case}.json")
+            with open(group, "w") as fh:
+                fh.write(_fuzz_spec(rng))
+        else:
+            group = rng.choice(["Z1", "Z2", "S3", "Nope", "", str(tmp_path)])
+        argv = [rng.choice(["homology-e2g", "homology-b2g"]), "--group", group]
+        if rng.random() < 0.8:
+            argv += ["--max-dim", rng.choice(max_dims)]
+        if rng.random() < 0.5:
+            argv += ["--budget", rng.choice(budgets)]
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse rejects a malformed flag with exit 2
+            code = e.code
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4), argv
+        seen.add(code)
+    assert {0, 2, 3} <= seen

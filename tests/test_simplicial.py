@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from commclass import cli
 from commclass.catalog import catalog_group, catalog_groups, cyclic, dihedral
 from commclass.errors import (
     BudgetExceededError,
@@ -7,12 +10,13 @@ from commclass.errors import (
     TruncationError,
     ValidationError,
 )
-from commclass.groups import direct_product
-from commclass.intlinalg import AbelianGroupInvariants
+from commclass.groups import commuting_tuples, direct_product
+from commclass.intlinalg import AbelianGroupInvariants, homology_range
 from commclass.simplicial import (
     build_c,
     build_e,
     commutator_map,
+    cone_morse_boundaries,
     homology,
     is_successively_commuting,
     p_map,
@@ -175,8 +179,104 @@ def test_verify_identities_detects_corruption():
     assert C.verify_identities() > 0
 
 
+def test_budget_refuses_deep_truncations_before_enumerating(monkeypatch):
+    # the top level and the depth are checked first, and no huge power is formed
+    from commclass import simplicial
+
+    enumerated = []
+    monkeypatch.setattr(
+        simplicial, "commuting_tuples", lambda G, k, budget: enumerated.append(k) or [()]
+    )
+    for build, G, N in [
+        (build_c, cyclic(2), 40),
+        (build_e, cyclic(3), 10**6),
+        (build_c, cyclic(1), 10**6),
+        (build_e, cyclic(1), 10**20),
+    ]:
+        with pytest.raises(BudgetExceededError):
+            build(G, N)
+    assert enumerated == []
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceededError):
+        commuting_tuples(cyclic(2), 10**9)
+    assert len(build_c(cyclic(1), 300).levels) == 301
+
+
 def test_build_budget():
     with pytest.raises(BudgetExceededError):
         build_e(catalog_group("S4"), 4, budget=10_000)
     with pytest.raises(ValidationError):
         build_c(catalog_group("S3"), -1)
+
+
+def test_cone_morse_matches_unreduced_homology():
+    for name, G in catalog_groups(12):
+        S = build_e(G, 3)
+        morse = cone_morse_boundaries(G, S, [S.boundary_matrix(k) for k in (1, 2, 3)])
+        assert homology_range(morse, reduced=True) == reduced_homology_range(S, 2), name
+
+
+def test_cone_morse_critical_cells():
+    # level sizes of the Morse complex at levels 0..3
+    for name, sizes in [("D8", [1, 24, 96, 312]), ("Z4xZ4", [1, 0, 0, 0])]:
+        G = catalog_group(name)
+        S = build_e(G, 3)
+        morse = cone_morse_boundaries(G, S, [S.boundary_matrix(k) for k in (1, 2, 3)])
+        assert [morse[0].rows] + [d.cols for d in morse] == sizes
+        assert morse[0].is_zero()
+        for d_out, d_in in zip(morse, morse[1:]):
+            assert (d_out @ d_in).is_zero()
+    S = build_e(catalog_group("S3"), 2)
+    with pytest.raises(ValidationError):
+        cone_morse_boundaries(catalog_group("S3"), S, [S.boundary_matrix(k) for k in (1, 2, 2)])
+    with pytest.raises(ValidationError):
+        cone_morse_boundaries(catalog_group("S3"), S, [S.boundary_matrix(2), S.boundary_matrix(1)])
+
+
+def rank_mod_p(columns, p):
+    """Rank over F_p of the matrix with the given sparse columns (row -> entry),
+    by column reduction on the lowest nonzero row."""
+    pivots = {}
+    for col in columns:
+        c = {i: v % p for i, v in col.items() if v % p}
+        while c:
+            low = max(c)
+            if low not in pivots:
+                inv = pow(c[low], -1, p)
+                pivots[low] = {i: v * inv % p for i, v in c.items()}
+                break
+            f = c[low]
+            for i, v in pivots[low].items():
+                x = (c.get(i, 0) - f * v) % p
+                if x:
+                    c[i] = x
+                else:
+                    del c[i]
+    return len(pivots)
+
+
+def test_rank_mod_p():
+    assert rank_mod_p([{0: 2}], 2) == 0
+    assert rank_mod_p([{0: 2}], 3) == 1
+    assert rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == 1
+    assert rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: -1}], 3) == 2
+    assert rank_mod_p([{}, {2: 6}, {1: 4, 2: 3}], 5) == 2
+
+
+@pytest.mark.parametrize("name", ["S3", "D8", "Q8", "A4", "D12"])
+def test_cli_homology_matches_mod_p_ranks_of_the_full_complex(capsys, name):
+    # universal coefficients: dim H_k(C; F_p) = b_k + t_k(p) + t_{k-1}(p)
+    assert cli.main(["homology-e2g", "--group", name, "--max-dim", "2", "--output", "machine"]) == 0
+    rows = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+    answer = [rows[f"H{k}"] for k in range(3)]
+    G = catalog_group(name)
+    S = build_e(G, 3)
+    sizes = [len(S.nondegenerate(k)) for k in range(4)]
+    columns = [S.boundary_matrix(k).column_dicts() for k in (1, 2, 3)]
+    primes = [p for p in range(2, G.order + 1) if G.order % p == 0 and all(p % q for q in range(2, p))]
+    for p in primes + [2**31 - 1]:
+        ranks = [0] + [rank_mod_p(cols, p) for cols in columns]
+        for k in range(3):
+            t = [sum(1 for d in answer[j]["invariant_factors"] if d % p == 0) for j in (k, k - 1)]
+            want = answer[k]["free_rank"] + t[0] + (t[1] if k else 0)
+            assert sizes[k] - ranks[k] - ranks[k + 1] == want, (name, p, k)
