@@ -51,8 +51,8 @@ OUTPUT_VERSION = 1
 # value rendering
 
 
-def _element_doc(E, el) -> dict:
-    return {"t": [str(Fraction(x)) for x in el.t], "f": E.F.name_of(el.f)}
+def _element_doc(E, t, f) -> dict:
+    return {"t": [str(Fraction(x)) for x in t], "f": E.F.name_of(f)}
 
 
 def _machine_value(v):
@@ -196,7 +196,7 @@ def cmd_torus_analyze(args):
         _row("split", E.is_split, "central-quotient-structure"),
         _row(
             "torus-quotient-elements",
-            [_element_doc(E, E.element(t, f)) for t, f in E.z_elements],
+            [_element_doc(E, t, f) for t, f in E.z_elements],
             "central-quotient-structure",
         ),
     ]
@@ -231,9 +231,9 @@ def cmd_single_comm(args):
             "witnesses",
             [
                 {
-                    "target": _element_doc(E, t),
-                    "x": _element_doc(E, x),
-                    "y": _element_doc(E, y),
+                    "target": _element_doc(E, t.t, t.f),
+                    "x": _element_doc(E, x.t, x.f),
+                    "y": _element_doc(E, y.t, y.f),
                 }
                 for t, x, y in report.witnesses
             ],
@@ -241,7 +241,7 @@ def cmd_single_comm(args):
         ),
         _row(
             "missing",
-            [_element_doc(E, t) for t in report.missing],
+            [_element_doc(E, t.t, t.f) for t in report.missing],
             "single-commutator-witnesses",
         ),
     ]

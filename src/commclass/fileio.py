@@ -130,7 +130,8 @@ def extension_from_spec(doc, where: str = "extension") -> TorusExtension:
         images[idx] = IntMatrix.from_rows(mat)
     rho = rho_from_generators(F, images, rank)
     quotient = []
-    for i, gen in enumerate(doc.get("central_quotient", [])):
+    gens = _require(doc, "central_quotient", where, list) if "central_quotient" in doc else []
+    for i, gen in enumerate(gens):
         gwhere = f"{where}.central_quotient[{i}]"
         tvec = _require(gen, "t", gwhere, list)
         if len(tvec) != rank:

@@ -237,14 +237,6 @@ class Subgroup:
             g.conjugate(a, b) in self._set for a in self.elements for b in range(g.order)
         )
 
-    def as_group(self):
-        """The subgroup as a standalone FiniteGroup plus the inclusion list."""
-        els = list(self.elements)
-        pos = {e: i for i, e in enumerate(els)}
-        table = [[pos[self.parent.mul(a, b)] for b in els] for a in els]
-        names = [self.parent.names[e] for e in els]
-        return FiniteGroup(table, names=names, check=False), els
-
     def __repr__(self):
         return f"Subgroup(order {self.order} of {self.parent!r})"
 

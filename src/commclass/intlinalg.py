@@ -4,10 +4,12 @@ kernels, lattices in Z^k, and homology of integer chain complexes.
 All arithmetic uses Python's arbitrary-precision integers.  Matrices are
 stored sparsely (one dict per row) so that boundary matrices of large chain
 complexes stay affordable.  Invariant factors of every matrix come from one
-path: greedy unit-pivot sparse elimination, then the dense Smith routine on
-the block left without a +-1 entry.  The dense Smith routine with
-unimodular transforms also serves the transform-carrying callers and is the
-independent oracle of the sparse path.
+path: greedy unit-pivot sparse elimination along the short side of the
+matrix (its rows, or its columns when it is wider than tall), then the
+dense Smith routine on the block left without a +-1 entry.  The dense
+Smith routine with unimodular transforms also serves the
+transform-carrying callers and is the independent oracle of the sparse
+path.
 """
 
 from __future__ import annotations
@@ -454,20 +456,36 @@ def _smith_with_uinv(M: IntMatrix):
 def snf_diagonal(M: IntMatrix):
     """Nonzero invariant factors of M (the nonzero diagonal of its SNF).
 
-    Greedy unit-pivot elimination (Dumas-Saunders-Villard): sweep the rows
+    Greedy unit-pivot elimination (Dumas-Saunders-Villard): sweep the lines
     from shortest to longest and pivot each on its +-1 entry in the
-    sparsest column.  Each pivot is a unimodular equivalence splitting off
-    diag(1).  Fill-in can create units in rows already swept, so sweeps
-    repeat until one finds no pivot; the block left without a +-1 entry
-    is finished densely.
+    sparsest cross line.  Each pivot is a unimodular equivalence splitting
+    off diag(1).  Fill-in can create units in lines already swept, so
+    sweeps repeat until one finds no pivot; the block left without a +-1
+    entry is finished densely.
+
+    The swept lines are the short side of M: its rows, unless M is wider
+    than tall, in which case they are its columns.  M and its transpose
+    have the same invariant factors, and sweeping the short lines fills
+    in far less; the dense tail then has at most min(rows, cols) columns.
     """
-    rows = {}
-    cols = {}
-    for i, r in enumerate(M._data):
-        if r:
-            rows[i] = dict(r)
-            for j in r:
-                cols.setdefault(j, set()).add(i)
+    # rows: swept line -> {cross index: entry}; cols: cross index -> lines
+    if M.cols > M.rows:
+        lines = [dict() for _ in range(M.cols)]
+        cols = {}
+        for i, r in enumerate(M._data):
+            if r:
+                cols[i] = set(r)
+                for j, v in r.items():
+                    lines[j][i] = v
+        rows = {j: line for j, line in enumerate(lines) if line}
+    else:
+        rows = {}
+        cols = {}
+        for i, r in enumerate(M._data):
+            if r:
+                rows[i] = dict(r)
+                for j in r:
+                    cols.setdefault(j, set()).add(i)
 
     ones = 0
     pivoted = True

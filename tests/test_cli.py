@@ -218,6 +218,10 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
         ("homology-e2g_D12", ("homology-e2g", "--group", "D12", "--max-dim", "2")),
         ("homology-e2g_Q16", ("homology-e2g", "--group", "Q16", "--max-dim", "2")),
         ("homology-e2g_Q8oZ4", ("homology-e2g", "--group", "Q8oZ4", "--max-dim", "2")),
+        # wide top boundaries with torsion: the short-side elimination order
+        ("homology-b2g_Z3xZ3", ("homology-b2g", "--group", "Z3xZ3", "--max-dim", "3")),
+        ("homology-b2g_Q8oZ4", ("homology-b2g", "--group", "Q8oZ4", "--max-dim", "3")),
+        ("homology-b2g_Z2xZ6", ("homology-b2g", "--group", "Z2xZ6", "--max-dim", "3")),
     ],
 )
 def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv):
@@ -453,3 +457,87 @@ def test_fuzz_homology_commands_exit_with_documented_codes(capsys, tmp_path):
         assert code in (0, 2, 3, 4), argv
         seen.add(code)
     assert {0, 2, 3} <= seen
+
+
+_FUZZ_EXTENSIONS = [
+    {
+        "rank": 1,
+        "finite": {"format": "catalog", "name": "Z4"},
+        "action": {"1": [[-1]]},
+        "central_quotient": [{"t": ["1/2"], "f": "2"}],
+    },
+    {
+        "rank": 2,
+        "finite": {"format": "table", "table": [[0, 1], [1, 0]], "names": ["1", "s"]},
+        "action": {"s": [[0, 1], [1, 0]]},
+        "central_quotient": [{"t": ["1/2", "1/2"], "f": "1"}],
+        "label": "swap",
+    },
+]
+_FUZZ_COCYCLE = {
+    "extension": {
+        "rank": 1,
+        "finite": {"format": "table", "table": [[0, 1], [1, 0]], "names": ["1", "tau"]},
+        "action": {"tau": [[-1]]},
+    },
+    "arcs": {
+        "a12": [{"time": "0", "t": ["0"], "f": "tau"}, {"time": "1", "t": ["1"], "f": "tau"}],
+        "a13": [{"time": "0", "t": ["0"], "f": "1"}, {"time": "1", "t": ["1"], "f": "1"}],
+        "a23": [{"time": "0", "t": ["0"], "f": "tau"}, {"time": "1", "t": ["0"], "f": "tau"}],
+    },
+}
+_FUZZ_VALUES = _FUZZ_JUNK + ["1/2", "-1/3", "1/0", "tau", "2", {"t": ["0"], "f": "1"}]
+
+
+def _fuzz_document(rng, doc):
+    """Replace, drop or repeat one value at a random depth of a JSON document."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 3)):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and (parent is None or rng.random() < 0.7):
+            parent = node
+            key = rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
+            node = node[key]
+        if parent is None:
+            return json.dumps(rng.choice(_FUZZ_VALUES))
+        r = rng.random()
+        if r < 0.6:
+            # a copy, so later edits of this document leave _FUZZ_VALUES alone
+            junk = rng.randint(-2, 4) if rng.random() < 0.3 else rng.choice(_FUZZ_VALUES)
+            parent[key] = json.loads(json.dumps(junk))
+        elif r < 0.85:
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.append(json.loads(json.dumps(node)))
+        else:
+            parent[key] = [node]
+    text = json.dumps(doc)
+    if rng.random() < 0.1:
+        text = text[: rng.randrange(len(text))]
+    return text
+
+
+def test_fuzz_spec_file_commands_exit_with_documented_codes(capsys, tmp_path):
+    rng = random.Random(20261019)
+    seen = set()
+    for case in range(240):
+        path = str(tmp_path / f"spec{case}.json")
+        command = rng.choice(["torus-analyze", "single-comm", "clutch", "coset-poset"])
+        if command == "clutch":
+            text = _fuzz_document(rng, _FUZZ_COCYCLE)
+            argv = [command, "--cocycle", path] + (["--invert"] if rng.random() < 0.3 else [])
+        elif command == "coset-poset":
+            text = _fuzz_spec(rng)
+            argv = [command, "--group", path, "--max-dim", rng.choice(["-1", "0", "1", "2"])]
+        else:
+            text = _fuzz_document(rng, rng.choice(_FUZZ_EXTENSIONS))
+            argv = [command, "--ext", path]
+            if command == "single-comm":
+                argv += ["--denominator", rng.choice(["-1", "0", "1", "2", "4"])]
+        with open(path, "w") as fh:
+            fh.write(text)
+        code = cli.main(argv)
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, text)
+        seen.add(code)
+    assert {0, 2} <= seen

@@ -105,6 +105,47 @@ def test_sparse_path_matches_dense():
     assert snf_diagonal(IntMatrix.from_rows([[2, 3, 0], [1, 1, 5]])) == [1, 1]
 
 
+def test_dense_tail_lies_along_the_short_side(monkeypatch):
+    # the sweeps run along the short side of M, so the block handed to the
+    # dense routine has at most min(rows, cols) columns
+    from commclass import intlinalg
+    from commclass.catalog import catalog_group
+    from commclass.simplicial import build_c
+
+    dense_smith = intlinalg._dense_smith
+    blocks = []
+
+    def spy(rows, m, n, want_transforms):
+        blocks.append((m, n))
+        return dense_smith(rows, m, n, want_transforms)
+
+    monkeypatch.setattr(intlinalg, "_dense_smith", spy)
+
+    def check(M):
+        blocks.clear()
+        divs = snf_diagonal(M)
+        assert all(n <= min(M.rows, M.cols) for _, n in blocks), (M, blocks)
+        # M and its transpose share invariant factors; the dense oracle
+        # runs on whichever orientation has fewer columns
+        O = M.transpose() if M.cols > M.rows else M
+        dense = dense_smith(O.to_rows(), O.rows, O.cols, False)[0]
+        assert divs == [d for d in dense if d]
+
+    # the bar-model top boundary of Z3xZ3 for --max-dim 3: 512 x 4096, with
+    # torsion; sweeping its rows left a 21 x 2332 dense tail
+    S = build_c(catalog_group("Z3xZ3"), 4)
+    for k in (3, 4):
+        check(S.boundary_matrix(k))
+    local = random.Random(20261018)
+    for _ in range(40):
+        short, long = local.randrange(1, 30), local.randrange(30, 90)
+        m, n = (short, long) if local.random() < 0.5 else (long, short)
+        rows = [dict() for _ in range(m)]
+        for _ in range(2 * (m + n)):
+            rows[local.randrange(m)][local.randrange(n)] = local.choice([-2, -1, 1, 1, 2, 3])
+        check(IntMatrix(m, n, rows))
+
+
 def test_integer_kernel():
     M = IntMatrix.from_rows([[2, -4, 2]])
     K = integer_kernel(M)

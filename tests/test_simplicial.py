@@ -263,20 +263,30 @@ def test_rank_mod_p():
     assert rank_mod_p([{}, {2: 6}, {1: 4, 2: 3}], 5) == 2
 
 
-@pytest.mark.parametrize("name", ["S3", "D8", "Q8", "A4", "D12"])
-def test_cli_homology_matches_mod_p_ranks_of_the_full_complex(capsys, name):
+def check_cli_homology_against_mod_p_ranks(capsys, command, build, name, max_dim):
     # universal coefficients: dim H_k(C; F_p) = b_k + t_k(p) + t_{k-1}(p)
-    assert cli.main(["homology-e2g", "--group", name, "--max-dim", "2", "--output", "machine"]) == 0
+    argv = [command, "--group", name, "--max-dim", str(max_dim), "--output", "machine"]
+    assert cli.main(argv) == 0
     rows = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
-    answer = [rows[f"H{k}"] for k in range(3)]
+    answer = [rows[f"H{k}"] for k in range(max_dim + 1)]
     G = catalog_group(name)
-    S = build_e(G, 3)
-    sizes = [len(S.nondegenerate(k)) for k in range(4)]
-    columns = [S.boundary_matrix(k).column_dicts() for k in (1, 2, 3)]
+    S = build(G, max_dim + 1)
+    sizes = [len(S.nondegenerate(k)) for k in range(max_dim + 2)]
+    columns = [S.boundary_matrix(k).column_dicts() for k in range(1, max_dim + 2)]
     primes = [p for p in range(2, G.order + 1) if G.order % p == 0 and all(p % q for q in range(2, p))]
     for p in primes + [2**31 - 1]:
         ranks = [0] + [rank_mod_p(cols, p) for cols in columns]
-        for k in range(3):
+        for k in range(max_dim + 1):
             t = [sum(1 for d in answer[j]["invariant_factors"] if d % p == 0) for j in (k, k - 1)]
             want = answer[k]["free_rank"] + t[0] + (t[1] if k else 0)
-            assert sizes[k] - ranks[k] - ranks[k + 1] == want, (name, p, k)
+            assert sizes[k] - ranks[k] - ranks[k + 1] == want, (command, name, p, k)
+
+
+@pytest.mark.parametrize("name", ["S3", "D8", "Q8", "A4", "D12"])
+def test_cli_homology_matches_mod_p_ranks_of_the_full_complex(capsys, name):
+    check_cli_homology_against_mod_p_ranks(capsys, "homology-e2g", build_e, name, 2)
+
+
+@pytest.mark.parametrize("name", ["S3", "D8", "Q8", "Z2xZ4", "Z3xZ3"])
+def test_cli_homology_b2g_matches_mod_p_ranks_of_the_full_complex(capsys, name):
+    check_cli_homology_against_mod_p_ranks(capsys, "homology-b2g", build_c, name, 3)
