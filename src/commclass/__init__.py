@@ -69,7 +69,6 @@ from .intlinalg import (
     rank,
     row_hnf,
     saturate,
-    smith_normal_form,
     snf_diagonal,
 )
 from .simplicial import (

@@ -24,6 +24,7 @@ from .errors import (
     MathInvariantError,
     ParseError,
     ValidationError,
+    check_budget,
 )
 from .fileio import parse_cocycle, parse_extension, parse_group
 from .groupring import coinvariants, moore_h2, pi2_e2_connected
@@ -183,6 +184,11 @@ def cmd_pi2_e2(args):
         factors = [int(part) for part in args.pi1.split(",") if part.strip()]
     except ValueError:
         raise ValidationError(f"--pi1 expects comma-separated integers, got {args.pi1!r}")
+    # Z[A x A] has |A|^2 generators; charge them before building any group
+    order = 1
+    for d in AbelianGroupInvariants(0, tuple(factors)).torsion:
+        order *= d
+        check_budget(order * order, args.budget, "pi2-e2: generators of Z[A x A]")
     result = pi2_e2_connected(factors)
     rows = [_row("pi2", result, "pi2-of-connected-total-space")]
     return rows, {"pi1": factors}, 0

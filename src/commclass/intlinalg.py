@@ -1,15 +1,16 @@
-"""Exact integer linear algebra: Smith normal form, Hermite form, integer
+"""Exact integer linear algebra: invariant factors, Hermite form, integer
 kernels, lattices in Z^k, and homology of integer chain complexes.
 
 All arithmetic uses Python's arbitrary-precision integers.  Matrices are
 stored sparsely (one dict per row) so that boundary matrices of large chain
-complexes stay affordable.  Invariant factors of every matrix come from one
-path: greedy unit-pivot sparse elimination along the short side of the
-matrix (its rows, or its columns when it is wider than tall), then the
-dense Smith routine on the block left without a +-1 entry.  The dense
-Smith routine with unimodular transforms also serves the
-transform-carrying callers and is the independent oracle of the sparse
-path.
+complexes stay affordable.  Each job has one eliminator.  Invariant factors
+of every matrix come from greedy unit-pivot sparse elimination along the
+short side of the matrix (its rows, or its columns when it is wider than
+tall), then the dense Smith routine on the block left without a +-1 entry;
+that dense routine is also the independent oracle of the sparse path.
+Lattice jobs (bases, sums, kernels, saturation, complements) use the row
+Hermite form alone: reducing [A | I] carries the row transform in the
+identity block, and its rows that vanish on A span the left kernel.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ class IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# dense Smith normal form with unimodular transforms
+# dense Smith normal form
 
 
 def _find_pivot(A, m, n, t):
@@ -238,71 +239,6 @@ def _find_pivot(A, m, n, t):
     return best
 
 
-class _Transforms:
-    """Row/column transform bookkeeping for the dense Smith routine."""
-
-    def __init__(self, m, n, want):
-        self.want = want
-        if want:
-            self.U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-            self.Uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-            self.V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_swap(self, i, k):
-        if self.want:
-            U, Uinv = self.U, self.Uinv
-            U[i], U[k] = U[k], U[i]
-            for r in Uinv:
-                r[i], r[k] = r[k], r[i]
-
-    def row_add(self, i, k, q):
-        # row_i -= q * row_k
-        if self.want:
-            Ui, Uk = self.U[i], self.U[k]
-            for j in range(len(Ui)):
-                Ui[j] -= q * Uk[j]
-            for r in self.Uinv:
-                r[k] += q * r[i]
-
-    def row_negate(self, i):
-        if self.want:
-            self.U[i] = [-x for x in self.U[i]]
-            for r in self.Uinv:
-                r[i] = -r[i]
-
-    def col_swap(self, j, l):
-        if self.want:
-            for r in self.V:
-                r[j], r[l] = r[l], r[j]
-
-    def col_add(self, j, l, q):
-        # col_j -= q * col_l
-        if self.want:
-            for r in self.V:
-                r[j] -= q * r[l]
-
-    def row_mix(self, t, i, x, y, a1, b1):
-        # rows (t, i) <- (x*row_t + y*row_i, -b1*row_t + a1*row_i),
-        # determinant x*a1 + y*b1 = 1
-        if self.want:
-            Ut, Ui = self.U[t], self.U[i]
-            for j in range(len(Ut)):
-                ut, ui = Ut[j], Ui[j]
-                Ut[j] = x * ut + y * ui
-                Ui[j] = a1 * ui - b1 * ut
-            for r in self.Uinv:
-                rt, ri = r[t], r[i]
-                r[t] = a1 * rt + b1 * ri
-                r[i] = x * ri - y * rt
-    def col_mix(self, t, j, x, y, a1, b1):
-        # cols (t, j) <- (x*col_t + y*col_j, -b1*col_t + a1*col_j)
-        if self.want:
-            for r in self.V:
-                rt, rj = r[t], r[j]
-                r[t] = x * rt + y * rj
-                r[j] = a1 * rj - b1 * rt
-
-
 def _ext_gcd(a, b):
     """(g, x, y) with x*a + y*b = g = gcd(a, b) > 0."""
     old_r, r = a, b
@@ -318,19 +254,21 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def _dense_smith(rows, m, n, want_transforms):
-    """Core dense SNF. Returns (diag_entries, U, Uinv, V, A) as lists.
+def _dense_smith(rows, m, n):
+    """Diagonal of the Smith normal form of the dense m x n matrix rows:
+    min(m, n) entries, the nonzero ones a positive divisibility chain
+    followed by zeros.
 
-    Entries are cleared with single extended-gcd row/column mixes rather
-    than repeated division; the divisibility chain is restored afterwards
-    on diagonal pairs.  Coefficient growth is unbounded in general: on some
-    sparse random matrices the entries grow exponentially with the pivot
-    count.  Of the boundary matrices, only the dense tail of snf_diagonal
-    (the block left without a +-1 entry) and the oracle tests reach it;
-    the transform-carrying callers take small lattice bases.
+    Pivot rule: smallest absolute nonzero entry, ties broken by lowest
+    (row, column) index.  Entries are cleared with single extended-gcd
+    row/column mixes rather than repeated division; the divisibility chain
+    is restored afterwards on diagonal pairs.  Coefficient growth is
+    unbounded in general: on some sparse random matrices the entries grow
+    exponentially with the pivot count.  It has two callers: the dense tail
+    of snf_diagonal (the block left without a +-1 entry) and the tests,
+    where it is the oracle of that sparse path.
     """
     A = [row[:] for row in rows]
-    tr = _Transforms(m, n, want_transforms)
     t = 0
     limit = min(m, n)
     while t < limit:
@@ -340,11 +278,9 @@ def _dense_smith(rows, m, n, want_transforms):
         _, pi, pj = piv
         if pi != t:
             A[t], A[pi] = A[pi], A[t]
-            tr.row_swap(t, pi)
         if pj != t:
             for row in A:
                 row[t], row[pj] = row[pj], row[t]
-            tr.col_swap(t, pj)
         while True:
             for i in range(t + 1, m):
                 b = A[i][t]
@@ -356,7 +292,6 @@ def _dense_smith(rows, m, n, want_transforms):
                     Ai, At = A[i], A[t]
                     for j in range(t, n):
                         Ai[j] -= q * At[j]
-                    tr.row_add(i, t, q)
                 else:
                     g, x, y = _ext_gcd(a, b)
                     a1, b1 = a // g, b // g
@@ -365,7 +300,6 @@ def _dense_smith(rows, m, n, want_transforms):
                         at, ai = At[j], Ai[j]
                         At[j] = x * at + y * ai
                         Ai[j] = a1 * ai - b1 * at
-                    tr.row_mix(t, i, x, y, a1, b1)
             # column phase: exact-division clears leave column t alone,
             # gcd mixes can refill it and shrink the pivot, so loop
             column_dirtied = False
@@ -378,7 +312,6 @@ def _dense_smith(rows, m, n, want_transforms):
                     q = b // a
                     for row in A:
                         row[j] -= q * row[t]
-                    tr.col_add(j, t, q)
                 else:
                     g, x, y = _ext_gcd(a, b)
                     a1, b1 = a // g, b // g
@@ -386,13 +319,11 @@ def _dense_smith(rows, m, n, want_transforms):
                         rt, rj = row[t], row[j]
                         row[t] = x * rt + y * rj
                         row[j] = a1 * rj - b1 * rt
-                    tr.col_mix(t, j, x, y, a1, b1)
                     column_dirtied = True
             if not column_dirtied:
                 break
         if A[t][t] < 0:
             A[t] = [-v for v in A[t]]
-            tr.row_negate(t)
         t += 1
     r = t
     # restore the divisibility chain on the nonzero diagonal
@@ -407,46 +338,19 @@ def _dense_smith(rows, m, n, want_transforms):
             Ai, An = A[i], A[i + 1]
             for j in range(n):
                 Ai[j] += An[j]
-            tr.row_add(i, i + 1, -1)
             g, x, y = _ext_gcd(a, b)
             a1, b1 = a // g, b // g
             for row in A:
                 rt, rj = row[i], row[i + 1]
                 row[i] = x * rt + y * rj
                 row[i + 1] = a1 * rj - b1 * rt
-            tr.col_mix(i, i + 1, x, y, a1, b1)
             q = A[i + 1][i] // g
             for j in range(n):
                 An[j] -= q * Ai[j]
-            tr.row_add(i + 1, i, q)
             if A[i + 1][i + 1] < 0:
                 An[i + 1] = -An[i + 1]
-                tr.row_negate(i + 1)
             changed = True
-    diag = [A[i][i] for i in range(limit)]
-    if want_transforms:
-        return diag, tr.U, tr.Uinv, tr.V, A
-    return diag, None, None, None, A
-
-
-def smith_normal_form(M: IntMatrix):
-    """Return (U, D, V) with U*M*V = D, U and V unimodular, and D diagonal
-    with a nonnegative divisibility chain d1 | d2 | ... .
-
-    Pivot rule: smallest absolute nonzero entry, ties broken by lowest
-    (row, column) index, so the factorization is deterministic.
-    """
-    diag, U, Uinv, V, A = _dense_smith(M.to_rows(), M.rows, M.cols, True)
-    return (
-        IntMatrix.from_rows(U) if M.rows else IntMatrix.zero(0, 0),
-        IntMatrix.from_rows(A) if M.rows else IntMatrix.zero(0, M.cols),
-        IntMatrix.from_rows(V) if M.cols else IntMatrix.zero(0, 0),
-    )
-
-
-def _smith_with_uinv(M: IntMatrix):
-    diag, U, Uinv, V, A = _dense_smith(M.to_rows(), M.rows, M.cols, True)
-    return diag, Uinv, V
+    return [A[i][i] for i in range(limit)]
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +437,7 @@ def snf_diagonal(M: IntMatrix):
             for j, v in r.items():
                 row[colpos[j]] = v
             block.append(row)
-        diag, *_ = _dense_smith(block, len(block), len(colpos), False)
-        divisors.extend(d for d in diag if d)
+        divisors.extend(d for d in _dense_smith(block, len(block), len(colpos)) if d)
     return divisors
 
 
@@ -569,17 +472,6 @@ def determinant(M: IntMatrix) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def integer_kernel(M: IntMatrix) -> IntMatrix:
-    """Basis of {x in Z^cols : M x = 0} as columns; the basis is saturated."""
-    if M.rows == 0:
-        return IntMatrix.identity(M.cols)
-    diag, _uinv, V = _smith_with_uinv(M)
-    r = sum(1 for d in diag if d)
-    n = M.cols
-    cols = [[V[i][j] for i in range(n)] for j in range(r, n)]
-    return IntMatrix.from_columns(cols, n)
-
-
 # ---------------------------------------------------------------------------
 # Hermite form and lattices
 
@@ -587,8 +479,12 @@ def integer_kernel(M: IntMatrix) -> IntMatrix:
 def row_hnf(rows_list, ncols):
     """Canonical row Hermite normal form; returns the nonzero rows.
 
-    Echelon with positive pivots; entries above each pivot lie in
-    [0, pivot).  The result is a canonical basis of the row lattice.
+    Echelon with positive pivots in the first ncols columns; entries above
+    each pivot lie in [0, pivot).  The pivot rows come first and are a
+    canonical basis of the row lattice.  Columns past ncols get no pivot;
+    they are carried along every row operation, so for rows [A | I] the
+    carried block of the result is a unimodular U with U A in Hermite form,
+    and its rows after the pivot rows (zero on A) span the left kernel of A.
     """
     work = [list(r) for r in rows_list if any(r)]
     m = len(work)
@@ -611,7 +507,7 @@ def row_hnf(rows_list, ncols):
                     q = work[i][c] // p
                     if q:
                         wi, wr = work[i], work[r]
-                        for j in range(c, ncols):
+                        for j in range(c, len(wr)):
                             wi[j] -= q * wr[j]
                     if work[i][c]:
                         done = False
@@ -625,12 +521,30 @@ def row_hnf(rows_list, ncols):
                 q = work[i][c] // p
                 if q:
                     wi, wr = work[i], work[r]
-                    for j in range(c, ncols):
+                    for j in range(c, len(wr)):
                         wi[j] -= q * wr[j]
             r += 1
         if r == m:
             break
-    return [row for row in work[:r]]
+    return work[:r] + [row for row in work[r:] if any(row)]
+
+
+def _hnf_carrying_identity(rows_list, ncols):
+    """row_hnf of [A | I] on A's ncols columns, for A given by its rows."""
+    n = len(rows_list)
+    return row_hnf(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows_list)], ncols
+    )
+
+
+def integer_kernel(M: IntMatrix) -> IntMatrix:
+    """Basis of {x in Z^cols : M x = 0} as columns; the basis is saturated.
+
+    Reduces [M^T | I]; the carried rows that vanish on M^T are rows of a
+    unimodular matrix, so they span a saturated lattice."""
+    m = M.rows
+    reduced = _hnf_carrying_identity(M.to_columns(), m)
+    return IntMatrix.from_columns([row[m:] for row in reduced if not any(row[:m])], M.cols)
 
 
 class Lattice:
@@ -680,6 +594,7 @@ class Lattice:
     def basis_rows(self):
         return [list(r) for r in self._rows]
 
+    @property
     def is_full(self):
         return self.rank == self.ambient and all(
             self._rows[i][self._pivot(i)] == 1 for i in range(self.rank)
@@ -750,17 +665,18 @@ def complement(L: Lattice) -> Lattice:
     """A primitive complement: a lattice C with L (+) C = Z^k.
 
     Requires L primitive (saturated); raises ValidationError otherwise.
+    Reducing [B | I] for the basis columns B of L gives U B = [H; 0] with U
+    unimodular, and H is unimodular because L is saturated.  So L is
+    spanned by the first r columns of U^-1, and C, spanned by the others,
+    is the kernel of the first r rows of U.  The complement is not unique;
+    this is the one the Hermite reduction picks.
     """
     if saturate(L) != L:
         raise ValidationError("complement requires a primitive (saturated) lattice")
-    k, r = L.ambient, L.rank
-    if r == 0:
-        return Lattice.full(k)
-    if r == k:
-        return Lattice.zero(k)
-    diag, Uinv, _V = _smith_with_uinv(L.basis_columns)
-    cols = [[Uinv[i][j] for i in range(k)] for j in range(r, k)]
-    return Lattice.from_columns(k, cols)
+    r = L.rank
+    reduced = _hnf_carrying_identity(L.basis_columns.to_rows(), r)
+    U_top = IntMatrix(r, L.ambient, [dict(enumerate(row[r:])) for row in reduced[:r]])
+    return Lattice.from_matrix(integer_kernel(U_top))
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,12 @@ def test_budget_exit_code(capsys):
     code, out, err = run(capsys, "homology-e2g", "--group", "S4", "--budget", "100")
     assert code == 3
     assert "budget" in err.lower()
+    # pi2-e2 charges the |A|^2 generators of Z[A x A] before building A
+    code, out, err = run(capsys, "pi2-e2", "--pi1", "400", "--budget", "1000")
+    assert code == 3
+    assert "160000" in err and out == ""
+    code, out, err = run(capsys, "pi2-e2", "--pi1", "2,4", "--budget", "64")
+    assert code == 0
 
 
 def test_validation_error_exit_code(capsys):

@@ -17,7 +17,6 @@ from commclass.intlinalg import (
     rank,
     row_hnf,
     saturate,
-    smith_normal_form,
     snf_diagonal,
 )
 
@@ -55,30 +54,6 @@ def test_intmatrix_shape_errors():
         IntMatrix.from_columns([[1, 2, 3]], 2)
 
 
-def test_smith_normal_form_fixture():
-    M = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    U, D, V = smith_normal_form(M)
-    assert (U @ M @ V) == D
-    assert snf_diagonal(M) == [2, 2, 156]
-
-
-def test_smith_normal_form_random():
-    for _ in range(250):
-        M = random_matrix(8, -6, 6)
-        U, D, V = smith_normal_form(M)
-        assert (U @ M @ V) == D
-        assert abs(determinant(U)) == 1
-        assert abs(determinant(V)) == 1
-        divs = [D.get(i, i) for i in range(min(D.rows, D.cols)) if D.get(i, i)]
-        assert all(d > 0 for d in divs)
-        assert is_divisibility_chain(divs)
-        for i in range(D.rows):
-            for j in range(D.cols):
-                if i != j:
-                    assert D.get(i, j) == 0
-        assert snf_diagonal(M) == divs
-
-
 def test_sparse_path_matches_dense():
     # every matrix takes the unit-pivot route and its dense tail; the dense
     # routine on the whole matrix is the oracle
@@ -86,8 +61,21 @@ def test_sparse_path_matches_dense():
 
     def check(rows, m, n):
         M = IntMatrix(m, n, [dict(enumerate(r)) for r in rows])
-        dense = _dense_smith([list(r) for r in rows], m, n, False)[0]
-        assert snf_diagonal(M) == [d for d in dense if d]
+        dense = _dense_smith([list(r) for r in rows], m, n)
+        assert len(dense) == min(m, n)
+        divs = [d for d in dense if d]
+        # a positive divisibility chain, then only zeros
+        assert dense == divs + [0] * (len(dense) - len(divs))
+        assert all(d > 0 for d in divs)
+        assert is_divisibility_chain(divs)
+        assert snf_diagonal(M) == divs
+
+    fixture = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    check(fixture, 3, 3)
+    assert snf_diagonal(IntMatrix.from_rows(fixture)) == [2, 2, 156]
+    for _ in range(250):
+        M = random_matrix(8, -6, 6)
+        check(M.to_rows(), M.rows, M.cols)
 
     for m, n in [(0, 0), (0, 4), (4, 0), (1, 1)]:
         check([[0] * n for _ in range(m)], m, n)
@@ -115,9 +103,9 @@ def test_dense_tail_lies_along_the_short_side(monkeypatch):
     dense_smith = intlinalg._dense_smith
     blocks = []
 
-    def spy(rows, m, n, want_transforms):
+    def spy(rows, m, n):
         blocks.append((m, n))
-        return dense_smith(rows, m, n, want_transforms)
+        return dense_smith(rows, m, n)
 
     monkeypatch.setattr(intlinalg, "_dense_smith", spy)
 
@@ -128,7 +116,7 @@ def test_dense_tail_lies_along_the_short_side(monkeypatch):
         # M and its transpose share invariant factors; the dense oracle
         # runs on whichever orientation has fewer columns
         O = M.transpose() if M.cols > M.rows else M
-        dense = dense_smith(O.to_rows(), O.rows, O.cols, False)[0]
+        dense = dense_smith(O.to_rows(), O.rows, O.cols)
         assert divs == [d for d in dense if d]
 
     # the bar-model top boundary of Z3xZ3 for --max-dim 3: 512 x 4096, with
@@ -159,6 +147,25 @@ def test_integer_kernel():
         K = integer_kernel(M)
         assert (M @ K).is_zero()
         assert K.cols == M.cols - rank(M)
+        L = Lattice.from_columns(M.cols, K.to_columns())
+        assert saturate(L) == L
+
+
+def test_lattice_jobs_use_only_the_hermite_form(monkeypatch):
+    # kernels, saturation and complements come from row_hnf with a carried
+    # identity block; the dense Smith routine is left to snf_diagonal
+    from commclass import intlinalg
+
+    def no_dense_smith(*args):
+        raise AssertionError("a lattice job called _dense_smith")
+
+    monkeypatch.setattr(intlinalg, "_dense_smith", no_dense_smith)
+    for _ in range(40):
+        M = random_matrix(6, -4, 4)
+        assert (M @ integer_kernel(M)).is_zero()
+        L = saturate(Lattice.from_columns(M.rows, M.to_columns()))
+        C = complement(L)
+        assert L.rank + C.rank == M.rows
 
 
 def test_homology_at_fixtures():
@@ -248,6 +255,23 @@ def test_row_hnf_canonical():
     )
 
 
+def test_row_hnf_carries_the_transform():
+    # columns past ncols get no pivot and follow every row operation, so
+    # reducing [A | I] yields [H | U] with U unimodular and U A = H
+    for _ in range(60):
+        A = random_matrix(6, -5, 5)
+        m, n = A.rows, A.cols
+        identity = IntMatrix.identity(m).to_rows()
+        reduced = row_hnf([row + e for row, e in zip(A.to_rows(), identity)], n)
+        assert len(reduced) == m
+        H = IntMatrix.from_rows([row[:n] for row in reduced])
+        U = IntMatrix.from_rows([row[n:] for row in reduced])
+        assert U @ A == H
+        assert abs(determinant(U)) == 1
+        assert [row[:n] for row in reduced[: rank(A)]] == row_hnf(A.to_rows(), n)
+        assert all(not any(row[:n]) for row in reduced[rank(A):])
+
+
 def test_lattice_membership_and_sum():
     L = Lattice.from_columns(2, [[2, 0], [0, 3]])
     assert L.contains((4, 3))
@@ -259,6 +283,8 @@ def test_lattice_membership_and_sum():
     assert not S.contains((0, 1))
     assert Lattice.zero(2).rank == 0
     assert Lattice.full(2).is_full
+    assert not Lattice.from_columns(1, [[2]]).is_full
+    assert not Lattice.from_columns(2, [[1, 0]]).is_full
 
 
 def test_saturate_properties():

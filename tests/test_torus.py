@@ -261,6 +261,33 @@ def test_commutator_lattice_shapes():
     assert comp.is_full
 
 
+# (commutator-subtorus basis rows, complement basis rows) of every catalog
+# extension; a primitive complement is not unique, and these are the ones
+# the Hermite reduction picks
+PI1_SPLITS = {
+    "o2": ([[1]], []),
+    "su2_normalizer": ([[1]], []),
+    "o2_half": ([[1]], []),
+    "trivial_z3": ([], [[1, 0], [0, 1]]),
+    "swap2": ([[1, -1]], [[0, 1]]),
+    "reflect2": ([[1, 0]], [[0, 1]]),
+    "rot4": ([[1, 0], [0, 1]], []),
+    "rot3": ([[1, 0], [0, 1]], []),
+    "rot6": ([[1, 0], [0, 1]], []),
+    "perm_s3": ([[1, 0, -1], [0, 1, -1]], [[0, 0, 1]]),
+    "antipodal3": ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], []),
+    "d8_square": ([[1, 0], [0, 1]], []),
+    "q8_sign": ([[1]], []),
+}
+
+
+def test_pi1_split_pinned_for_every_catalog_extension():
+    assert set(PI1_SPLITS) == set(extension_names())
+    for name, E in catalog_extensions():
+        sub, comp = pi1_split(E)
+        assert (sub.basis_rows(), comp.basis_rows()) == PI1_SPLITS[name], name
+
+
 def test_perm_s3_splitting():
     E = catalog_extension("perm_s3")
     sub, comp = pi1_split(E)
