@@ -54,6 +54,57 @@ def test_intmatrix_shape_errors():
         IntMatrix.from_columns([[1, 2, 3]], 2)
 
 
+def random_unimodular(n, local):
+    """A product of random elementary integer row operations on I_n."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = local.randrange(n), local.randrange(n)
+        if i == j:
+            U[i] = [-x for x in U[i]]
+        else:
+            c = local.randint(-3, 3)
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    if n > 1 and local.random() < 0.5:
+        U[0], U[1] = U[1], U[0]
+    return IntMatrix(n, n, [dict(enumerate(r)) for r in U])
+
+
+def check_smith_diagonal(M, local):
+    """The invariant factors of M: the dense routine's diagonal, a positive
+    divisibility chain followed by zeros, unchanged by unimodular U and V on
+    either side and by transposition, and |det M| for a square M."""
+    from commclass.intlinalg import _dense_smith
+
+    divs = snf_diagonal(M)
+    dense = _dense_smith(M.to_rows(), M.rows, M.cols)
+    assert len(dense) == min(M.rows, M.cols)
+    assert dense == divs + [0] * (len(dense) - len(divs))
+    assert all(d > 0 for d in divs)
+    assert is_divisibility_chain(divs)
+    U, V = random_unimodular(M.rows, local), random_unimodular(M.cols, local)
+    assert abs(determinant(U)) == 1
+    assert abs(determinant(V)) == 1
+    assert snf_diagonal(U @ M @ V) == divs
+    assert snf_diagonal(M.transpose()) == divs
+    if M.rows == M.cols:
+        prod = 1
+        for d in divs:
+            prod *= d
+        assert abs(determinant(M)) == (prod if len(divs) == M.rows else 0)
+    return divs
+
+
+def test_smith_normal_form_fixture():
+    M = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    assert check_smith_diagonal(M, random.Random(156)) == [2, 2, 156]
+
+
+def test_smith_normal_form_random():
+    local = random.Random(0x5a17)
+    for _ in range(250):
+        check_smith_diagonal(random_matrix(8, -6, 6), local)
+
+
 def test_sparse_path_matches_dense():
     # every matrix takes the unit-pivot route and its dense tail; the dense
     # routine on the whole matrix is the oracle
@@ -69,13 +120,6 @@ def test_sparse_path_matches_dense():
         assert all(d > 0 for d in divs)
         assert is_divisibility_chain(divs)
         assert snf_diagonal(M) == divs
-
-    fixture = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    check(fixture, 3, 3)
-    assert snf_diagonal(IntMatrix.from_rows(fixture)) == [2, 2, 156]
-    for _ in range(250):
-        M = random_matrix(8, -6, 6)
-        check(M.to_rows(), M.rows, M.cols)
 
     for m, n in [(0, 0), (0, 4), (4, 0), (1, 1)]:
         check([[0] * n for _ in range(m)], m, n)
