@@ -34,12 +34,12 @@ from .intlinalg import (
     IntMatrix,
     Lattice,
     check_chain_complex,
+    complement,
     homology_range,
 )
 from .simplicial import build_c, build_e, cone_morse_boundaries
 from .torus import (
     commutator_lattices,
-    pi1_split,
     psi_star,
     single_commutator_cover,
     torus_pi1_lattice,
@@ -157,6 +157,8 @@ def cmd_homology_e2g(args):
 
 def cmd_coinvariants(args):
     G = parse_group(args.group)
+    # the relation matrix has a column per pair in G x G; charge them before building
+    check_budget(G.order * G.order, args.budget, "coinvariants: relation columns over G x G")
     co = coinvariants(G)
     ab = AbelianGroupInvariants(0, tuple(abelianization(G)))
     rows = [
@@ -169,6 +171,7 @@ def cmd_coinvariants(args):
 
 def cmd_moore_h2(args):
     G = parse_group(args.group)
+    check_budget(G.order * G.order, args.budget, "moore-h2: relation columns over G x G")
     h2 = moore_h2(G)
     co = coinvariants(G)
     rows = [
@@ -210,13 +213,12 @@ def cmd_torus_analyze(args):
         name = E.F.name_of(q)
         rows.append(_row(f"psi[{name}]", psi_star(E, q), "commutation-action-on-pi1"))
     lattice_sum, subtorus = commutator_lattices(E)
-    sub, comp = pi1_split(E)
     scale, pi1 = torus_pi1_lattice(E)
     rows += [
         _row("commutator-image-sum", lattice_sum, "commutator-image-lattice"),
         _row("commutator-subtorus", subtorus, "commutator-subtorus-saturation"),
-        _row("pi1-subtorus-summand", sub, "pi1-splitting"),
-        _row("pi1-complement", comp, "pi1-splitting"),
+        _row("pi1-subtorus-summand", subtorus, "pi1-splitting"),
+        _row("pi1-complement", complement(subtorus), "pi1-splitting"),
         _row("pi1-denominator", scale, "quotient-torus-pi1"),
         _row("pi1-lattice-times-denominator", pi1, "quotient-torus-pi1"),
     ]

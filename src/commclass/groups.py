@@ -435,7 +435,6 @@ def central_product(H: FiniteGroup, K: FiniteGroup, iso: dict, label=None):
                 raise ValidationError("iso is not multiplicative")
 
     m = K.order
-    anti = sorted(H.mul(0, z) * m + K.inv(iso[z]) for z in iso)
     size = H.order * m
     rep_of = [None] * size
     reps = []

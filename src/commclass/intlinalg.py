@@ -7,15 +7,20 @@ complexes stay affordable.  Each job has one eliminator.  Invariant factors
 of every matrix come from greedy unit-pivot sparse elimination along the
 short side of the matrix (its rows, or its columns when it is wider than
 tall), then the dense Smith routine on the block left without a +-1 entry;
-that dense routine is also the independent oracle of the sparse path.
-Lattice jobs (bases, sums, kernels, saturation, complements) use the row
-Hermite form alone: reducing [A | I] carries the row transform in the
-identity block, and its rows that vanish on A span the left kernel.
+that dense routine returns the diagonal only and is also the independent
+oracle of the sparse path.  Lattice jobs (bases, sums, kernels, saturation,
+complements) use the row Hermite form alone.  One reduction of [B | I],
+with the given vectors as the columns of B, carries a unimodular U: its
+rows that vanish on B span the vectors orthogonal to the given ones (an
+integer kernel), and the lattice orthogonal to its pivot rows is a
+complement.  Saturation is the orthogonal of the orthogonal, two such
+reductions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import MathInvariantError, ValidationError
 
@@ -175,33 +180,6 @@ class IntMatrix:
             raise ValidationError("vector length does not match cols")
         return tuple(sum(v * vec[j] for j, v in row.items()) for row in self._data)
 
-    def scaled(self, c):
-        out = IntMatrix(self.rows, self.cols)
-        if c:
-            for i, row in enumerate(self._data):
-                out._data[i] = {j: c * v for j, v in row.items()}
-        return out
-
-    def __add__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValidationError("shape mismatch")
-        out = IntMatrix(self.rows, self.cols)
-        for i in range(self.rows):
-            acc = dict(self._data[i])
-            for j, v in other._data[i].items():
-                s = acc.get(j, 0) + v
-                if s:
-                    acc[j] = s
-                elif j in acc:
-                    del acc[j]
-            out._data[i] = acc
-        return out
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -261,8 +239,9 @@ def _dense_smith(rows, m, n):
 
     Pivot rule: smallest absolute nonzero entry, ties broken by lowest
     (row, column) index.  Entries are cleared with single extended-gcd
-    row/column mixes rather than repeated division; the divisibility chain
-    is restored afterwards on diagonal pairs.  Coefficient growth is
+    row/column mixes rather than repeated division.  Once elimination ends
+    A is diagonal, and the divisibility chain is restored on that list alone
+    by replacing pairs with their gcd and lcm.  Coefficient growth is
     unbounded in general: on some sparse random matrices the entries grow
     exponentially with the pivot count.  It has two callers: the dense tail
     of snf_diagonal (the block left without a +-1 entry) and the tests,
@@ -325,32 +304,16 @@ def _dense_smith(rows, m, n):
         if A[t][t] < 0:
             A[t] = [-v for v in A[t]]
         t += 1
-    r = t
-    # restore the divisibility chain on the nonzero diagonal
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if b % a == 0:
-                continue
-            # couple the pair, then one gcd mix and one exact clear
-            Ai, An = A[i], A[i + 1]
-            for j in range(n):
-                Ai[j] += An[j]
-            g, x, y = _ext_gcd(a, b)
-            a1, b1 = a // g, b // g
-            for row in A:
-                rt, rj = row[i], row[i + 1]
-                row[i] = x * rt + y * rj
-                row[i + 1] = a1 * rj - b1 * rt
-            q = A[i + 1][i] // g
-            for j in range(n):
-                An[j] -= q * Ai[j]
-            if A[i + 1][i + 1] < 0:
-                An[i + 1] = -An[i + 1]
-            changed = True
-    return [A[i][i] for i in range(limit)]
+    # A is diagonal now; replacing a pair by (gcd, lcm) keeps the invariant
+    # factors, and doing so for every pair i < j makes a divisibility chain
+    d = [A[i][i] for i in range(limit)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            a, b = d[i], d[j]
+            if b % a:
+                g = gcd(a, b)
+                d[i], d[j] = g, a // g * b
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -529,22 +492,30 @@ def row_hnf(rows_list, ncols):
     return work[:r] + [row for row in work[r:] if any(row)]
 
 
-def _hnf_carrying_identity(rows_list, ncols):
-    """row_hnf of [A | I] on A's ncols columns, for A given by its rows."""
-    n = len(rows_list)
-    return row_hnf(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows_list)], ncols
+def _carried_blocks(vectors, k):
+    """Reduce [B | I_k] by row_hnf on B's columns, B the k x n matrix whose
+    columns are the n given vectors of Z^k.  The carried block becomes a
+    unimodular U with U B in Hermite form.  Returns (top, bottom): the rows
+    of U at the pivot rows, and the rows of U that vanish on B.  The bottom
+    rows span the vectors orthogonal to every given vector; being rows of a
+    unimodular matrix, they span a saturated lattice."""
+    n = len(vectors)
+    reduced = row_hnf(
+        [[v[i] for v in vectors] + [int(i == j) for j in range(k)] for i in range(k)], n
     )
+    r = sum(1 for row in reduced if any(row[:n]))
+    return [row[n:] for row in reduced[:r]], [row[n:] for row in reduced[r:]]
+
+
+def _orthogonal(vectors, k) -> Lattice:
+    """The (saturated) lattice of the x in Z^k orthogonal to every given vector."""
+    return Lattice(k, row_hnf(_carried_blocks(vectors, k)[1], k))
 
 
 def integer_kernel(M: IntMatrix) -> IntMatrix:
-    """Basis of {x in Z^cols : M x = 0} as columns; the basis is saturated.
-
-    Reduces [M^T | I]; the carried rows that vanish on M^T are rows of a
-    unimodular matrix, so they span a saturated lattice."""
-    m = M.rows
-    reduced = _hnf_carrying_identity(M.to_columns(), m)
-    return IntMatrix.from_columns([row[m:] for row in reduced if not any(row[:m])], M.cols)
+    """Basis of {x in Z^cols : M x = 0} as columns: the vectors orthogonal
+    to the rows of M, from one carried reduction; the basis is saturated."""
+    return IntMatrix.from_columns(_carried_blocks(M.to_rows(), M.cols)[1], M.cols)
 
 
 class Lattice:
@@ -571,10 +542,6 @@ class Lattice:
         return cls(ambient, row_hnf([list(c) for c in columns], ambient))
 
     @classmethod
-    def from_matrix(cls, M: IntMatrix):
-        return cls.from_columns(M.rows, M.to_columns())
-
-    @classmethod
     def zero(cls, ambient):
         return cls(ambient, [])
 
@@ -585,11 +552,6 @@ class Lattice:
     @property
     def rank(self):
         return len(self._rows)
-
-    @property
-    def basis_columns(self) -> IntMatrix:
-        """Basis vectors as the columns of an ambient x rank matrix."""
-        return IntMatrix.from_columns([list(r) for r in self._rows], self.ambient)
 
     def basis_rows(self):
         return [list(r) for r in self._rows]
@@ -653,30 +615,27 @@ def lattice_sum(lattices) -> Lattice:
 
 
 def saturate(L: Lattice) -> Lattice:
-    """Saturation (L tensor Q) intersected with Z^k; computed by taking the
-    integer kernel of the transpose twice (kernels are always saturated)."""
-    B = L.basis_columns  # ambient x r
-    K = integer_kernel(B.transpose())  # ambient x (ambient - r)
-    S = integer_kernel(K.transpose())  # ambient x r, saturated
-    return Lattice.from_matrix(S)
+    """Saturation (L tensor Q) intersected with Z^k: the vectors orthogonal
+    to those orthogonal to L, from two carried reductions."""
+    return _orthogonal(_carried_blocks(L.basis_rows(), L.ambient)[1], L.ambient)
 
 
 def complement(L: Lattice) -> Lattice:
     """A primitive complement: a lattice C with L (+) C = Z^k.
 
     Requires L primitive (saturated); raises ValidationError otherwise.
-    Reducing [B | I] for the basis columns B of L gives U B = [H; 0] with U
-    unimodular, and H is unimodular because L is saturated.  So L is
-    spanned by the first r columns of U^-1, and C, spanned by the others,
-    is the kernel of the first r rows of U.  The complement is not unique;
-    this is the one the Hermite reduction picks.
+    One reduction of [B | I] for the basis columns B of L gives U B = [H; 0]
+    with U unimodular.  The bottom rows of U span the vectors orthogonal to
+    L, so the lattice orthogonal to them is the saturation of L, which must
+    be L itself.  Then H is unimodular, so L is spanned by the first r
+    columns of U^-1, and C, spanned by the others, is the lattice orthogonal
+    to the top r rows of U.  The complement is not unique; this is the one
+    the Hermite reduction picks.
     """
-    if saturate(L) != L:
+    top, bottom = _carried_blocks(L.basis_rows(), L.ambient)
+    if _orthogonal(bottom, L.ambient) != L:
         raise ValidationError("complement requires a primitive (saturated) lattice")
-    r = L.rank
-    reduced = _hnf_carrying_identity(L.basis_columns.to_rows(), r)
-    U_top = IntMatrix(r, L.ambient, [dict(enumerate(row[r:])) for row in reduced[:r]])
-    return Lattice.from_matrix(integer_kernel(U_top))
+    return _orthogonal(top, L.ambient)
 
 
 # ---------------------------------------------------------------------------

@@ -346,7 +346,10 @@ def psi_star(E: TorusExtension, q: int) -> IntMatrix:
     under this module's product convention."""
     if not 0 <= q < E.F.order:
         raise ValidationError("finite part out of range")
-    return IntMatrix.identity(E.rank) - E.rho[E.F.inv(q)]
+    rows = E._rows[E.F.inv(q)]
+    return IntMatrix.from_rows(
+        [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    )
 
 
 def commutator_lattices(E: TorusExtension):
@@ -354,7 +357,7 @@ def commutator_lattices(E: TorusExtension):
     parts, and its saturation - the fundamental-group lattice of the
     subtorus generated by commutators."""
     images = [
-        Lattice.from_matrix(psi_star(E, q)) for q in range(E.F.order)
+        Lattice.from_columns(E.rank, psi_star(E, q).to_columns()) for q in range(E.F.order)
     ]
     total = lattice_sum(images)
     return total, saturate(total)

@@ -133,6 +133,13 @@ def test_budget_exit_code(capsys):
     assert "160000" in err and out == ""
     code, out, err = run(capsys, "pi2-e2", "--pi1", "2,4", "--budget", "64")
     assert code == 0
+    # the group-ring relation matrices have a column per pair of G x G: 576 for S4
+    for command in ("coinvariants", "moore-h2"):
+        code, out, err = run(capsys, command, "--group", "S4", "--budget", "100")
+        assert code == 3
+        assert "576" in err and out == ""
+        code, out, err = run(capsys, command, "--group", "S4", "--budget", "576")
+        assert code == 0
 
 
 def test_validation_error_exit_code(capsys):
@@ -364,6 +371,29 @@ def test_coset_poset_enumerates_subgroups_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "coset-poset", "--group", "S3")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_torus_analyze_builds_each_lattice_once(capsys, monkeypatch):
+    import commclass
+    from commclass import intlinalg, torus
+
+    calls = {"commutator_lattices": 0, "saturate": 0, "row_hnf": 0}
+    for name in calls:
+        original = getattr(intlinalg, name, None) or getattr(torus, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # patch every module that binds the name, so internal calls count too
+        for module in (commclass, intlinalg, torus, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    code, _, _ = run(capsys, "torus-analyze", "--ext", "perm_s3")
+    assert code == 0
+    assert calls["commutator_lattices"] == 1
+    assert calls["saturate"] == 1
+    assert calls["row_hnf"] < 27
 
 
 @pytest.mark.parametrize("content", ["not json\n", '{"results": 5}\n', None])

@@ -97,6 +97,9 @@ def check_smith_diagonal(M, local):
 def test_smith_normal_form_fixture():
     M = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert check_smith_diagonal(M, random.Random(156)) == [2, 2, 156]
+    # already diagonal: only the gcd/lcm chain restore changes it
+    M = IntMatrix.from_rows([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+    assert check_smith_diagonal(M, random.Random(30)) == [1, 30, 30]
 
 
 def test_smith_normal_form_random():
@@ -358,3 +361,11 @@ def test_complement_unimodular():
             [list(r) for r in L.basis_rows()] + [list(r) for r in C.basis_rows()]
         )
         assert abs(determinant(square)) == 1
+
+
+def test_complement_refuses_unsaturated_lattices():
+    for cols in ([[2, 0]], [[1, 1], [1, -1]], [[0, 3, 3]]):
+        L = Lattice.from_columns(len(cols[0]), cols)
+        with pytest.raises(ValidationError):
+            complement(L)
+        complement(saturate(L))

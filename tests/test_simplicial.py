@@ -282,11 +282,15 @@ def check_cli_homology_against_mod_p_ranks(capsys, command, build, name, max_dim
             assert sizes[k] - ranks[k] - ranks[k + 1] == want, (command, name, p, k)
 
 
-@pytest.mark.parametrize("name", ["S3", "D8", "Q8", "A4", "D12"])
+# every catalog group of order <= 12, on both models
+SMALL_GROUPS = [name for name, _ in catalog_groups(12)]
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
 def test_cli_homology_matches_mod_p_ranks_of_the_full_complex(capsys, name):
     check_cli_homology_against_mod_p_ranks(capsys, "homology-e2g", build_e, name, 2)
 
 
-@pytest.mark.parametrize("name", ["S3", "D8", "Q8", "Z2xZ4", "Z3xZ3"])
+@pytest.mark.parametrize("name", SMALL_GROUPS)
 def test_cli_homology_b2g_matches_mod_p_ranks_of_the_full_complex(capsys, name):
     check_cli_homology_against_mod_p_ranks(capsys, "homology-b2g", build_c, name, 3)
