@@ -129,16 +129,6 @@ class IntMatrix:
                 cols[j][i] = v
         return cols
 
-    def submatrix(self, row_indices, col_indices):
-        """The matrix on the given rows and columns, in the given order."""
-        colpos = {j: b for b, j in enumerate(col_indices)}
-        out = IntMatrix(len(row_indices), len(col_indices))
-        data = self._data
-        out._data = [
-            {colpos[j]: v for j, v in data[i].items() if j in colpos} for i in row_indices
-        ]
-        return out
-
     def transpose(self):
         t = IntMatrix(self.cols, self.rows)
         for i, row in enumerate(self._data):

@@ -6,11 +6,15 @@ with bar-style faces (multiply adjacent entries, drop at the ends); its
 realization is the commutativity classifying space of the group.  build_e
 stacks the (k+1)-tuples whose successive quotients commute pairwise, with
 homogeneous faces (drop an entry); it models the total space whose homology
-vanishes exactly for abelian groups.  The projection p_map sends the second
-model to the first, and commutator_map records successive commutators.
+vanishes exactly for abelian groups.  cone_morse_complex builds only the
+critical cells of a Morse matching on the second model, with the same
+homology.  The projection p_map sends the second model to the first, and
+commutator_map records successive commutators.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -314,41 +318,90 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     return SimplicialTruncation(levels, face, degeneracy, label=label)
 
 
-def cone_morse_boundaries(G: FiniteGroup, S: SimplicialTruncation, boundaries: list) -> list:
-    """Boundaries of the Morse complex of the cone matching on the
-    normalized homogeneous model S = build_e(G, ...), given its normalized
-    boundaries [d_1, ..., d_{top+1}]; the result has the same homology.
+class ConeMorseComplex(NamedTuple):
+    """The cone-matching Morse complex of the normalized homogeneous model,
+    with the level counts of the model it stands for (degrees 0..N)."""
 
-    A nondegenerate simplex (g0, ..., gk) with g0 != 1 is matched with
-    (1, g0, ..., gk) when that simplex exists, that is when g0 commutes with
-    every gi.  The critical cells are the vertex (1) and, for k >= 1, the
-    simplices (g0, ..., gk) with g0 != 1 and some gi outside the centralizer
-    of g0.  Every face of (1, f) other than f starts with 1, so every
-    gradient path has length one (Skoldberg, Trans. AMS 2006): the Morse d_1
-    is the zero 1 x c_1 matrix, since every vertex flows to (1), and for
-    k >= 2 the Morse d_k is d_k on the critical rows and columns.
+    level_sizes: list
+    nondegenerate_sizes: list
+    boundaries: list  # Morse d_1..d_N
+
+
+def cone_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> ConeMorseComplex:
+    """The Morse complex of the cone matching on build_e(G, N), built from
+    the commuting tuples without building the model; it has the same
+    homology.
+
+    A k-simplex of the model is (g0, g0 p1, ..., g0 pk) for a commuting
+    k-tuple x with partial products p_i = x1...xi; it is nondegenerate when
+    no x_i is 1.  A nondegenerate simplex with g0 != 1 is matched with
+    (1, g0, g0 p1, ..., g0 pk) when that simplex exists, that is when g0
+    lies in Z = the intersection of the centralizers of the p_i.  The
+    critical cells are the vertex (1) and, for k >= 1, the simplices with
+    g0 != 1 outside Z.  Every face of (1, f) other than f starts with 1, so
+    every gradient path has length one (Skoldberg, Trans. AMS 2006): the
+    Morse d_1 is the zero 1 x c_1 matrix, since every vertex flows to (1),
+    and for k >= 2 the Morse d_k is d_k on the critical rows and columns.
+
+    The cells starting with 1 are matched down, one to each matched-up cell
+    of the level below, so at every level critical + matched-up +
+    matched-down cells number the nondegenerate ones; MathInvariantError
+    when they do not.
     """
-    for k, d in enumerate(boundaries, start=1):
-        if k > S.max_degree or (d.rows, d.cols) != (
-            len(S.nondegenerate(k - 1)),
-            len(S.nondegenerate(k)),
-        ):
-            raise ValidationError(f"d_{k} is not a normalized boundary of {S!r}")
-    # level 0 has no degenerate simplices, so (1) sits at its own index
-    critical = [[S.index[0][(0,)]]]
-    for k in range(1, len(boundaries) + 1):
-        level = S.levels[k]
-        critical.append(
-            [
-                pos
-                for pos, idx in enumerate(S.nondegenerate(k))
-                if level[idx][0] and not G.commuting_set(level[idx][0]).issuperset(level[idx])
-            ]
-        )
-    morse = [IntMatrix.zero(1, len(critical[1]))] if boundaries else []
-    for k in range(2, len(boundaries) + 1):
-        morse.append(boundaries[k - 1].submatrix(critical[k - 1], critical[k]))
-    return morse
+    if N < 0:
+        raise ValidationError("degree bound must be nonnegative")
+    # the same refusals, in the same order, as build_e(G, N)
+    check_power_budget(G.order, N + 1, budget, f"tuples of length {N + 1}")
+    _check_depth(N, budget)
+    order = G.order
+    table = G.table
+    everything = frozenset(range(order))
+    level_sizes, nondegenerate_sizes, boundaries = [order], [order], []
+    below = [(0,)]  # the critical cells of the level below
+    matched_up = order - 1  # every vertex g0 != 1 is matched with the edge (1, g0)
+    for k in range(1, N + 1):
+        tuples = commuting_tuples(G, k, budget=budget)
+        nondegenerate = up = 0
+        cells = []
+        for x in tuples:
+            if 0 in x:
+                continue
+            nondegenerate += 1
+            partials = [x[0]]
+            for a in x[1:]:
+                partials.append(table[partials[-1]][a])
+            fixed = everything.intersection(*(G.commuting_set(p) for p in partials))
+            up += len(fixed) - 1
+            for g0 in range(1, order):
+                if g0 not in fixed:
+                    row = table[g0]
+                    cells.append((g0, *(row[p] for p in partials)))
+        if len(cells) + up + matched_up != order * nondegenerate:
+            raise MathInvariantError(
+                f"cone matching at level {k}: {len(cells)} critical + {up} matched up + "
+                f"{matched_up} matched down != {order * nondegenerate} nondegenerate cells"
+            )
+        level_sizes.append(order * len(tuples))
+        nondegenerate_sizes.append(order * nondegenerate)
+        matched_up = up
+        cells.sort()  # the rows and columns of d_k in the order of build_e
+        if k == 1:
+            boundaries.append(IntMatrix.zero(1, len(cells)))
+        else:
+            row_of = {cell: r for r, cell in enumerate(below)}
+            cols = []
+            for cell in cells:
+                col = {}
+                sign = 1
+                for i in range(k + 1):
+                    r = row_of.get(cell[:i] + cell[i + 1 :])
+                    if r is not None:
+                        col[r] = col.get(r, 0) + sign
+                    sign = -sign
+                cols.append(col)
+            boundaries.append(IntMatrix.from_column_dicts(cols, len(below)))
+        below = cells
+    return ConeMorseComplex(level_sizes, nondegenerate_sizes, boundaries)
 
 
 def p_map(G: FiniteGroup, e) -> tuple:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from commclass import acceptance, cli
+from commclass.catalog import catalog_groups
 
 
 def run(capsys, *argv):
@@ -235,6 +236,9 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
         ("homology-b2g_Z3xZ3", ("homology-b2g", "--group", "Z3xZ3", "--max-dim", "3")),
         ("homology-b2g_Q8oZ4", ("homology-b2g", "--group", "Q8oZ4", "--max-dim", "3")),
         ("homology-b2g_Z2xZ6", ("homology-b2g", "--group", "Z2xZ6", "--max-dim", "3")),
+        # degree 3 of the homogeneous model: an abelian and a nonabelian group of order 16
+        ("homology-e2g_Z4xZ4_3", ("homology-e2g", "--group", "Z4xZ4", "--max-dim", "3")),
+        ("homology-e2g_Q8oZ4_3", ("homology-e2g", "--group", "Q8oZ4", "--max-dim", "3")),
     ],
 )
 def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv):
@@ -245,6 +249,20 @@ def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv
     code, _, err = run(capsys, *argv, "--fixtures", path)
     assert code == 0
     assert "fixtures: match" in err
+
+
+def _results(capsys, *argv):
+    code, out, _ = run(capsys, *argv, "--output", "machine")
+    assert code == 0
+    return {r["name"]: r["value"] for r in json.loads(out)["results"]}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in catalog_groups(16)])
+def test_homology_e2g_matches_the_coset_poset_through_degree_3(capsys, name):
+    # the coset poset of abelian subgroups is an independent model of E(2,G)
+    e2g = _results(capsys, "homology-e2g", "--group", name, "--max-dim", "3")
+    poset = _results(capsys, "coset-poset", "--group", name, "--max-dim", "3")
+    assert [e2g["H~0"]] + [e2g[f"H{k}"] for k in (1, 2, 3)] == [poset[f"H~{k}"] for k in range(4)]
 
 
 def test_negative_max_dim_exits_2(capsys):
@@ -261,6 +279,8 @@ def test_negative_max_dim_exits_2(capsys):
     ],
 )
 def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, argv, top_degree):
+    from itertools import product
+
     from commclass import intlinalg, simplicial
     from commclass.catalog import catalog_group
 
@@ -269,14 +289,18 @@ def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, arg
     reduced = []
     products = []
     build = simplicial.SimplicialTruncation.boundary_matrix
+    init = simplicial.SimplicialTruncation.__init__
     snf = intlinalg.snf_diagonal
     matmul = intlinalg.IntMatrix.__matmul__
 
     def counting_build(S, k, normalized=True):
         M = build(S, k, normalized=normalized)
         built.setdefault(k, []).append(M)
-        truncations.append(S)
         return M
+
+    def counting_init(S, *args, **kwargs):
+        truncations.append(S)
+        init(S, *args, **kwargs)
 
     def counting_snf(M):
         reduced.append(M)
@@ -287,45 +311,87 @@ def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, arg
         return matmul(A, B)
 
     monkeypatch.setattr(simplicial.SimplicialTruncation, "boundary_matrix", counting_build)
+    monkeypatch.setattr(simplicial.SimplicialTruncation, "__init__", counting_init)
     monkeypatch.setattr(intlinalg, "snf_diagonal", counting_snf)
     monkeypatch.setattr(intlinalg.IntMatrix, "__matmul__", recording_matmul)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert sorted(built) == list(range(1, top_degree + 1))
-    for k in range(1, top_degree + 1):
-        assert len(built[k]) == 1
-    full = [built[k][0] for k in range(1, top_degree + 1)]
-    # d_k o d_{k+1} = 0 is still checked on the full boundaries
-    for k in range(1, top_degree):
-        assert any(A is full[k - 1] and B is full[k] for A, B in products)
     # one elimination per degree
     assert len(reduced) == top_degree
     if argv[0] == "homology-b2g":
+        assert sorted(built) == list(range(1, top_degree + 1))
+        for k in range(1, top_degree + 1):
+            assert len(built[k]) == 1
+        full = [built[k][0] for k in range(1, top_degree + 1)]
+        # d_k o d_{k+1} = 0 is checked on the full boundaries
+        for k in range(1, top_degree):
+            assert any(A is full[k - 1] and B is full[k] for A, B in products)
         for k in range(1, top_degree + 1):
             assert sum(M is full[k - 1] for M in reduced) == 1
         return
-    # homology-e2g eliminates only the critical cells of the cone matching,
-    # never a full boundary
+    # homology-e2g builds only the critical cells of the cone matching: no
+    # truncation, no full boundary, and the Morse boundaries are the ones reduced
+    assert truncations == [] and built == {}
     G = catalog_group(argv[2])
-    S = truncations[0]
+
+    def commuting_quotients(e):
+        q = [G.mul(G.inv(a), b) for a, b in zip(e, e[1:])]
+        return all(G.commute(a, b) for a in q for b in q)
+
     critical = [1]
     for k in range(1, top_degree + 1):
         critical.append(
             sum(
                 1
-                for e in S.levels[k]
+                for e in product(range(G.order), repeat=k + 1)
                 if all(a != b for a, b in zip(e, e[1:]))
+                and commuting_quotients(e)
                 and e[0] != 0
                 and any(not G.commute(e[0], g) for g in e)
             )
         )
     for k, M in enumerate(reduced, start=1):
-        assert all(M is not B for B in full)
         assert (M.rows, M.cols) == (critical[k - 1], critical[k])
+    # d_k o d_{k+1} = 0 is checked on the Morse boundaries
+    for k in range(1, top_degree):
+        if reduced[k - 1].rows and reduced[k].cols:
+            assert any(A is reduced[k - 1] and B is reduced[k] for A, B in products)
     if G.is_abelian:
         assert critical == [1] + [0] * top_degree
     else:
         assert all(critical[1:])
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    make = cli._parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_parser", lambda: built.append(1) or make())
+    monkeypatch.chdir(REPO_ROOT)
+
+    def pinned(name):
+        with open(os.path.join(FIXTURE_DIR, name + ".json")) as fh:
+            return fh.read()
+
+    cocycle = ("clutch", "--cocycle", "specs/o2_alpha.cocycle.json", "--output", "machine")
+    # a flag given once must not stick to the next command
+    assert run(capsys, *cocycle, "--invert") == (0, pinned("clutch_o2_alpha_invert"), "")
+    assert run(capsys, *cocycle) == (0, pinned("clutch_o2_alpha"), "")
+    with pytest.raises(SystemExit) as rejected:
+        cli.main(["homology-e2g", "--group", "S3", "--max-dim", "x"])
+    assert rejected.value.code == 2
+    assert "--max-dim" in capsys.readouterr().err
+    e2g = ("homology-e2g", "--group", "S3", "--max-dim", "2", "--output", "machine")
+    assert run(capsys, *e2g) == (0, pinned("homology-e2g_S3"), "")
+    code, out, _ = run(capsys, "moore-h2", "--group", "Z3")
+    assert code == 0 and "Z/3" in out
+    assert run(capsys, "homology-e2g", "--group", "S4", "--budget", "100")[0] == 3
+    assert run(capsys, "moore-h2", "--group", "Z4", "--output", "machine") == (
+        0,
+        pinned("moore-h2_Z4"),
+        "",
+    )
+    assert len(built) == 1
 
 
 def test_single_degree_homology_builds_and_reduces_two_boundaries(monkeypatch):

@@ -11,12 +11,12 @@ from commclass.errors import (
     ValidationError,
 )
 from commclass.groups import commuting_tuples, direct_product
-from commclass.intlinalg import AbelianGroupInvariants, homology_range
+from commclass.intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
 from commclass.simplicial import (
     build_c,
     build_e,
     commutator_map,
-    cone_morse_boundaries,
+    cone_morse_complex,
     homology,
     is_successively_commuting,
     p_map,
@@ -209,28 +209,79 @@ def test_build_budget():
         build_c(catalog_group("S3"), -1)
 
 
+def cone_morse_oracle(G, S, boundaries):
+    """The cone-matching Morse boundaries cut from the normalized boundaries
+    [d_1, ..., d_top] of the full model S = build_e(G, ...): the zero
+    1 x c_1 matrix, then d_k on the critical rows and columns for k >= 2.
+    A nondegenerate simplex is critical when it is the vertex (1), or when
+    it starts with g0 != 1 and some entry lies outside the centralizer of g0."""
+    critical = [[S.index[0][(0,)]]]
+    for k in range(1, len(boundaries) + 1):
+        level = S.levels[k]
+        critical.append(
+            [
+                pos
+                for pos, idx in enumerate(S.nondegenerate(k))
+                if level[idx][0] and not G.commuting_set(level[idx][0]).issuperset(level[idx])
+            ]
+        )
+    morse = [IntMatrix.zero(1, len(critical[1]))]
+    for k in range(2, len(boundaries) + 1):
+        row_pos = {r: i for i, r in enumerate(critical[k - 1])}
+        columns = boundaries[k - 1].column_dicts()
+        cols = [
+            {row_pos[r]: v for r, v in columns[c].items() if r in row_pos} for c in critical[k]
+        ]
+        morse.append(IntMatrix.from_column_dicts(cols, len(critical[k - 1])))
+    return morse
+
+
 def test_cone_morse_matches_unreduced_homology():
     for name, G in catalog_groups(12):
-        S = build_e(G, 3)
-        morse = cone_morse_boundaries(G, S, [S.boundary_matrix(k) for k in (1, 2, 3)])
-        assert homology_range(morse, reduced=True) == reduced_homology_range(S, 2), name
+        morse = cone_morse_complex(G, 3).boundaries
+        assert homology_range(morse, reduced=True) == reduced_homology_range(build_e(G, 3), 2), name
+
+
+@pytest.mark.parametrize("name", [name for name, _ in catalog_groups(12)])
+def test_cone_morse_complex_is_the_critical_part_of_the_full_model(name):
+    G = catalog_group(name)
+    S = build_e(G, 3)
+    M = cone_morse_complex(G, 3)
+    assert M.level_sizes == [S.level_size(k) for k in range(4)]
+    assert M.nondegenerate_sizes == [len(S.nondegenerate(k)) for k in range(4)]
+    assert M.boundaries == cone_morse_oracle(G, S, [S.boundary_matrix(k) for k in (1, 2, 3)])
 
 
 def test_cone_morse_critical_cells():
     # level sizes of the Morse complex at levels 0..3
     for name, sizes in [("D8", [1, 24, 96, 312]), ("Z4xZ4", [1, 0, 0, 0])]:
-        G = catalog_group(name)
-        S = build_e(G, 3)
-        morse = cone_morse_boundaries(G, S, [S.boundary_matrix(k) for k in (1, 2, 3)])
+        morse = cone_morse_complex(catalog_group(name), 3).boundaries
         assert [morse[0].rows] + [d.cols for d in morse] == sizes
         assert morse[0].is_zero()
         for d_out, d_in in zip(morse, morse[1:]):
             assert (d_out @ d_in).is_zero()
-    S = build_e(catalog_group("S3"), 2)
     with pytest.raises(ValidationError):
-        cone_morse_boundaries(catalog_group("S3"), S, [S.boundary_matrix(k) for k in (1, 2, 2)])
-    with pytest.raises(ValidationError):
-        cone_morse_boundaries(catalog_group("S3"), S, [S.boundary_matrix(2), S.boundary_matrix(1)])
+        cone_morse_complex(catalog_group("S3"), -1)
+
+
+@pytest.mark.parametrize("corrupted", [1, 2, 3])
+def test_cone_matching_count_invariant_detects_a_corrupted_level(capsys, monkeypatch, corrupted):
+    # one tuple missing from a level leaves its cell starting with 1 without a
+    # partner: the matched-down cells no longer pair with the level below
+    from commclass import simplicial
+
+    enumerate_tuples = simplicial.commuting_tuples
+
+    def dropping_one_tuple(G, k, budget):
+        tuples = enumerate_tuples(G, k, budget=budget)
+        return tuples[:-1] if k == corrupted else tuples
+
+    monkeypatch.setattr(simplicial, "commuting_tuples", dropping_one_tuple)
+    for name in ("S3", "Z4"):
+        with pytest.raises(MathInvariantError, match=f"cone matching at level {corrupted}:"):
+            cone_morse_complex(catalog_group(name), 3)
+        assert cli.main(["homology-e2g", "--group", name, "--max-dim", "2"]) == 4
+        assert f"cone matching at level {corrupted}:" in capsys.readouterr().err
 
 
 def rank_mod_p(columns, p):
