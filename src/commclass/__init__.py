@@ -45,7 +45,6 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     abelianization,
-    almost_commuting_tuples,
     center,
     central_product,
     closure,

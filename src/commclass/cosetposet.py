@@ -12,6 +12,7 @@ from __future__ import annotations
 from .errors import DEFAULT_BUDGET, ValidationError, check_budget
 from .groups import FiniteGroup, Subgroup, closure
 from .intlinalg import IntMatrix, homology_range
+from .simplicial import drop_entry, face_boundary
 
 
 def abelian_subgroups(G: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list:
@@ -111,16 +112,7 @@ class CosetPoset:
 def _chain_boundary(levels, d) -> IntMatrix:
     """Boundary matrix from d-chains to (d-1)-chains (drop one vertex)."""
     below = {c: i for i, c in enumerate(levels[d - 1])}
-    cols = []
-    for chain in levels[d]:
-        col = {}
-        sign = 1
-        for i in range(len(chain)):
-            f = below[chain[:i] + chain[i + 1 :]]
-            col[f] = col.get(f, 0) + sign
-            sign = -sign
-        cols.append(col)
-    return IntMatrix.from_column_dicts(cols, len(levels[d - 1]))
+    return face_boundary(levels[d], d, drop_entry, below)
 
 
 def coset_poset_homology(G: FiniteGroup, top: int = 2, budget: int = DEFAULT_BUDGET) -> list:

@@ -1,6 +1,5 @@
 """Finite groups as explicit multiplication tables, subgroups, and the
-tuple enumerations (commuting and almost-commuting) the simplicial models
-are built from.
+commuting-tuple enumeration the simplicial models are built from.
 
 Conventions: elements are indices 0..order-1 with the identity at index 0;
 the commutator is [x, y] = x^-1 y^-1 x y; commuting tuples are tuples whose
@@ -370,34 +369,6 @@ def commuting_tuples(G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> li
                 extend(prefix + (g,), allowed & G.commuting_set(g))
 
     extend((), full)
-    return out
-
-
-def almost_commuting_tuples(G: FiniteGroup, K: Subgroup, n: int, budget: int = DEFAULT_BUDGET) -> list:
-    """All n-tuples with every pairwise commutator landing in the central
-    subgroup K, in lexicographic order."""
-    if K.parent is not G:
-        raise ValidationError("K belongs to a different group")
-    if not K.is_central():
-        raise ValidationError("almost-commuting tuples require K central in G")
-    if n < 0:
-        raise ValidationError("tuple length must be nonnegative")
-    check_power_budget(G.order, n, budget, f"almost commuting tuples of length {n}")
-    if n == 0:
-        return [()]
-    out = []
-    order = G.order
-    kset = K._set
-
-    def extend(prefix):
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for g in range(order):
-            if all(G.commutator(p, g) in kset for p in prefix):
-                extend(prefix + (g,))
-
-    extend(())
     return out
 
 

@@ -674,7 +674,8 @@ def check_chain_complex(boundaries, reduced: bool = False) -> None:
     """Check that [d_1, ..., d_{top+1}] is a chain complex: adjacent
     boundaries compose, d_k o d_{k+1} = 0, and with reduced=True the
     augmentation C_0 -> Z vanishes on im(d_1) (every column of d_1 sums to
-    zero).  Raises ValidationError at the first failure."""
+    zero).  Raises ValidationError for non-composable shapes and
+    MathInvariantError for a nonzero composite or augmentation."""
     for k, (d_out, d_in) in enumerate(zip(boundaries, boundaries[1:]), start=1):
         if d_out.cols != d_in.rows:
             raise ValidationError(
@@ -682,10 +683,10 @@ def check_chain_complex(boundaries, reduced: bool = False) -> None:
                 f"d_{k + 1} is {d_in.rows}x{d_in.cols}"
             )
         if d_in.cols and d_out.rows and not (d_out @ d_in).is_zero():
-            raise ValidationError(f"composite d_{k} o d_{k + 1} is nonzero")
+            raise MathInvariantError(f"composite d_{k} o d_{k + 1} is nonzero")
     if reduced and boundaries:
         if any(sum(col.values()) for col in boundaries[0].column_dicts()):
-            raise ValidationError("augmentation o d_1 is nonzero")
+            raise MathInvariantError("augmentation o d_1 is nonzero")
 
 
 def homology_range(boundaries, reduced: bool = False) -> list:

@@ -1,6 +1,11 @@
 """Truncated simplicial sets built from commuting tuples in a finite group,
 their normalized chain complexes, and integral homology.
 
+A truncation stores its simplices and the face and degeneracy maps it is
+given, and applies the maps on demand.  face_boundary is the one
+alternating-face boundary loop, shared by the truncations, the cone Morse
+complex and the coset poset.
+
 Two models are provided.  build_c stacks the pairwise-commuting k-tuples
 with bar-style faces (multiply adjacent entries, drop at the ends); its
 realization is the commutativity classifying space of the group.  build_e
@@ -32,19 +37,20 @@ class SimplicialTruncation:
     """A simplicial set stored up to a degree bound.
 
     levels[k] lists the k-simplices (arbitrary hashable objects, here
-    tuples of group-element indices).  Face and degeneracy maps are stored
-    as index tables; levels must be closed under both (faces up to the
-    bound, degeneracies below it).
+    tuples of group-element indices) and index[k] numbers them.  The face
+    and degeneracy maps are kept as given and applied on demand; a face or
+    degeneracy that leaves the stored levels (faces up to the bound,
+    degeneracies below it) raises MathInvariantError.
     """
 
     __slots__ = (
         "max_degree",
         "levels",
         "index",
-        "face_index",
-        "degen_index",
         "degenerate",
         "label",
+        "_face",
+        "_degeneracy",
         "_nondegen",
     )
 
@@ -55,6 +61,8 @@ class SimplicialTruncation:
         self.max_degree = len(levels) - 1
         self.levels = levels
         self.label = label
+        self._face = face
+        self._degeneracy = degeneracy
         self.index = []
         for k, level in enumerate(levels):
             idx = {sx: i for i, sx in enumerate(level)}
@@ -62,41 +70,12 @@ class SimplicialTruncation:
                 raise ValidationError(f"duplicate simplices at level {k}")
             self.index.append(idx)
 
-        self.face_index = [None]
-        for k in range(1, self.max_degree + 1):
-            below = self.index[k - 1]
-            tables = []
-            for i in range(k + 1):
-                row = []
-                for sx in levels[k]:
-                    fx = face(k, sx, i)
-                    if fx not in below:
-                        raise MathInvariantError(
-                            f"face d_{i} leaves the stored levels at degree {k}: {sx!r}"
-                        )
-                    row.append(below[fx])
-                tables.append(row)
-            self.face_index.append(tables)
-
-        self.degen_index = []
         self.degenerate = [[False] * len(level) for level in levels]
         for k in range(self.max_degree):
-            above = self.index[k + 1]
-            tables = []
-            for i in range(k + 1):
-                row = []
-                for sx in levels[k]:
-                    dx = degeneracy(k, sx, i)
-                    if dx not in above:
-                        raise MathInvariantError(
-                            f"degeneracy s_{i} leaves the stored levels at degree {k}: {sx!r}"
-                        )
-                    j = above[dx]
-                    row.append(j)
-                    self.degenerate[k + 1][j] = True
-                tables.append(row)
-            self.degen_index.append(tables)
-        self.degen_index.append(None)
+            flags = self.degenerate[k + 1]
+            for idx in range(len(levels[k])):
+                for i in range(k + 1):
+                    flags[self.degeneracy(k, idx, i)] = True
         self._nondegen = [
             [i for i, d in enumerate(flags) if not d] for flags in self.degenerate
         ]
@@ -109,10 +88,22 @@ class SimplicialTruncation:
         return self._nondegen[k]
 
     def face(self, k, idx, i):
-        return self.face_index[k][i][idx]
+        """The index of d_i of the k-simplex idx at level k-1."""
+        sx = self.levels[k][idx]
+        j = self.index[k - 1].get(self._face(k, sx, i))
+        if j is None:
+            raise MathInvariantError(f"face d_{i} leaves the stored levels at degree {k}: {sx!r}")
+        return j
 
     def degeneracy(self, k, idx, i):
-        return self.degen_index[k][i][idx]
+        """The index of s_i of the k-simplex idx at level k+1."""
+        sx = self.levels[k][idx]
+        j = self.index[k + 1].get(self._degeneracy(k, sx, i))
+        if j is None:
+            raise MathInvariantError(
+                f"degeneracy s_{i} leaves the stored levels at degree {k}: {sx!r}"
+            )
+        return j
 
     def verify_identities(self):
         """Exhaustively check the simplicial identities on all stored levels.
@@ -170,38 +161,18 @@ class SimplicialTruncation:
 
         Columns index k-simplices, rows index (k-1)-simplices.  With
         normalized=True both sides use only nondegenerate simplices and
-        degenerate faces are dropped (the normalized chain complex).
+        degenerate faces are dropped (the normalized chain complex): face()
+        refuses every face outside the stored levels, so a face outside the
+        rows is degenerate.
         """
         if not 1 <= k <= self.max_degree:
             raise TruncationError(f"no boundary at degree {k} in a depth-{self.max_degree} truncation")
         if normalized:
-            row_basis = self._nondegen[k - 1]
-            col_basis = self._nondegen[k]
-            row_pos = {idx: r for r, idx in enumerate(row_basis)}
-            deg_flags = self.degenerate[k - 1]
-            cols = []
-            for idx in col_basis:
-                col = {}
-                sign = 1
-                for i in range(k + 1):
-                    f = self.face_index[k][i][idx]
-                    if not deg_flags[f]:
-                        r = row_pos[f]
-                        col[r] = col.get(r, 0) + sign
-                    sign = -sign
-                cols.append(col)
-            return IntMatrix.from_column_dicts(cols, len(row_basis))
-        cols = []
-        nrows = len(self.levels[k - 1])
-        for idx in range(len(self.levels[k])):
-            col = {}
-            sign = 1
-            for i in range(k + 1):
-                f = self.face_index[k][i][idx]
-                col[f] = col.get(f, 0) + sign
-                sign = -sign
-            cols.append(col)
-        return IntMatrix.from_column_dicts(cols, nrows)
+            columns, rows = self._nondegen[k], self._nondegen[k - 1]
+        else:
+            columns, rows = range(len(self.levels[k])), range(len(self.levels[k - 1]))
+        row_of = {idx: r for r, idx in enumerate(rows)}
+        return face_boundary(columns, k, lambda idx, i: self.face(k, idx, i), row_of)
 
     def homology(self, k, reduced=False, normalized=True):
         return homology(self, k, reduced=reduced, normalized=normalized)
@@ -210,6 +181,28 @@ class SimplicialTruncation:
         tag = f"{self.label}, " if self.label else ""
         sizes = "/".join(str(len(level)) for level in self.levels)
         return f"SimplicialTruncation({tag}levels {sizes})"
+
+
+def face_boundary(columns, k, face, row_of) -> IntMatrix:
+    """The boundary Σ(-1)^i face(x, i), i = 0..k, of each column x as an
+    IntMatrix with len(row_of) rows; faces that row_of does not number are
+    dropped."""
+    cols = []
+    for x in columns:
+        col = {}
+        sign = 1
+        for i in range(k + 1):
+            r = row_of.get(face(x, i))
+            if r is not None:
+                col[r] = col.get(r, 0) + sign
+            sign = -sign
+        cols.append(col)
+    return IntMatrix.from_column_dicts(cols, len(row_of))
+
+
+def drop_entry(x: tuple, i: int) -> tuple:
+    """The face of a tuple that drops its entry i."""
+    return x[:i] + x[i + 1 :]
 
 
 def _boundaries(S: SimplicialTruncation, top: int, normalized, bottom: int = 1) -> list:
@@ -244,11 +237,12 @@ def reduced_homology_range(S: SimplicialTruncation, top: int, normalized=True) -
 
 
 def _check_depth(N: int, budget: int) -> None:
-    """The face tables of a depth-N truncation copy at least
-    sum_{k=1..N} k(k+1) = N(N+1)(N+2)/3 tuple entries, even with one simplex
-    per level (the trivial group), so the depth itself counts against the
-    budget."""
-    check_budget(N * (N + 1) * (N + 2) // 3, budget, f"face tables of depth {N}")
+    """A depth-N truncation applies k+1 maps to each k-simplex, each
+    copying a tuple of about k entries, so even with one simplex per level
+    (the trivial group) its construction and boundaries copy on the order of
+    sum_{k=1..N} k(k+1) = N(N+1)(N+2)/3 tuple entries; the depth itself
+    counts against the budget."""
+    check_budget(N * (N + 1) * (N + 2) // 3, budget, f"faces and degeneracies of depth {N}")
 
 
 def build_c(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialTruncation:
@@ -309,7 +303,7 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
         levels.append(level)
 
     def face(k, e, i):
-        return e[:i] + e[i + 1 :]
+        return drop_entry(e, i)
 
     def degeneracy(k, e, i):
         return e[: i + 1] + e[i:]
@@ -389,17 +383,7 @@ def cone_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> 
             boundaries.append(IntMatrix.zero(1, len(cells)))
         else:
             row_of = {cell: r for r, cell in enumerate(below)}
-            cols = []
-            for cell in cells:
-                col = {}
-                sign = 1
-                for i in range(k + 1):
-                    r = row_of.get(cell[:i] + cell[i + 1 :])
-                    if r is not None:
-                        col[r] = col.get(r, 0) + sign
-                    sign = -sign
-                cols.append(col)
-            boundaries.append(IntMatrix.from_column_dicts(cols, len(below)))
+            boundaries.append(face_boundary(cells, k, drop_entry, row_of))
         below = cells
     return ConeMorseComplex(level_sizes, nondegenerate_sizes, boundaries)
 

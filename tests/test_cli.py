@@ -149,6 +149,31 @@ def test_validation_error_exit_code(capsys):
     assert "divisibility" in err
 
 
+@pytest.mark.parametrize("command", ["homology-b2g", "homology-e2g"])
+def test_broken_boundary_exit_code(capsys, monkeypatch, command):
+    from commclass import simplicial
+    from commclass.intlinalg import IntMatrix
+
+    build = simplicial.face_boundary
+    flipped = []
+
+    def flip_one_sign(columns, k, face, row_of):
+        # one entry of the top boundary d_3, checked against d_2
+        M = build(columns, k, face, row_of)
+        cols = M.column_dicts()
+        for col in cols:
+            if col and k == 3 and not flipped:
+                r = next(iter(col))
+                col[r] = -col[r]
+                flipped.append(r)
+        return IntMatrix.from_column_dicts(cols, M.rows)
+
+    monkeypatch.setattr(simplicial, "face_boundary", flip_one_sign)
+    code, out, err = run(capsys, command, "--group", "S3", "--max-dim", "2")
+    assert flipped and code == 4
+    assert "is nonzero" in err and out == ""
+
+
 def test_fixtures_pin_match_drift(capsys, tmp_path):
     fix = tmp_path / "fix.json"
     argv = ("moore-h2", "--group", "Z3", "--output", "machine", "--fixtures", str(fix))

@@ -18,7 +18,6 @@ from commclass.groups import (
     FiniteGroup,
     Subgroup,
     abelianization,
-    almost_commuting_tuples,
     center,
     central_product,
     closure,
@@ -204,17 +203,6 @@ def test_central_product():
     assert len(center(Q8oZ4).elements) == 4
     with pytest.raises(ValidationError):
         central_product(Z4, Z4, {0: 0, 1: 1})  # {0,1} is not a subgroup of Z4
-
-
-def test_almost_commuting_tuples():
-    Q8 = catalog_group("Q8")
-    K = center(Q8)
-    pairs = almost_commuting_tuples(Q8, K, 2)
-    assert len(pairs) == 64  # every pair of Q8 has central commutator
-    S3 = catalog_group("S3")
-    with pytest.raises(ValidationError):
-        # A3 is normal in S3 but not central
-        almost_commuting_tuples(S3, commutator_subgroup(S3), 2)
 
 
 def test_realize_triple():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from commclass.errors import ValidationError
+from commclass.errors import MathInvariantError, ValidationError
 from commclass.intlinalg import (
     AbelianGroupInvariants,
     IntMatrix,
@@ -286,9 +286,9 @@ def test_homology_range_rejects_noncomplex():
     d_1 = IntMatrix.from_rows([[1, 0]])
     with pytest.raises(ValidationError, match="non-composable"):
         homology_range([d_1, IntMatrix.zero(3, 1)])
-    with pytest.raises(ValidationError, match="nonzero"):
+    with pytest.raises(MathInvariantError, match="nonzero"):
         homology_range([d_1, IntMatrix.from_columns([[1, 0]], 2)])
-    with pytest.raises(ValidationError, match="augmentation"):
+    with pytest.raises(MathInvariantError, match="augmentation"):
         homology_range([d_1], reduced=True)
     assert homology_range([d_1]) == [AbelianGroupInvariants(0, ())]
 

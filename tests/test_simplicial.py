@@ -13,6 +13,7 @@ from commclass.errors import (
 from commclass.groups import commuting_tuples, direct_product
 from commclass.intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
 from commclass.simplicial import (
+    SimplicialTruncation,
     build_c,
     build_e,
     commutator_map,
@@ -99,11 +100,11 @@ def test_h0_and_reduced_h0():
 
 
 def test_normalized_matches_unnormalized():
-    for name in ("Z6", "S3", "D8"):
-        G = catalog_group(name)
-        C = build_c(G, 3)
+    models = [build_c(catalog_group(name), 3) for name in ("Z6", "S3", "D8")]
+    models += [build_e(catalog_group(name), 3) for name in ("S3", "D8")]
+    for S in models:
         for k in (0, 1, 2):
-            assert homology(C, k, normalized=True) == homology(C, k, normalized=False)
+            assert homology(S, k, normalized=True) == homology(S, k, normalized=False)
 
 
 def test_total_space_s3():
@@ -166,17 +167,48 @@ def test_truncation_guard():
         homology(C, -1)
 
 
-def test_verify_identities_detects_corruption():
+def test_verify_identities_detects_corruption(monkeypatch):
     C = build_c(cyclic(3), 2)
-    table = C.face_index[2][0]
-    original = table[0]
-    table[0] = (original + 1) % len(C.levels[1])
-    try:
-        with pytest.raises(MathInvariantError):
-            C.verify_identities()
-    finally:
-        table[0] = original
+    face, first, edges = C._face, C.levels[2][0], C.levels[1]
+
+    def corrupted(k, t, i):
+        # d_0 of the first 2-simplex moves to the next edge, inside the levels
+        fx = face(k, t, i)
+        return edges[(C.index[1][fx] + 1) % len(edges)] if (k, t, i) == (2, first, 0) else fx
+
+    monkeypatch.setattr(C, "_face", corrupted)
+    with pytest.raises(MathInvariantError):
+        C.verify_identities()
+    monkeypatch.undo()
     assert C.verify_identities() > 0
+
+
+def test_face_leaving_the_levels_is_refused_on_use():
+    C = build_c(cyclic(2), 2)
+    top = C.index[2][(1, 1)]  # nondegenerate
+
+    def face(k, t, i):
+        return ("missing",) if (k, t, i) == (2, (1, 1), 0) else C._face(k, t, i)
+
+    S = SimplicialTruncation(C.levels, face, C._degeneracy)
+    assert S.face(2, top, 1) == C.face(2, top, 1)
+    with pytest.raises(MathInvariantError, match="face d_0 leaves the stored levels"):
+        S.face(2, top, 0)
+    for normalized in (True, False):
+        with pytest.raises(MathInvariantError, match="leaves the stored levels"):
+            S.boundary_matrix(2, normalized=normalized)
+    with pytest.raises(MathInvariantError, match="leaves the stored levels"):
+        S.verify_identities()
+
+
+def test_degeneracy_leaving_the_levels_is_refused_at_construction():
+    C = build_c(cyclic(2), 2)
+
+    def degeneracy(k, t, i):
+        return ("missing",) if (k, t, i) == (1, (1,), 1) else C._degeneracy(k, t, i)
+
+    with pytest.raises(MathInvariantError, match="degeneracy s_1 leaves the stored levels"):
+        SimplicialTruncation(C.levels, C._face, degeneracy)
 
 
 def test_budget_refuses_deep_truncations_before_enumerating(monkeypatch):
