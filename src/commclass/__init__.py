@@ -65,7 +65,6 @@ from .intlinalg import (
     homology_range,
     integer_kernel,
     lattice_sum,
-    rank,
     row_hnf,
     saturate,
     snf_diagonal,

@@ -26,7 +26,14 @@ from .groups import (
     realize_triple,
 )
 from .intlinalg import AbelianGroupInvariants, Lattice
-from .simplicial import build_e, commutator_map, p_map, reduced_homology_range
+from .simplicial import (
+    bar_degeneracy,
+    bar_face,
+    build_e,
+    commutator_map,
+    p_map,
+    reduced_homology_range,
+)
 from .torus import (
     catalog_extension,
     catalog_extensions,
@@ -40,7 +47,7 @@ def criterion_1(budget: int = DEFAULT_BUDGET):
     """Coinvariants of the augmentation ideal match the abelianization."""
     checked = 0
     for name, G in catalog_groups(24):
-        co = coinvariants(G)
+        co = coinvariants(G, budget=budget)
         ab = AbelianGroupInvariants(0, tuple(abelianization(G)))
         if co != ab:
             return False, f"{name}: coinvariants {co} != abelianization {ab}"
@@ -55,12 +62,12 @@ def criterion_2(budget: int = DEFAULT_BUDGET):
     the coinvariants (always)."""
     checked = 0
     for name, G in catalog_groups(16):
-        h2 = moore_h2(G)
+        h2 = moore_h2(G, budget=budget)
         if G.is_abelian:
             own = AbelianGroupInvariants(0, tuple(invariant_factors_of_abelian(G)))
             if h2 != own:
                 return False, f"{name}: moore_h2 {h2} != group {own}"
-        co = coinvariants(G)
+        co = coinvariants(G, budget=budget)
         if h2 != co:
             return False, f"{name}: moore_h2 {h2} != coinvariants {co}"
         checked += 1
@@ -71,7 +78,7 @@ def criterion_3(budget: int = DEFAULT_BUDGET):
     """pi2 of the connected total-space model on the known instances."""
     cases = [[2]] + [[n] for n in range(2, 7)] + [[2, 2]]
     for factors in cases:
-        result = pi2_e2_connected(factors)
+        result = pi2_e2_connected(factors, budget=budget)
         expected = AbelianGroupInvariants(0, tuple(factors))
         if result != expected:
             return False, f"pi1 {factors}: got {result}, expected {expected}"
@@ -255,19 +262,6 @@ def criterion_10(budget: int = DEFAULT_BUDGET):
     return True, "both central products, tuple lengths 1..3"
 
 
-def _bar_face(G, t: tuple, i: int) -> tuple:
-    k = len(t)
-    if i == 0:
-        return t[1:]
-    if i == k:
-        return t[:-1]
-    return t[: i - 1] + (G.mul(t[i - 1], t[i]),) + t[i + 1 :]
-
-
-def _bar_degeneracy(t: tuple, i: int) -> tuple:
-    return t[:i] + (0,) + t[i:]
-
-
 def criterion_11(budget: int = DEFAULT_BUDGET):
     """The projection and commutator maps commute with every face and
     degeneracy through level 3, exhaustively, plus the composition identity
@@ -282,18 +276,18 @@ def criterion_11(budget: int = DEFAULT_BUDGET):
             for idx in range(S.level_size(k)):
                 for i in range(k + 1):
                     fidx = S.face(k, idx, i)
-                    if p_images[k - 1][fidx] != _bar_face(G, p_images[k][idx], i):
+                    if p_images[k - 1][fidx] != bar_face(G, p_images[k][idx], i):
                         return False, f"{name}: projection breaks face {i} at level {k}"
-                    if c_images[k - 1][fidx] != _bar_face(G, c_images[k][idx], i):
+                    if c_images[k - 1][fidx] != bar_face(G, c_images[k][idx], i):
                         return False, f"{name}: commutator map breaks face {i} at level {k}"
                     checked += 2
         for k in range(3):
             for idx in range(S.level_size(k)):
                 for i in range(k + 1):
                     didx = S.degeneracy(k, idx, i)
-                    if p_images[k + 1][didx] != _bar_degeneracy(p_images[k][idx], i):
+                    if p_images[k + 1][didx] != bar_degeneracy(p_images[k][idx], i):
                         return False, f"{name}: projection breaks degeneracy {i} at level {k}"
-                    if c_images[k + 1][didx] != _bar_degeneracy(c_images[k][idx], i):
+                    if c_images[k + 1][didx] != bar_degeneracy(c_images[k][idx], i):
                         return False, f"{name}: commutator map breaks degeneracy {i} at level {k}"
                     checked += 2
         for g0, g1, g2 in S.levels[2]:

@@ -12,15 +12,15 @@ from .errors import ValidationError
 from .groups import FiniteGroup, central_product, direct_product
 
 
-def cyclic(n: int, label=None) -> FiniteGroup:
+def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError("cyclic group needs order >= 1")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     names = [str(a) for a in range(n)]
-    return FiniteGroup(table, names=names, label=label or f"Z{n}")
+    return FiniteGroup(table, names=names, label=f"Z{n}")
 
 
-def dihedral(n: int, label=None) -> FiniteGroup:
+def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: rotations r^i and reflections s r^i."""
     if n < 1:
         raise ValidationError("dihedral group needs n >= 1")
@@ -40,10 +40,10 @@ def dihedral(n: int, label=None) -> FiniteGroup:
     table = [[mul(x, y) for y in range(size)] for x in range(size)]
     names = ["1"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
     names += ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, n)]
-    return FiniteGroup(table, names=names, label=label or f"D{size}")
+    return FiniteGroup(table, names=names, label=f"D{size}")
 
 
-def quaternion(m: int, label=None) -> FiniteGroup:
+def quaternion(m: int) -> FiniteGroup:
     """Generalized quaternion group of order 4m: a of order 2m, b with
     b*b = a^m and b^-1 a b = a^-1."""
     if m < 2:
@@ -68,7 +68,7 @@ def quaternion(m: int, label=None) -> FiniteGroup:
     else:
         names = ["1", "a"] + [f"a{i}" for i in range(2, n)]
         names += ["b", "ab"] + [f"a{i}b" for i in range(2, n)]
-    return FiniteGroup(table, names=names, label=label or f"Q{size}")
+    return FiniteGroup(table, names=names, label=f"Q{size}")
 
 
 def _perm_mul(p, q):

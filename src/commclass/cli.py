@@ -24,7 +24,6 @@ from .errors import (
     MathInvariantError,
     ParseError,
     ValidationError,
-    check_budget,
 )
 from .fileio import parse_cocycle, parse_extension, parse_group
 from .groupring import coinvariants, moore_h2, pi2_e2_connected
@@ -154,9 +153,7 @@ def cmd_homology_e2g(args):
 
 def cmd_coinvariants(args):
     G = parse_group(args.group)
-    # the relation matrix has a column per pair in G x G; charge them before building
-    check_budget(G.order * G.order, args.budget, "coinvariants: relation columns over G x G")
-    co = coinvariants(G)
+    co = coinvariants(G, budget=args.budget)
     ab = AbelianGroupInvariants(0, tuple(abelianization(G)))
     rows = [
         _row("coinvariants", co, "augmentation-ideal-coinvariants"),
@@ -168,9 +165,8 @@ def cmd_coinvariants(args):
 
 def cmd_moore_h2(args):
     G = parse_group(args.group)
-    check_budget(G.order * G.order, args.budget, "moore-h2: relation columns over G x G")
-    h2 = moore_h2(G)
-    co = coinvariants(G)
+    h2 = moore_h2(G, budget=args.budget)
+    co = coinvariants(G, budget=args.budget)
     rows = [
         _row("moore-h2", h2, "moore-complex-middle-homology"),
         _row("coinvariants", co, "augmentation-ideal-coinvariants"),
@@ -184,12 +180,7 @@ def cmd_pi2_e2(args):
         factors = [int(part) for part in args.pi1.split(",") if part.strip()]
     except ValueError:
         raise ValidationError(f"--pi1 expects comma-separated integers, got {args.pi1!r}")
-    # Z[A x A] has |A|^2 generators; charge them before building any group
-    order = 1
-    for d in AbelianGroupInvariants(0, tuple(factors)).torsion:
-        order *= d
-        check_budget(order * order, args.budget, "pi2-e2: generators of Z[A x A]")
-    result = pi2_e2_connected(factors)
+    result = pi2_e2_connected(factors, budget=args.budget)
     rows = [_row("pi2", result, "pi2-of-connected-total-space")]
     return rows, {"pi1": factors}, 0
 

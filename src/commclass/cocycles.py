@@ -1,5 +1,5 @@
 """Commutative cocycles over the three-patch cover of the sphere, their
-pointwise inverses, and clutching loops with exact winding vectors.
+pointwise inverses, and the exact winding vectors of their clutching loops.
 
 The cover's combinatorics reduce to three arcs (one per double
 intersection), each a piecewise-linear path of extension elements with a
@@ -12,7 +12,8 @@ The clutching loop traverses the a12*a23 arc forward and the a13 arc
 backward.  When both arcs carry the identity finite-part label the loop
 lives in the identity component and its class is the displacement
 difference of the torus lifts, an exact rational vector (integral whenever
-the central quotient meets the torus trivially).
+the central quotient meets the torus trivially); the loop itself is never
+built.
 """
 
 from __future__ import annotations
@@ -86,13 +87,6 @@ class PLPath:
 
     def displacement(self) -> tuple:
         return tuple(b - a for a, b in zip(self.lifts[0], self.lifts[-1]))
-
-    def is_closed(self) -> bool:
-        return self.value_at(0) == self.value_at(1)
-
-    def reverse(self):
-        times = tuple(1 - t for t in reversed(self.times))
-        return PLPath(self.parent, times, tuple(reversed(self.lifts)), self.f)
 
     def _merged_times(self, other) -> tuple:
         return tuple(sorted(set(self.times) | set(other.times)))
@@ -197,16 +191,13 @@ class PatchCocycle:
 
 
 class ClutchResult:
-    """Clutching loop of a cocycle.
+    """Winding class of the clutching loop of a cocycle: an exact rational
+    vector when the loop lies in the identity component; otherwise None
+    with marker set."""
 
-    loop: the concatenated path when both arcs share a finite-part label
-    (None otherwise).  winding: exact rational vector when the loop lies in
-    the identity component; otherwise None with marker set."""
+    __slots__ = ("winding", "marker")
 
-    __slots__ = ("loop", "winding", "marker")
-
-    def __init__(self, loop, winding, marker):
-        self.loop = loop
+    def __init__(self, winding, marker):
         self.winding = winding
         self.marker = marker
 
@@ -218,9 +209,9 @@ class ClutchResult:
 
 
 def clutch(c: PatchCocycle) -> ClutchResult:
-    """Concatenate the a12*a23 arc (forward) with the a13 arc (backward)
-    into the clutching loop and extract its winding class."""
-    E = c.parent
+    """The winding class of the clutching loop, the a12*a23 arc (forward)
+    followed by the a13 arc (backward): the difference of the two arcs'
+    lift displacements."""
     arc1 = c.a12.mul(c.a23)
     arc2 = c.a13
     for t, location in ((0, "front"), (1, "back")):
@@ -228,29 +219,11 @@ def clutch(c: PatchCocycle) -> ClutchResult:
             raise MathInvariantError(
                 f"clutching loop fails to close at the {location} triple point"
             )
-    if arc1.f != arc2.f:
-        return ClutchResult(None, None, NOT_IDENTITY_COMPONENT)
-
-    half = Fraction(1, 2)
-    times = [t * half for t in arc1.times]
-    lifts = list(arc1.lifts)
-    # continue the lift through the junction: translate the reversed second
-    # arc so the concatenation is continuous
-    rev = arc2.reverse()
-    shift = tuple(a - b for a, b in zip(arc1.lifts[-1], rev.lifts[0]))
-    for t, lift in zip(rev.times, rev.lifts):
-        if t == 0:
-            continue
-        times.append(half + t * half)
-        lifts.append(tuple(x + s for x, s in zip(lift, shift)))
-    loop = PLPath(E, times, lifts, arc1.f)
-
-    if arc1.f != 0:
-        return ClutchResult(loop, None, NOT_IDENTITY_COMPONENT)
+    if arc1.f != arc2.f or arc1.f != 0:
+        return ClutchResult(None, NOT_IDENTITY_COMPONENT)
     d1 = arc1.displacement()
     d2 = arc2.displacement()
-    winding = tuple(a - b for a, b in zip(d1, d2))
-    return ClutchResult(loop, winding, None)
+    return ClutchResult(tuple(a - b for a, b in zip(d1, d2)), None)
 
 
 def _require_torus_path(x: PLPath, name: str):
@@ -259,13 +232,11 @@ def _require_torus_path(x: PLPath, name: str):
 
 
 class QxResult:
-    """Patch data and clutching outcome of the commutator-composite cocycle."""
+    """Clutching outcome of the commutator-composite cocycle."""
 
-    __slots__ = ("patches", "cocycle", "clutching")
+    __slots__ = ("clutching",)
 
-    def __init__(self, patches, cocycle, clutching):
-        self.patches = patches
-        self.cocycle = cocycle
+    def __init__(self, clutching):
         self.clutching = clutching
 
 
@@ -316,7 +287,7 @@ def build_qx_cocycle(E: TorusExtension, q: int, x: PLPath) -> QxResult:
             raise MathInvariantError(
                 "clutching winding escaped the commutation-action lattice"
             )
-    return QxResult((x, qbar, ident), cocycle, result)
+    return QxResult(result)
 
 
 def build_alpha_cocycle(E: TorusExtension, p: int, q: int, x: PLPath, y: PLPath) -> PatchCocycle:

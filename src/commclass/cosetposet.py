@@ -100,9 +100,12 @@ class CosetPoset:
         return len(self.vertices), sum(len(s) for s in self.successors)
 
     def homology(self, top: int = 2, budget: int = DEFAULT_BUDGET) -> list:
-        """Reduced homology of the order complex in degrees 0..top."""
+        """Reduced homology of the order complex in degrees 0..top; every
+        reported degree costs a boundary, so the degrees count against the
+        budget before any chain is enumerated."""
         if top < 0:
             raise ValidationError("top degree must be nonnegative")
+        check_budget(top + 1, budget, "coset poset homology degrees")
         levels = self.chains(top + 1, budget=budget)
         return homology_range(
             [_chain_boundary(levels, d) for d in range(1, top + 2)], reduced=True

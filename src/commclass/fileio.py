@@ -41,10 +41,6 @@ def parse_rational(value, where: str) -> Fraction:
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
-def format_rational(x) -> str:
-    return str(Fraction(x))
-
-
 def _require(doc, key, where, kind=None):
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected an object")

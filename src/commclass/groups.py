@@ -124,17 +124,6 @@ class FiniteGroup:
     def commute(self, a, b):
         return self.table[a][b] == self.table[b][a]
 
-    def power(self, a, k):
-        if k < 0:
-            a, k = self._inv[a], -k
-        r = 0
-        while k:
-            if k & 1:
-                r = self.table[r][a]
-            a = self.table[a][a]
-            k >>= 1
-        return r
-
     def element_order(self, a):
         r, k = a, 1
         while r != 0:
@@ -163,17 +152,8 @@ class FiniteGroup:
             )
         return self._commuting[a]
 
-    def centralizer(self, a):
-        return Subgroup(self, tuple(sorted(self.commuting_set(a))))
-
     def name_of(self, a):
         return self.names[a]
-
-    def index_of_name(self, name):
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValidationError(f"unknown element name {name!r}") from None
 
     def __repr__(self):
         tag = self.label or f"order {self.order}"
@@ -206,20 +186,6 @@ class Subgroup:
 
     def __contains__(self, a):
         return a in self._set
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __eq__(self, other):
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.parent is other.parent and self.elements == other.elements
-
-    def __hash__(self):
-        return hash((id(self.parent), self.elements))
 
     def is_abelian(self):
         g = self.parent
@@ -272,12 +238,10 @@ def center(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(els), check=False)
 
 
-def commutator_subgroup(G: FiniteGroup, H: Subgroup | None = None, K: Subgroup | None = None) -> Subgroup:
-    """Subgroup generated by commutators [h, k], h in H, k in K (default G, G)."""
-    hs = H.elements if H is not None else range(G.order)
-    ks = K.elements if K is not None else range(G.order)
-    gens = {G.commutator(h, k) for h in hs for k in ks}
-    return generated_subgroup(G, gens)
+def commutator_subgroup(G: FiniteGroup) -> Subgroup:
+    """[G, G], the subgroup generated by all commutators."""
+    n = G.order
+    return generated_subgroup(G, {G.commutator(a, b) for a in range(n) for b in range(n)})
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup):

@@ -113,9 +113,6 @@ class IntMatrix:
             m._data[i][i] = 1
         return m
 
-    def get(self, i, j):
-        return self._data[i].get(j, 0)
-
     def to_rows(self):
         return [[self._data[i].get(j, 0) for j in range(self.cols)] for i in range(self.rows)]
 
@@ -394,10 +391,6 @@ def snf_diagonal(M: IntMatrix):
     return divisors
 
 
-def rank(M: IntMatrix) -> int:
-    return len(snf_diagonal(M))
-
-
 def determinant(M: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if M.rows != M.cols:
@@ -532,10 +525,6 @@ class Lattice:
         return cls(ambient, row_hnf([list(c) for c in columns], ambient))
 
     @classmethod
-    def zero(cls, ambient):
-        return cls(ambient, [])
-
-    @classmethod
     def full(cls, ambient):
         return cls.from_columns(ambient, [[1 if i == j else 0 for i in range(ambient)] for j in range(ambient)])
 
@@ -582,9 +571,6 @@ class Lattice:
         if not isinstance(other, Lattice):
             return NotImplemented
         return self.ambient == other.ambient and self._rows == other._rows
-
-    def __hash__(self):
-        return hash((self.ambient, self._rows))
 
     def __repr__(self):
         return f"Lattice(ambient={self.ambient}, basis_rows={[list(r) for r in self._rows]})"

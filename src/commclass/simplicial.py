@@ -7,7 +7,8 @@ alternating-face boundary loop, shared by the truncations, the cone Morse
 complex and the coset poset.
 
 Two models are provided.  build_c stacks the pairwise-commuting k-tuples
-with bar-style faces (multiply adjacent entries, drop at the ends); its
+with the bar maps bar_face (multiply adjacent entries, drop at the ends)
+and bar_degeneracy (insert the identity); its
 realization is the commutativity classifying space of the group.  build_e
 stacks the (k+1)-tuples whose successive quotients commute pairwise, with
 homogeneous faces (drop an entry); it models the total space whose homology
@@ -38,9 +39,11 @@ class SimplicialTruncation:
 
     levels[k] lists the k-simplices (arbitrary hashable objects, here
     tuples of group-element indices) and index[k] numbers them.  The face
-    and degeneracy maps are kept as given and applied on demand; a face or
-    degeneracy that leaves the stored levels (faces up to the bound,
-    degeneracies below it) raises MathInvariantError.
+    and degeneracy maps, face(x, i) -> d_i x and degeneracy(x, i) -> s_i x
+    on simplices, are kept as given and applied on demand, faces at
+    degrees 1..max_degree and degeneracies at 0..max_degree-1; another
+    degree raises TruncationError, and a face or degeneracy that leaves the
+    stored levels raises MathInvariantError.
     """
 
     __slots__ = (
@@ -49,8 +52,8 @@ class SimplicialTruncation:
         "index",
         "degenerate",
         "label",
-        "_face",
-        "_degeneracy",
+        "_faces",
+        "_degeneracies",
         "_nondegen",
     )
 
@@ -61,21 +64,23 @@ class SimplicialTruncation:
         self.max_degree = len(levels) - 1
         self.levels = levels
         self.label = label
-        self._face = face
-        self._degeneracy = degeneracy
         self.index = []
         for k, level in enumerate(levels):
             idx = {sx: i for i, sx in enumerate(level)}
             if len(idx) != len(level):
                 raise ValidationError(f"duplicate simplices at level {k}")
             self.index.append(idx)
+        # the maps on indices, without the degree check; no faces out of degree 0
+        N = self.max_degree
+        self._faces = [None] + [self._indexed(k, k - 1, face, "face d") for k in range(1, N + 1)]
+        self._degeneracies = [self._indexed(k, k + 1, degeneracy, "degeneracy s") for k in range(N)]
 
         self.degenerate = [[False] * len(level) for level in levels]
-        for k in range(self.max_degree):
+        for k, degeneracy_k in enumerate(self._degeneracies):
             flags = self.degenerate[k + 1]
             for idx in range(len(levels[k])):
                 for i in range(k + 1):
-                    flags[self.degeneracy(k, idx, i)] = True
+                    flags[degeneracy_k(idx, i)] = True
         self._nondegen = [
             [i for i, d in enumerate(flags) if not d] for flags in self.degenerate
         ]
@@ -87,23 +92,33 @@ class SimplicialTruncation:
         """Indices of the nondegenerate k-simplices."""
         return self._nondegen[k]
 
+    def _check_degree(self, k, low, high, what):
+        if not low <= k <= high:
+            raise TruncationError(f"no {what} at degree {k} in a depth-{self.max_degree} truncation")
+
     def face(self, k, idx, i):
         """The index of d_i of the k-simplex idx at level k-1."""
-        sx = self.levels[k][idx]
-        j = self.index[k - 1].get(self._face(k, sx, i))
-        if j is None:
-            raise MathInvariantError(f"face d_{i} leaves the stored levels at degree {k}: {sx!r}")
-        return j
+        self._check_degree(k, 1, self.max_degree, "face")
+        return self._faces[k](idx, i)
 
     def degeneracy(self, k, idx, i):
         """The index of s_i of the k-simplex idx at level k+1."""
-        sx = self.levels[k][idx]
-        j = self.index[k + 1].get(self._degeneracy(k, sx, i))
-        if j is None:
-            raise MathInvariantError(
-                f"degeneracy s_{i} leaves the stored levels at degree {k}: {sx!r}"
-            )
-        return j
+        self._check_degree(k, 0, self.max_degree - 1, "degeneracy")
+        return self._degeneracies[k](idx, i)
+
+    def _indexed(self, k, target, fn, name):
+        """fn on the k-simplices as a map (idx, i) -> index at level target."""
+        level, index = self.levels[k], self.index[target]
+
+        def apply(idx, i):
+            j = index.get(fn(level[idx], i))
+            if j is None:
+                raise MathInvariantError(
+                    f"{name}_{i} leaves the stored levels at degree {k}: {level[idx]!r}"
+                )
+            return j
+
+        return apply
 
     def verify_identities(self):
         """Exhaustively check the simplicial identities on all stored levels.
@@ -165,17 +180,13 @@ class SimplicialTruncation:
         refuses every face outside the stored levels, so a face outside the
         rows is degenerate.
         """
-        if not 1 <= k <= self.max_degree:
-            raise TruncationError(f"no boundary at degree {k} in a depth-{self.max_degree} truncation")
+        self._check_degree(k, 1, self.max_degree, "boundary")
         if normalized:
             columns, rows = self._nondegen[k], self._nondegen[k - 1]
         else:
             columns, rows = range(len(self.levels[k])), range(len(self.levels[k - 1]))
         row_of = {idx: r for r, idx in enumerate(rows)}
-        return face_boundary(columns, k, lambda idx, i: self.face(k, idx, i), row_of)
-
-    def homology(self, k, reduced=False, normalized=True):
-        return homology(self, k, reduced=reduced, normalized=normalized)
+        return face_boundary(columns, k, self._faces[k], row_of)
 
     def __repr__(self):
         tag = f"{self.label}, " if self.label else ""
@@ -245,6 +256,23 @@ def _check_depth(N: int, budget: int) -> None:
     check_budget(N * (N + 1) * (N + 2) // 3, budget, f"faces and degeneracies of depth {N}")
 
 
+def bar_face(G: FiniteGroup, t: tuple, i: int) -> tuple:
+    """Face d_i of a k-tuple in the bar model: drop the first (i = 0) or
+    last (i = k) entry, otherwise multiply entries i and i+1 (1-based)."""
+    k = len(t)
+    if i == 0:
+        return t[1:]
+    if i == k:
+        return t[:-1]
+    return t[: i - 1] + (G.table[t[i - 1]][t[i]],) + t[i + 1 :]
+
+
+def bar_degeneracy(t: tuple, i: int) -> tuple:
+    """Degeneracy s_i of a tuple in the bar model: insert the identity
+    before entry i."""
+    return t[:i] + (0,) + t[i:]
+
+
 def build_c(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialTruncation:
     """Truncation of the commuting-tuple nerve: level k lists the pairwise
     commuting k-tuples, faces multiply adjacent entries (dropping at the
@@ -255,19 +283,8 @@ def build_c(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     check_power_budget(G.order, N, budget, f"commuting tuples of length {N}")
     _check_depth(N, budget)
     levels = [commuting_tuples(G, k, budget=budget) for k in range(N + 1)]
-
-    def face(k, t, i):
-        if i == 0:
-            return t[1:]
-        if i == k:
-            return t[:-1]
-        return t[: i - 1] + (G.mul(t[i - 1], t[i]),) + t[i + 1 :]
-
-    def degeneracy(k, t, i):
-        return t[:i] + (0,) + t[i:]
-
     label = f"commuting-nerve({G.label or G.order}, N={N})"
-    return SimplicialTruncation(levels, face, degeneracy, label=label)
+    return SimplicialTruncation(levels, lambda t, i: bar_face(G, t, i), bar_degeneracy, label=label)
 
 
 def successive_quotients(G: FiniteGroup, e) -> tuple:
@@ -302,14 +319,8 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
         level.sort()
         levels.append(level)
 
-    def face(k, e, i):
-        return drop_entry(e, i)
-
-    def degeneracy(k, e, i):
-        return e[: i + 1] + e[i:]
-
     label = f"homogeneous-model({G.label or G.order}, N={N})"
-    return SimplicialTruncation(levels, face, degeneracy, label=label)
+    return SimplicialTruncation(levels, drop_entry, lambda e, i: e[: i + 1] + e[i:], label=label)
 
 
 class ConeMorseComplex(NamedTuple):

@@ -65,15 +65,6 @@ class ExtElement:
         """The torus part as a tuple of Fractions in [0, 1)."""
         return tuple(Fraction(x, self.d) for x in self.n)
 
-    def __mul__(self, other):
-        return self.parent.mul(self, other)
-
-    def inv(self):
-        return self.parent.inv(self)
-
-    def commutator(self, other):
-        return self.parent.commutator(self, other)
-
     def is_identity(self):
         # lowest terms: d == 1 forces every numerator to 0
         return self.f == 0 and self.d == 1

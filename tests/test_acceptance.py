@@ -1,7 +1,10 @@
 """One test per acceptance criterion; each prints one pass/fail line under
 pytest -v and carries the criterion's own diagnostic in the assertion."""
 
+import pytest
+
 from commclass import acceptance
+from commclass.errors import BudgetExceededError
 
 
 def check(n):
@@ -62,3 +65,11 @@ def test_criterion_11_projection_and_commutator_maps_simplicial():
 
 def test_criterion_12_almost_commuting_triple_realization():
     check(12)
+
+
+def test_group_ring_criteria_charge_the_budget():
+    # the largest group ring each criterion builds: S4 (24^2), order 16 (16^2), Z6 (6^2)
+    for n, largest in ((1, 576), (2, 256), (3, 36)):
+        _, _, fn = acceptance.CRITERIA[n - 1]
+        with pytest.raises(BudgetExceededError, match=str(largest)):
+            fn(budget=largest - 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -115,6 +116,21 @@ def test_coset_poset(capsys):
     assert rows["vertices"] == 17
     assert rows["edges"] == 24
     assert rows["H~1"] == {"free_rank": 8, "invariant_factors": []}
+
+
+def test_coset_poset_charges_its_degrees(capsys):
+    # every reported degree builds a boundary, so a huge --max-dim is refused at once
+    code, out, err = run(capsys, "coset-poset", "--group", "S4", "--max-dim", "100000000000")
+    assert code == 3
+    assert "100000000001" in err and out == ""
+    # within the budget the 100001-degree document is the pinned one
+    code, out, _ = run(
+        capsys, "coset-poset", "--group", "S4", "--max-dim", "100000", "--output", "machine"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "82e1a9d05b9625ea9e539aea8841b3546c44df809887bffcf2cc494542caa93f"
+    )
 
 
 def test_parse_error_exit_code(capsys):
@@ -442,7 +458,7 @@ def test_single_degree_homology_builds_and_reduces_two_boundaries(monkeypatch):
     for k, degrees in [(3, [3, 4]), (1, [1, 2]), (0, [1])]:
         built.clear()
         reduced.clear()
-        S.homology(k)
+        simplicial.homology(S, k)
         assert built == degrees
         assert len(reduced) == len(degrees)
 

@@ -32,11 +32,7 @@ def test_plpath_basics():
     assert p.lift_at(Fraction(1, 6)) == (Fraction(1, 4),)
     assert p.lift_at(Fraction(2, 3)) == (Fraction(1, 4),)
     assert p.displacement() == (0,)
-    assert p.is_closed()
     assert p.value_at(0).is_identity()
-    q = p.reverse()
-    for t in SAMPLE_TIMES:
-        assert q.value_at(t) == p.value_at(1 - t)
     c = PLPath.constant(E, E.lift_element(1))
     assert c.f == 1
     assert c.value_at(Fraction(1, 2)) == E.lift_element(1)
@@ -113,10 +109,6 @@ def test_qx_fixture_o2():
     r = build_qx_cocycle(E, 1, degree_loop(E, 1))
     assert r.clutching.marker is None
     assert r.clutching.winding == (-2,)
-    loop = r.clutching.loop
-    assert loop.is_closed()
-    assert loop.value_at(0).is_identity()
-    assert loop.displacement() == (-2,)
     # trivial finite part gives the zero class
     r0 = build_qx_cocycle(E, 0, degree_loop(E, 1))
     assert r0.clutching.winding == (0,)
@@ -158,8 +150,6 @@ def test_marker_with_loop():
     r = clutch(c)
     assert r.marker == NOT_IDENTITY_COMPONENT
     assert r.winding is None
-    assert r.loop is not None
-    assert r.loop.f == 1
     assert "marker" in repr(r)
 
 
@@ -177,7 +167,6 @@ def test_marker_without_loop():
     r = clutch(c)
     assert r.marker == NOT_IDENTITY_COMPONENT
     assert r.winding is None
-    assert r.loop is None
 
 
 def test_clutch_rejects_nonclosing_data():
@@ -192,7 +181,7 @@ def test_qx_fractional_loop_in_quotient():
     # in the half-turn quotient a half-integer displacement already closes
     E = catalog_extension("o2_half")
     x = PLPath(E, (0, 1), ((0,), (Fraction(1, 2),)), 0)
-    assert x.is_closed()
+    assert x.value_at(1) == x.value_at(0)
     r = build_qx_cocycle(E, 1, x)
     assert r.clutching.winding == (-1,)
 

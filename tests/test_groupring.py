@@ -1,7 +1,8 @@
 import pytest
 
+from commclass import catalog
 from commclass.catalog import catalog_group, catalog_groups, cyclic
-from commclass.errors import ValidationError
+from commclass.errors import BudgetExceededError, ValidationError
 from commclass.groups import abelianization, direct_product
 from commclass.groupring import coinvariants, moore_h2, pi2_e2_connected
 from commclass.intlinalg import AbelianGroupInvariants
@@ -51,3 +52,18 @@ def test_pi2_input_validation():
         pi2_e2_connected([1])
     with pytest.raises(ValidationError):
         pi2_e2_connected([0, 2])
+
+
+def test_group_ring_work_is_charged_before_it_is_built(monkeypatch):
+    S4 = catalog_group("S4")
+    for fn in (coinvariants, moore_h2):
+        with pytest.raises(BudgetExceededError, match="576"):
+            fn(S4, budget=575)
+        assert fn(S4, budget=576) == Z(0, (2,))
+    built = []
+    monkeypatch.setattr(catalog, "cyclic", lambda n: built.append(n))
+    with pytest.raises(BudgetExceededError, match="160000"):
+        pi2_e2_connected([400], budget=159999)
+    assert built == []
+    monkeypatch.undo()
+    assert pi2_e2_connected([2, 4], budget=64) == Z(0, (2, 4))

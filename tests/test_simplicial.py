@@ -14,6 +14,8 @@ from commclass.groups import commuting_tuples, direct_product
 from commclass.intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
 from commclass.simplicial import (
     SimplicialTruncation,
+    bar_degeneracy,
+    bar_face,
     build_c,
     build_e,
     commutator_map,
@@ -167,30 +169,42 @@ def test_truncation_guard():
         homology(C, -1)
 
 
-def test_verify_identities_detects_corruption(monkeypatch):
-    C = build_c(cyclic(3), 2)
-    face, first, edges = C._face, C.levels[2][0], C.levels[1]
+def test_maps_refuse_degrees_outside_the_truncation():
+    C = build_c(cyclic(2), 2)
+    assert C.degeneracy(1, 1, 0) == C.index[2][(0, 1)]
+    # no level 3 to land in, no level 3 to start from, no level -1 to land in
+    with pytest.raises(TruncationError, match="no degeneracy at degree 2"):
+        C.degeneracy(2, 0, 0)
+    with pytest.raises(TruncationError, match="no face at degree 3"):
+        C.face(3, 0, 0)
+    with pytest.raises(TruncationError, match="no face at degree 0"):
+        C.face(0, 0, 0)
 
-    def corrupted(k, t, i):
+
+def test_verify_identities_detects_corruption():
+    G = cyclic(3)
+    C = build_c(G, 2)
+    first, edges = C.levels[2][0], C.levels[1]
+
+    def corrupted(t, i):
         # d_0 of the first 2-simplex moves to the next edge, inside the levels
-        fx = face(k, t, i)
-        return edges[(C.index[1][fx] + 1) % len(edges)] if (k, t, i) == (2, first, 0) else fx
+        fx = bar_face(G, t, i)
+        return edges[(C.index[1][fx] + 1) % len(edges)] if (t, i) == (first, 0) else fx
 
-    monkeypatch.setattr(C, "_face", corrupted)
     with pytest.raises(MathInvariantError):
-        C.verify_identities()
-    monkeypatch.undo()
+        SimplicialTruncation(C.levels, corrupted, bar_degeneracy).verify_identities()
     assert C.verify_identities() > 0
 
 
 def test_face_leaving_the_levels_is_refused_on_use():
-    C = build_c(cyclic(2), 2)
+    G = cyclic(2)
+    C = build_c(G, 2)
     top = C.index[2][(1, 1)]  # nondegenerate
 
-    def face(k, t, i):
-        return ("missing",) if (k, t, i) == (2, (1, 1), 0) else C._face(k, t, i)
+    def face(t, i):
+        return ("missing",) if (t, i) == ((1, 1), 0) else bar_face(G, t, i)
 
-    S = SimplicialTruncation(C.levels, face, C._degeneracy)
+    S = SimplicialTruncation(C.levels, face, bar_degeneracy)
     assert S.face(2, top, 1) == C.face(2, top, 1)
     with pytest.raises(MathInvariantError, match="face d_0 leaves the stored levels"):
         S.face(2, top, 0)
@@ -202,13 +216,14 @@ def test_face_leaving_the_levels_is_refused_on_use():
 
 
 def test_degeneracy_leaving_the_levels_is_refused_at_construction():
-    C = build_c(cyclic(2), 2)
+    G = cyclic(2)
+    C = build_c(G, 2)
 
-    def degeneracy(k, t, i):
-        return ("missing",) if (k, t, i) == (1, (1,), 1) else C._degeneracy(k, t, i)
+    def degeneracy(t, i):
+        return ("missing",) if (t, i) == ((1,), 1) else bar_degeneracy(t, i)
 
     with pytest.raises(MathInvariantError, match="degeneracy s_1 leaves the stored levels"):
-        SimplicialTruncation(C.levels, C._face, degeneracy)
+        SimplicialTruncation(C.levels, lambda t, i: bar_face(G, t, i), degeneracy)
 
 
 def test_budget_refuses_deep_truncations_before_enumerating(monkeypatch):

@@ -45,22 +45,13 @@ def test_element_algebra_laws():
         for x in pool:
             assert E.mul(x, E.inv(x)) == e
             assert E.mul(e, x) == x and E.mul(x, e) == x
-            assert x.inv().inv() == x
+            assert E.inv(E.inv(x)) == x
         for _ in range(60):
             x, y, z = (rng.choice(pool) for _ in range(3))
             assert E.mul(E.mul(x, y), z) == E.mul(x, E.mul(y, z))
-            assert (x * y).inv() == y.inv() * x.inv()
-
-
-def test_operator_forms_match_methods():
-    E = catalog_extension("o2")
-    x = E.element([Fraction(1, 3)], 1)
-    y = E.element([Fraction(1, 4)], 0)
-    assert x * y == E.mul(x, y)
-    assert x.inv() == E.inv(x)
-    assert x.commutator(y) == E.commutator(x, y)
-    assert E.identity().is_identity()
-    assert not x.is_identity()
+            assert E.inv(E.mul(x, y)) == E.mul(E.inv(y), E.inv(x))
+        assert e.is_identity()
+        assert sum(x.is_identity() for x in pool) == 1
 
 
 # A Fraction reference for the element arithmetic, from the defining data:
