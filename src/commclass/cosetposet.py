@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import DEFAULT_BUDGET, ValidationError, check_budget
 from .groups import FiniteGroup, Subgroup, closure
-from .intlinalg import IntMatrix, homology_range
+from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
 from .simplicial import drop_entry, face_boundary
 
 
@@ -75,24 +75,16 @@ class CosetPoset:
 
     def chains(self, max_dim: int, budget: int = DEFAULT_BUDGET) -> list:
         """Levels of the order complex: chains[d] lists the strictly
-        increasing (d+1)-vertex chains, for d = 0..max_dim."""
+        increasing (d+1)-vertex chains, for d = 0..max_dim or up to the
+        first empty level, whichever comes first."""
         levels = [[(i,) for i in range(len(self.vertices))]]
         total = len(levels[0])
         check_budget(total, budget, "order complex chains")
-        for _ in range(max_dim):
-            prev = levels[-1]
-            nxt = []
-            for chain in prev:
-                for j in self.successors[chain[-1]]:
-                    nxt.append(chain + (j,))
+        while len(levels) <= max_dim and levels[-1]:
+            nxt = [chain + (j,) for chain in levels[-1] for j in self.successors[chain[-1]]]
             total += len(nxt)
             check_budget(total, budget, "order complex chains")
-            if not nxt:
-                levels.append([])
-                break
             levels.append(nxt)
-        while len(levels) < max_dim + 1:
-            levels.append([])
         return levels
 
     def size(self):
@@ -100,16 +92,18 @@ class CosetPoset:
         return len(self.vertices), sum(len(s) for s in self.successors)
 
     def homology(self, top: int = 2, budget: int = DEFAULT_BUDGET) -> list:
-        """Reduced homology of the order complex in degrees 0..top; every
-        reported degree costs a boundary, so the degrees count against the
-        budget before any chain is enumerated."""
+        """Reduced homology of the order complex in degrees 0..top.  Every
+        reported degree is a row of the result, so the degrees count against
+        the budget before any chain is enumerated; degrees above the first
+        empty level are 0 and build no boundary."""
         if top < 0:
             raise ValidationError("top degree must be nonnegative")
         check_budget(top + 1, budget, "coset poset homology degrees")
         levels = self.chains(top + 1, budget=budget)
-        return homology_range(
-            [_chain_boundary(levels, d) for d in range(1, top + 2)], reduced=True
+        out = homology_range(
+            [_chain_boundary(levels, d) for d in range(1, len(levels))], reduced=True
         )
+        return out + [AbelianGroupInvariants(0, ())] * (top + 1 - len(out))
 
 
 def _chain_boundary(levels, d) -> IntMatrix:

@@ -15,6 +15,9 @@ Fractions appear only at the input boundary and in the ExtElement.t view.
 On fundamental groups, commutation against a lift of q induces the integer
 matrix I - rho(q^-1) (psi_star); summing its images over all q and
 saturating yields the lattice of the subtorus generated by commutators.
+
+The 13 pinned catalog extensions are spec documents in the --ext format
+(CATALOG_SPECS), built by fileio.extension_from_spec like any spec file.
 """
 
 from __future__ import annotations
@@ -437,133 +440,97 @@ def single_commutator_cover(
 
 
 # ---------------------------------------------------------------------------
-# pinned extension corpus
+# pinned extension corpus: spec documents in the --ext format
 
 
-def _catalog_builders():
-    from .catalog import catalog_group, cyclic
-
-    def m(rows):
-        return IntMatrix.from_rows(rows)
-
-    def o2():
-        return TorusExtension(1, cyclic(2), [m([[1]]), m([[-1]])], label="o2")
-
-    def su2_normalizer():
-        z4 = cyclic(4)
-        rho = [m([[1]]), m([[-1]]), m([[1]]), m([[-1]])]
-        return TorusExtension(
-            1, z4, rho, central_quotient=[((Fraction(1, 2),), 2)], label="su2_normalizer"
-        )
-
-    def o2_half():
-        return TorusExtension(
-            1,
-            cyclic(2),
-            [m([[1]]), m([[-1]])],
-            central_quotient=[((Fraction(1, 2),), 0)],
-            label="o2_half",
-        )
-
-    def trivial_z3():
-        ident = IntMatrix.identity(2)
-        return TorusExtension(2, cyclic(3), [ident] * 3, label="trivial_z3")
-
-    def swap2():
-        return TorusExtension(
-            2,
-            cyclic(2),
-            [IntMatrix.identity(2), m([[0, 1], [1, 0]])],
-            label="swap2",
-        )
-
-    def reflect2():
-        return TorusExtension(
-            2,
-            cyclic(2),
-            [IntMatrix.identity(2), m([[-1, 0], [0, 1]])],
-            label="reflect2",
-        )
-
-    def rot4():
-        F = cyclic(4)
-        rho = rho_from_generators(F, {1: m([[0, -1], [1, 0]])}, 2)
-        return TorusExtension(2, F, rho, label="rot4")
-
-    def rot3():
-        F = cyclic(3)
-        rho = rho_from_generators(F, {1: m([[0, -1], [1, -1]])}, 2)
-        return TorusExtension(2, F, rho, label="rot3")
-
-    def rot6():
-        F = cyclic(6)
-        rho = rho_from_generators(F, {1: m([[0, -1], [1, 1]])}, 2)
-        return TorusExtension(2, F, rho, label="rot6")
-
-    def perm_s3():
-        F = catalog_group("S3")
-        swap01 = F.names.index("(0 1)")
-        cyc = F.names.index("(0 1 2)")
-        rho = rho_from_generators(
-            F,
-            {
-                swap01: m([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
-                cyc: m([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
-            },
-            3,
-        )
-        return TorusExtension(3, F, rho, label="perm_s3")
-
-    def antipodal3():
-        neg = m([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
-        return TorusExtension(3, cyclic(2), [IntMatrix.identity(3), neg], label="antipodal3")
-
-    def d8_square():
-        F = catalog_group("D8")
-        r = F.names.index("r")
-        s = F.names.index("s")
-        rho = rho_from_generators(
-            F, {r: m([[0, -1], [1, 0]]), s: m([[1, 0], [0, -1]])}, 2
-        )
-        return TorusExtension(2, F, rho, label="d8_square")
-
-    def q8_sign():
-        F = catalog_group("Q8")
-        i = F.names.index("i")
-        j = F.names.index("j")
-        rho = rho_from_generators(F, {i: m([[-1]]), j: m([[-1]])}, 1)
-        return TorusExtension(1, F, rho, label="q8_sign")
-
-    return {
-        "o2": o2,
-        "su2_normalizer": su2_normalizer,
-        "o2_half": o2_half,
-        "trivial_z3": trivial_z3,
-        "swap2": swap2,
-        "reflect2": reflect2,
-        "rot4": rot4,
-        "rot3": rot3,
-        "rot6": rot6,
-        "perm_s3": perm_s3,
-        "antipodal3": antipodal3,
-        "d8_square": d8_square,
-        "q8_sign": q8_sign,
-    }
-
+CATALOG_SPECS = {
+    "o2": {
+        "rank": 1,
+        "finite": {"format": "catalog", "name": "Z2"},
+        "action": {"1": [[-1]]},
+    },
+    "su2_normalizer": {
+        "rank": 1,
+        "finite": {"format": "catalog", "name": "Z4"},
+        "action": {"1": [[-1]]},
+        "central_quotient": [{"t": ["1/2"], "f": "2"}],
+    },
+    "o2_half": {
+        "rank": 1,
+        "finite": {"format": "catalog", "name": "Z2"},
+        "action": {"1": [[-1]]},
+        "central_quotient": [{"t": ["1/2"], "f": "0"}],
+    },
+    "trivial_z3": {
+        "rank": 2,
+        "finite": {"format": "catalog", "name": "Z3"},
+        "action": {"1": [[1, 0], [0, 1]]},
+    },
+    "swap2": {
+        "rank": 2,
+        "finite": {"format": "catalog", "name": "Z2"},
+        "action": {"1": [[0, 1], [1, 0]]},
+    },
+    "reflect2": {
+        "rank": 2,
+        "finite": {"format": "catalog", "name": "Z2"},
+        "action": {"1": [[-1, 0], [0, 1]]},
+    },
+    "rot4": {
+        "rank": 2,
+        "finite": {"format": "catalog", "name": "Z4"},
+        "action": {"1": [[0, -1], [1, 0]]},
+    },
+    "rot3": {
+        "rank": 2,
+        "finite": {"format": "catalog", "name": "Z3"},
+        "action": {"1": [[0, -1], [1, -1]]},
+    },
+    "rot6": {
+        "rank": 2,
+        "finite": {"format": "catalog", "name": "Z6"},
+        "action": {"1": [[0, -1], [1, 1]]},
+    },
+    "perm_s3": {
+        "rank": 3,
+        "finite": {"format": "catalog", "name": "S3"},
+        "action": {
+            "(0 1)": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+            "(0 1 2)": [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        },
+    },
+    "antipodal3": {
+        "rank": 3,
+        "finite": {"format": "catalog", "name": "Z2"},
+        "action": {"1": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]},
+    },
+    "d8_square": {
+        "rank": 2,
+        "finite": {"format": "catalog", "name": "D8"},
+        "action": {"r": [[0, -1], [1, 0]], "s": [[1, 0], [0, -1]]},
+    },
+    "q8_sign": {
+        "rank": 1,
+        "finite": {"format": "catalog", "name": "Q8"},
+        "action": {"i": [[-1]], "j": [[-1]]},
+    },
+}
 
 _ext_cache: dict = {}
 
 
 def extension_names() -> tuple:
-    return tuple(_catalog_builders())
+    return tuple(CATALOG_SPECS)
 
 
 def catalog_extension(name: str) -> TorusExtension:
-    builders = _catalog_builders()
-    if name not in builders:
+    # fileio imports this module, so its reader is imported here
+    from .fileio import extension_from_spec
+
+    if name not in CATALOG_SPECS:
         raise ValidationError(f"unknown catalog extension {name!r}")
     if name not in _ext_cache:
-        _ext_cache[name] = builders[name]()
+        _ext_cache[name] = extension_from_spec({**CATALOG_SPECS[name], "label": name}, where=name)
     return _ext_cache[name]
 
 

@@ -119,7 +119,7 @@ def test_coset_poset(capsys):
 
 
 def test_coset_poset_charges_its_degrees(capsys):
-    # every reported degree builds a boundary, so a huge --max-dim is refused at once
+    # every reported degree is a row of the document, so a huge --max-dim is refused at once
     code, out, err = run(capsys, "coset-poset", "--group", "S4", "--max-dim", "100000000000")
     assert code == 3
     assert "100000000001" in err and out == ""
@@ -131,6 +131,27 @@ def test_coset_poset_charges_its_degrees(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "82e1a9d05b9625ea9e539aea8841b3546c44df809887bffcf2cc494542caa93f"
     )
+
+
+def test_coset_poset_builds_no_boundary_past_its_dimension(capsys, monkeypatch):
+    # the S3 order complex has 1-simplices and nothing above them
+    from commclass import cosetposet
+
+    calls = []
+    real = cosetposet.face_boundary
+
+    def counted(*a, **kw):
+        calls.append(len(a[0]))
+        return real(*a, **kw)
+
+    monkeypatch.setattr(cosetposet, "face_boundary", counted)
+    counts = []
+    for max_dim in ("1", "2", "3", "50"):
+        calls.clear()
+        code, out, _ = run(capsys, "coset-poset", "--group", "S3", "--max-dim", max_dim)
+        assert code == 0 and f"H~{max_dim}" in out
+        counts.append(list(calls))
+    assert counts == [[24, 0]] * 4
 
 
 def test_parse_error_exit_code(capsys):
@@ -280,6 +301,17 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
         # degree 3 of the homogeneous model: an abelian and a nonabelian group of order 16
         ("homology-e2g_Z4xZ4_3", ("homology-e2g", "--group", "Z4xZ4", "--max-dim", "3")),
         ("homology-e2g_Q8oZ4_3", ("homology-e2g", "--group", "Q8oZ4", "--max-dim", "3")),
+        # the rest of the extension catalog
+        ("torus-analyze_o2", ("torus-analyze", "--ext", "o2")),
+        ("torus-analyze_trivial_z3", ("torus-analyze", "--ext", "trivial_z3")),
+        ("torus-analyze_swap2", ("torus-analyze", "--ext", "swap2")),
+        ("torus-analyze_reflect2", ("torus-analyze", "--ext", "reflect2")),
+        ("torus-analyze_rot4", ("torus-analyze", "--ext", "rot4")),
+        ("torus-analyze_rot3", ("torus-analyze", "--ext", "rot3")),
+        ("torus-analyze_rot6", ("torus-analyze", "--ext", "rot6")),
+        ("torus-analyze_antipodal3", ("torus-analyze", "--ext", "antipodal3")),
+        ("torus-analyze_d8_square", ("torus-analyze", "--ext", "d8_square")),
+        ("torus-analyze_q8_sign", ("torus-analyze", "--ext", "q8_sign")),
     ],
 )
 def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv):

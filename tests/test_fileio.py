@@ -13,7 +13,7 @@ from commclass.fileio import (
     parse_rational,
 )
 from commclass.intlinalg import IntMatrix
-from commclass.torus import catalog_extension
+from commclass.torus import CATALOG_SPECS, catalog_extension
 
 
 def write(tmp_path, name, doc):
@@ -106,6 +106,16 @@ def test_parse_extension_inline_and_catalog(tmp_path):
     assert E.rho == ref.rho
     assert E.z_elements == ref.z_elements
     assert not E.is_split
+
+
+@pytest.mark.parametrize("name", list(CATALOG_SPECS))
+def test_catalog_specs_read_back_from_files(tmp_path, name):
+    # a catalog extension is an --ext document: the same file read as a path agrees
+    E = parse_extension(write(tmp_path, name + ".json", CATALOG_SPECS[name]))
+    ref = catalog_extension(name)
+    assert E.rho == ref.rho
+    assert E.z_elements == ref.z_elements
+    assert E.F.table == ref.F.table
 
 
 def test_extension_spec_errors(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -137,6 +139,8 @@ def test_quotient_group():
     for _ in range(50):
         a, b = rng.randrange(6), rng.randrange(6)
         assert proj[S3.mul(a, b)] == Q.mul(proj[a], proj[b])
+    # each coset is named by its least member
+    assert Q.names == tuple(S3.names[proj.index(q)] for q in range(Q.order))
 
 
 def test_direct_product_and_invariant_factors():
@@ -201,6 +205,37 @@ def test_central_product():
     assert len(center(Q8oZ4).elements) == 4
     with pytest.raises(ValidationError):
         central_product(Z4, Z4, {0: 0, 1: 1})  # {0,1} is not a subgroup of Z4
+
+
+@pytest.mark.parametrize(
+    "name, H, names, proj, table_sha256",
+    [
+        (
+            "Z4oZ4",
+            cyclic(4),
+            ["(0,0)", "(0,1)", "(0,2)", "(0,3)", "(1,0)", "(1,1)", "(1,2)", "(1,3)"],
+            [0, 1, 2, 3, 4, 5, 6, 7, 2, 3, 0, 1, 6, 7, 4, 5],
+            "b0829ec1045601d1e78cf50240b7c1087719d7613c63dae2f2fb58ceae8aad43",
+        ),
+        (
+            "Q8oZ4",
+            quaternion(2),
+            [f"({q},{z})" for q in ("1", "i", "j", "k") for z in range(4)],
+            [0, 1, 2, 3, 4, 5, 6, 7, 2, 3, 0, 1, 6, 7, 4, 5]
+            + [8, 9, 10, 11, 12, 13, 14, 15, 10, 11, 8, 9, 14, 15, 12, 13],
+            "14a24eab18667d11fdb6d3f65ccae0e46c03e6b49793f4df60bf604db6558d99",
+        ),
+    ],
+)
+def test_central_product_pins_its_elements(name, H, names, proj, table_sha256):
+    # an extension spec may name these elements, so their order and names are fixed
+    G, got = central_product(H, cyclic(4), {0: 0, 2: 2}, label=name)
+    assert list(G.names) == names
+    assert got == proj
+    assert hashlib.sha256(json.dumps(G.table).encode()).hexdigest() == table_sha256
+    assert G.label == name
+    C = catalog_group(name)
+    assert (C.table, C.names, C.label) == (G.table, G.names, G.label)
 
 
 def test_realize_triple():

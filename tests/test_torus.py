@@ -31,8 +31,21 @@ def random_point(rank):
 
 def test_catalog_extension_names():
     names = extension_names()
-    assert "o2" in names and "su2_normalizer" in names
-    assert len(names) == 13
+    assert names == (
+        "o2",
+        "su2_normalizer",
+        "o2_half",
+        "trivial_z3",
+        "swap2",
+        "reflect2",
+        "rot4",
+        "rot3",
+        "rot6",
+        "perm_s3",
+        "antipodal3",
+        "d8_square",
+        "q8_sign",
+    )
     with pytest.raises(ValidationError):
         catalog_extension("nope")
 
