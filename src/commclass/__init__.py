@@ -88,7 +88,6 @@ from .torus import (
     extension_names,
     pi1_split,
     psi_star,
-    rho_from_generators,
     single_commutator_cover,
     torus_pi1_lattice,
 )

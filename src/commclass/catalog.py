@@ -144,18 +144,6 @@ def alternating(n: int) -> FiniteGroup:
     return permutation_group(gens, label=f"A{n}")
 
 
-def _build_z4oz4():
-    z4 = cyclic(4)
-    G, _ = central_product(z4, cyclic(4), {0: 0, 2: 2}, label="Z4oZ4")
-    return G
-
-
-def _build_q8oz4():
-    q8 = quaternion(2)
-    G, _ = central_product(q8, cyclic(4), {0: 0, 2: 2}, label="Q8oZ4")
-    return G
-
-
 _BUILDERS = {}
 for _n in range(1, 17):
     _BUILDERS[f"Z{_n}"] = (lambda k: lambda: cyclic(k))(_n)
@@ -170,22 +158,19 @@ _BUILDERS["Q16"] = lambda: quaternion(4)
 _BUILDERS["S3"] = lambda: symmetric(3)
 _BUILDERS["S4"] = lambda: symmetric(4)
 _BUILDERS["A4"] = lambda: alternating(4)
-_BUILDERS["Z4oZ4"] = _build_z4oz4
-_BUILDERS["Q8oZ4"] = _build_q8oz4
-
-_ORDERED_NAMES = tuple(
-    [f"Z{n}" for n in range(1, 17)]
-    + ["Z2xZ2", "Z2xZ4", "Z2xZ6", "Z2xZ8", "Z3xZ3", "Z3xZ4", "Z4xZ4", "Z4xZ6"]
-    + [f"D{2 * n}" for n in range(2, 9)]
-    + ["Q8", "Q16", "S3", "S4", "A4", "Z4oZ4", "Q8oZ4"]
-)
+_BUILDERS["Z4oZ4"] = lambda: central_product(
+    cyclic(4), cyclic(4), {0: 0, 2: 2}, label="Z4oZ4"
+)[0]
+_BUILDERS["Q8oZ4"] = lambda: central_product(
+    quaternion(2), cyclic(4), {0: 0, 2: 2}, label="Q8oZ4"
+)[0]
 
 _cache: dict = {}
 
 
 def catalog_names() -> tuple:
-    """All catalog group names in their pinned order."""
-    return _ORDERED_NAMES
+    """All catalog group names, in the builder table's pinned order."""
+    return tuple(_BUILDERS)
 
 
 def catalog_group(name: str) -> FiniteGroup:
@@ -199,7 +184,7 @@ def catalog_group(name: str) -> FiniteGroup:
 
 def catalog_groups(max_order=None):
     """Yield (name, group) for every catalog group, optionally capped by order."""
-    for name in _ORDERED_NAMES:
+    for name in _BUILDERS:
         G = catalog_group(name)
         if max_order is None or G.order <= max_order:
             yield name, G

@@ -15,7 +15,7 @@ from .cocycles import PatchCocycle, PLPath
 from .errors import ParseError
 from .groups import FiniteGroup
 from .intlinalg import IntMatrix
-from .torus import TorusExtension, catalog_extension, extension_names, rho_from_generators
+from .torus import TorusExtension, catalog_extension, extension_names
 
 
 def load_json(path: str):
@@ -124,7 +124,6 @@ def extension_from_spec(doc, where: str = "extension") -> TorusExtension:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise ParseError(f"{where}.action.{name}: matrix entries must be integers")
         images[idx] = IntMatrix.from_rows(mat)
-    rho = rho_from_generators(F, images, rank)
     quotient = []
     gens = _require(doc, "central_quotient", where, list) if "central_quotient" in doc else []
     for i, gen in enumerate(gens):
@@ -135,7 +134,7 @@ def extension_from_spec(doc, where: str = "extension") -> TorusExtension:
         t = tuple(parse_rational(x, f"{gwhere}.t") for x in tvec)
         f = _element_index(F, _require(gen, "f", gwhere), f"{gwhere}.f")
         quotient.append((t, f))
-    return TorusExtension(rank, F, rho, central_quotient=quotient, label=doc.get("label"))
+    return TorusExtension(rank, F, images, central_quotient=quotient, label=doc.get("label"))
 
 
 def parse_extension(source: str) -> TorusExtension:
@@ -167,7 +166,7 @@ def _arc_from_spec(E: TorusExtension, points, where: str) -> PLPath:
 def cocycle_from_spec(doc, where: str = "cocycle", base_dir: str | None = None):
     ext = _require(doc, "extension", where)
     if isinstance(ext, str):
-        if base_dir and ext not in extension_names() and not os.path.exists(ext):
+        if base_dir and ext not in extension_names():
             candidate = os.path.join(base_dir, ext)
             if os.path.exists(candidate):
                 ext = candidate

@@ -1,16 +1,20 @@
 """Extensions of a finite group by a torus, modelled exactly.
 
 An extension is split data: a rank k, a finite group F, and an action
-rho: F -> GL_k(Z).  Elements are pairs (t, f) with t a rational point of
-(Q/Z)^k, multiplying by (t, f) * (t', f') = (t + rho(f) t', f f').
+rho: F -> GL_k(Z), given as in the --ext format by the images of
+generators of F and extended and checked once by the constructor.
+Elements are pairs (t, f) with t a rational point of (Q/Z)^k, multiplying
+by (t, f) * (t', f') = (t + rho(f) t', f f').
 Non-split groups are supported as quotients of a split extension by a
 finite central subgroup Z given by generators; elements then live in
 canonical coset representatives (lexicographically least (t, f) in the
 Z-orbit, torus part compared first).
 
 Element arithmetic is on integers: a torus part is stored as numerators
-n over one denominator d, in lowest terms with every n_i in [0, d).
-Fractions appear only at the input boundary and in the ExtElement.t view.
+n over one denominator d, in lowest terms with every n_i in [0, d), and
+the central subgroup is checked and closed as numerators over one
+denominator.  Fractions appear only at the input boundary and in the
+read-only views ExtElement.t, z_generators and z_elements.
 
 On fundamental groups, commutation against a lift of q induces the integer
 matrix I - rho(q^-1) (psi_star); summing its images over all q and
@@ -33,7 +37,6 @@ from .intlinalg import (
     IntMatrix,
     Lattice,
     complement,
-    determinant,
     lattice_sum,
     saturate,
 )
@@ -103,40 +106,52 @@ class TorusExtension:
         "_zd",
     )
 
-    def __init__(self, rank: int, F: FiniteGroup, rho, central_quotient=(), label=None):
+    def __init__(self, rank: int, F: FiniteGroup, action: dict, central_quotient=(), label=None):
+        """action maps element indices of F to rank x rank IntMatrix images;
+        the indexed elements must generate F.  The images are extended by
+        products, and checking rho(x g) = rho(x) rho(g) for every element x
+        and every generator g proves rho a homomorphism; rho(f) rho(f^-1) =
+        rho(1) = I then makes every image invertible over Z."""
         if rank < 0:
             raise ValidationError("rank must be nonnegative")
         self.rank = rank
         self.F = F
         self.label = label
-        rho = list(rho)
-        if len(rho) != F.order:
-            raise ValidationError("rho must give one matrix per finite-part element")
-        for M in rho:
+        ident = IntMatrix.identity(rank)
+        rho = {0: ident}
+        for g, M in action.items():
+            g = self._finite_part(g)
             if not isinstance(M, IntMatrix) or M.rows != rank or M.cols != rank:
                 raise ValidationError("action matrices must be rank x rank IntMatrix")
-        ident = IntMatrix.identity(rank)
-        if rho[0] != ident:
-            raise ValidationError("action at the identity must be the identity matrix")
-        for f in range(F.order):
-            if determinant(rho[f]) not in (1, -1):
-                raise ValidationError(
-                    f"action of {F.names[f]} is not invertible over the integers"
-                )
-            for g in range(F.order):
-                if rho[f] @ rho[g] != rho[F.mul(f, g)]:
-                    raise ValidationError(
-                        f"action is not a homomorphism at ({F.names[f]},{F.names[g]})"
-                    )
-        self.rho = tuple(rho)
+            if g == 0 and M != ident:
+                raise ValidationError("action at the identity must be the identity matrix")
+            rho[g] = M
+        gens = [g for g in rho if g != 0]
+        frontier = list(rho)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = F.mul(x, g)
+                    M = rho[x] @ rho[g]
+                    if y not in rho:
+                        rho[y] = M
+                        nxt.append(y)
+                    elif rho[y] != M:
+                        raise ValidationError(f"generator images are inconsistent at {F.names[y]}")
+            frontier = nxt
+        if len(rho) != F.order:
+            raise ValidationError("generator images do not generate the finite part")
+        self.rho = tuple(rho[f] for f in range(F.order))
         self._rows = tuple(tuple(tuple(r) for r in M.to_rows()) for M in self.rho)
 
-        gens = []
-        for t, f in central_quotient:
-            t = _mod1(t)
+        # central generators are checked and closed as numerators over zd
+        self.z_generators = tuple((_mod1(t), int(f)) for t, f in central_quotient)
+        self._zd = zd = lcm(*(x.denominator for t, _ in self.z_generators for x in t))
+        zgens = []
+        for t, f in self.z_generators:
             if len(t) != rank:
                 raise ValidationError("central generator torus part has wrong length")
-            f = int(f)
             if not 0 <= f < F.order:
                 raise ValidationError("central generator finite part out of range")
             if any(F.mul(f, g) != F.mul(g, f) for g in range(F.order)):
@@ -147,46 +162,33 @@ class TorusExtension:
                 raise ValidationError(
                     f"central generator finite part {F.names[f]} must act trivially"
                 )
-            for g in range(F.order):
-                moved = _mod1(self.rho[g].times_vector(t))
-                if moved != t:
-                    raise ValidationError(
-                        "central generator torus part is not fixed by the action"
-                    )
-            gens.append((t, f))
-        self.z_generators = tuple(gens)
-        self.z_elements = self._close_central(gens)
+            n = tuple(x.numerator * (zd // x.denominator) for x in t)
+            if any(tuple(x % zd for x in M.times_vector(n)) != n for M in self.rho):
+                raise ValidationError("central generator torus part is not fixed by the action")
+            zgens.append((n, f))
+        zero = ((0,) * rank, 0)
+        elements = {zero}
+        frontier = [zero]
+        while frontier:
+            nxt = []
+            for n, f in frontier:
+                for ng, fg in zgens:
+                    # generators act trivially, so the raw product is n + ng
+                    z = (tuple((a + b) % zd for a, b in zip(n, ng)), F.mul(f, fg))
+                    if z not in elements:
+                        elements.add(z)
+                        nxt.append(z)
+            frontier = nxt
+        elements = sorted(elements)
+        self.z_elements = tuple((tuple(Fraction(x, zd) for x in n), f) for n, f in elements)
         # per finite part f, the z-orbit translates (rho(f) tz, f fz) with
-        # numerators over the common z-denominator; empty when split
-        self._zd = lcm(*(x.denominator for tz, _ in self.z_elements for x in tz))
+        # numerators over zd; empty when split
         self._translates = ()
         if not self.is_split:
             self._translates = tuple(
-                tuple(
-                    (
-                        tuple(int(x * self._zd) for x in self.rho[f].times_vector(tz)),
-                        F.mul(f, fz),
-                    )
-                    for tz, fz in self.z_elements
-                )
-                for f in range(F.order)
+                tuple((M.times_vector(n), F.mul(f, fz)) for n, fz in elements)
+                for f, M in enumerate(self.rho)
             )
-
-    def _close_central(self, gens):
-        zero = tuple(Fraction(0) for _ in range(self.rank))
-        elements = {(zero, 0)}
-        frontier = [(zero, 0)]
-        while frontier:
-            nxt = []
-            for t, f in frontier:
-                for tg, fg in gens:
-                    # generators act trivially, so the raw product is t + tg
-                    prod = (_mod1(a + b for a, b in zip(t, tg)), self.F.mul(f, fg))
-                    if prod not in elements:
-                        elements.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        return tuple(sorted(elements))
 
     @property
     def is_split(self):
@@ -279,40 +281,6 @@ class TorusExtension:
     def __repr__(self):
         tag = self.label or f"rank {self.rank} over {self.F!r}"
         return f"TorusExtension({tag})"
-
-
-def rho_from_generators(F: FiniteGroup, images: dict, rank: int) -> list:
-    """Extend matrices on generators to the whole finite group by products.
-
-    images maps element indices to IntMatrix values; the indexed elements
-    must generate F.  Conflicting extensions raise."""
-    rho = {0: IntMatrix.identity(rank)}
-    for g, M in images.items():
-        if g == 0:
-            if M != rho[0]:
-                raise ValidationError("identity must map to the identity matrix")
-            continue
-        rho[g] = M
-    frontier = list(rho)
-    gens = [g for g in images if g != 0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = F.mul(x, g)
-                M = rho[x] @ rho[g]
-                if y in rho:
-                    if rho[y] != M:
-                        raise ValidationError(
-                            f"generator images are inconsistent at {F.names[y]}"
-                        )
-                else:
-                    rho[y] = M
-                    nxt.append(y)
-        frontier = nxt
-    if len(rho) != F.order:
-        raise ValidationError("generator images do not generate the finite part")
-    return [rho[f] for f in range(F.order)]
 
 
 def torus_pi1_lattice(E: TorusExtension):

@@ -181,6 +181,32 @@ def test_parse_cocycle_with_sibling_extension(tmp_path):
     assert c.a12.f == 1 and c.a13.f == 0
 
 
+def test_cocycle_extension_resolves_beside_the_file_first(tmp_path, monkeypatch):
+    import os
+
+    specs = os.path.join(os.path.dirname(__file__), "..", "specs")
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    for name in ("o2.ext.json", "o2_alpha.cocycle.json"):
+        with open(os.path.join(specs, name)) as fh:
+            (bundle / name).write_text(fh.read())
+    # a decoy of the same relative name in the working directory, of rank 2
+    decoy = {
+        "rank": 2,
+        "finite": {"format": "catalog", "name": "Z2"},
+        "action": {"1": [[0, 1], [1, 0]]},
+    }
+    write(tmp_path, "o2.ext.json", decoy)
+    monkeypatch.chdir(tmp_path)
+    E, c = parse_cocycle(os.path.join("bundle", "o2_alpha.cocycle.json"))
+    assert E.rank == 1
+    assert c.is_valid
+    # with no sibling file, the path as given resolves, here to the decoy
+    (bundle / "o2.ext.json").unlink()
+    with pytest.raises(ParseError, match="expected 2 coordinates"):
+        parse_cocycle(os.path.join("bundle", "o2_alpha.cocycle.json"))
+
+
 def test_cocycle_spec_errors(tmp_path):
     arc = [{"time": 0, "t": [0], "f": 0}, {"time": 1, "t": [0], "f": 0}]
     doc = {"extension": "o2", "arcs": {"a12": arc, "a13": arc}}

@@ -54,7 +54,32 @@ def test_table_validation():
 
 def test_catalog_is_valid_and_ordered():
     names = catalog_names()
-    assert len(names) == 38
+    assert names == (
+        *(f"Z{n}" for n in range(1, 17)),
+        "Z2xZ2",
+        "Z2xZ4",
+        "Z2xZ6",
+        "Z2xZ8",
+        "Z3xZ3",
+        "Z3xZ4",
+        "Z4xZ4",
+        "Z4xZ6",
+        "D4",
+        "D6",
+        "D8",
+        "D10",
+        "D12",
+        "D14",
+        "D16",
+        "Q8",
+        "Q16",
+        "S3",
+        "S4",
+        "A4",
+        "Z4oZ4",
+        "Q8oZ4",
+    )
+    assert list(catalog_groups()) == [(name, catalog_group(name)) for name in names]
     for name in names:
         G = catalog_group(name)
         # revalidate the table from scratch

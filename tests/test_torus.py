@@ -6,7 +6,7 @@ import pytest
 
 from commclass.catalog import catalog_group, cyclic
 from commclass.errors import ValidationError
-from commclass.intlinalg import IntMatrix, Lattice
+from commclass.intlinalg import IntMatrix, Lattice, determinant
 from commclass.torus import (
     TorusExtension,
     catalog_extension,
@@ -15,7 +15,6 @@ from commclass.torus import (
     extension_names,
     pi1_split,
     psi_star,
-    rho_from_generators,
     single_commutator_cover,
     torus_pi1_lattice,
 )
@@ -299,8 +298,6 @@ def test_perm_s3_splitting():
     assert comp.rank == 1
     # together they span the whole ambient lattice
     stacked = IntMatrix.from_rows(sub.basis_rows() + comp.basis_rows())
-    from commclass.intlinalg import determinant
-
     assert determinant(stacked) in (1, -1)
     # the diagonal is fixed by every permutation, so it avoids the subtorus
     assert not sub.contains([1, 1, 1])
@@ -327,51 +324,56 @@ def test_single_commutator_cover_can_fail_honestly():
     assert len(report.witnesses) + len(report.missing) == len(report.targets)
 
 
-def test_rho_from_generators_errors():
-    with pytest.raises(ValidationError):
-        # [[0,-1],[1,0]] has order 4, inconsistent over Z2
-        rho_from_generators(cyclic(2), {1: IntMatrix.from_rows([[0, -1], [1, 0]])}, 2)
-    with pytest.raises(ValidationError):
-        # the image of 2 alone does not generate Z4
-        rho_from_generators(cyclic(4), {2: IntMatrix.identity(1)}, 1)
+def test_catalog_actions_are_homomorphisms_into_gl_z():
+    # the constructor checks rho(x g) = rho(x) rho(g) only on generators g
+    for name, E in catalog_extensions():
+        F = E.F
+        for f in range(F.order):
+            assert abs(determinant(E.rho[f])) == 1, name
+            for g in range(F.order):
+                assert E.rho[f] @ E.rho[g] == E.rho[F.mul(f, g)], name
 
 
 def test_constructor_validation():
     ident = IntMatrix.identity(1)
-    with pytest.raises(ValidationError):
-        TorusExtension(1, cyclic(2), [ident, IntMatrix.from_rows([[2]])])
-    with pytest.raises(ValidationError):
+    neg = IntMatrix.from_rows([[-1]])
+    for rank, F, action, message in [
+        # [[2]] is not invertible over Z, so rho(1)^2 != rho(0) = I
+        (1, cyclic(2), {1: IntMatrix.from_rows([[2]])}, "inconsistent at 0"),
+        # [[0,-1],[1,0]] has order 4, inconsistent over Z2
+        (2, cyclic(2), {1: IntMatrix.from_rows([[0, -1], [1, 0]])}, "inconsistent at 0"),
         # not a homomorphism: rho(1)^2 != rho(2)
-        neg = IntMatrix.from_rows([[-1]])
-        TorusExtension(1, cyclic(3), [ident, neg, neg])
+        (1, cyclic(3), {1: neg, 2: neg}, "inconsistent at 2"),
+        # the image of 2 alone does not generate Z4
+        (1, cyclic(4), {2: ident}, "do not generate"),
+        # the identity must act as the identity
+        (1, cyclic(2), {0: neg, 1: neg}, "action at the identity"),
+        # element index out of range
+        (1, cyclic(2), {2: neg}, "out of range"),
+        # images must be rank x rank
+        (1, cyclic(2), {1: IntMatrix.identity(2)}, "rank x rank"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            TorusExtension(rank, F, action)
     with pytest.raises(ValidationError):
         # central torus part not fixed by the action
-        TorusExtension(
-            1,
-            cyclic(2),
-            [ident, IntMatrix.from_rows([[-1]])],
-            central_quotient=[((Fraction(1, 4),), 0)],
-        )
+        TorusExtension(1, cyclic(2), {1: neg}, central_quotient=[((Fraction(1, 4),), 0)])
     with pytest.raises(ValidationError):
         # finite part of a central generator must act trivially
-        z4 = cyclic(4)
-        neg = IntMatrix.from_rows([[-1]])
-        TorusExtension(
-            1, z4, [ident, neg, ident, neg], central_quotient=[((Fraction(0),), 1)]
-        )
+        TorusExtension(1, cyclic(4), {1: neg}, central_quotient=[((Fraction(0),), 1)])
     with pytest.raises(ValidationError):
         # finite part of a central generator must be central in F
         D8 = catalog_group("D8")
         TorusExtension(
             1,
             D8,
-            [ident] * 8,
+            {D8.names.index("r"): ident, D8.names.index("s"): ident},
             central_quotient=[((Fraction(0),), D8.names.index("r"))],
         )
 
 
 def test_parent_separation():
     A = catalog_extension("o2")
-    B = TorusExtension(1, cyclic(2), [IntMatrix.identity(1), IntMatrix.from_rows([[-1]])])
+    B = TorusExtension(1, cyclic(2), {1: IntMatrix.from_rows([[-1]])})
     with pytest.raises(ValidationError):
         A.mul(A.identity(), B.identity())
