@@ -334,18 +334,24 @@ def test_catalog_actions_are_homomorphisms_into_gl_z():
                 assert E.rho[f] @ E.rho[g] == E.rho[F.mul(f, g)], name
 
 
+def test_rho_from_generators_errors():
+    # generator images that do not extend to a homomorphism F -> GL_k(Z)
+    with pytest.raises(ValidationError, match="inconsistent at 0"):
+        # [[0,-1],[1,0]] has order 4, inconsistent over Z2
+        TorusExtension(2, cyclic(2), {1: IntMatrix.from_rows([[0, -1], [1, 0]])})
+    with pytest.raises(ValidationError, match="do not generate"):
+        # the image of 2 alone does not generate Z4
+        TorusExtension(1, cyclic(4), {2: IntMatrix.identity(1)})
+
+
 def test_constructor_validation():
     ident = IntMatrix.identity(1)
     neg = IntMatrix.from_rows([[-1]])
     for rank, F, action, message in [
         # [[2]] is not invertible over Z, so rho(1)^2 != rho(0) = I
         (1, cyclic(2), {1: IntMatrix.from_rows([[2]])}, "inconsistent at 0"),
-        # [[0,-1],[1,0]] has order 4, inconsistent over Z2
-        (2, cyclic(2), {1: IntMatrix.from_rows([[0, -1], [1, 0]])}, "inconsistent at 0"),
         # not a homomorphism: rho(1)^2 != rho(2)
         (1, cyclic(3), {1: neg, 2: neg}, "inconsistent at 2"),
-        # the image of 2 alone does not generate Z4
-        (1, cyclic(4), {2: ident}, "do not generate"),
         # the identity must act as the identity
         (1, cyclic(2), {0: neg, 1: neg}, "action at the identity"),
         # element index out of range
