@@ -35,7 +35,7 @@ from .intlinalg import (
     complement,
     homology_range,
 )
-from .simplicial import build_c, cone_morse_complex
+from .simplicial import bar_morse_complex, cone_morse_complex
 from .torus import (
     commutator_lattices,
     psi_star,
@@ -100,19 +100,17 @@ def _row(name: str, value, ref: str) -> dict:
 # subcommand handlers; each returns (rows, inputs, exit_code)
 
 
-def _homology_rows(
-    max_dim: int, level_sizes, nondegenerate_sizes, boundaries, counts_ref: str, hom_ref: str
-) -> list:
-    """Level counts and homology rows from the sizes of levels 0..max_dim+1
-    and the boundaries d_1..d_{max_dim+1} of a complex with that homology."""
+def _homology_rows(max_dim: int, M, counts_ref: str, hom_ref: str) -> list:
+    """Level counts and homology rows from a Morse complex M of levels
+    0..max_dim+1, which has the homology of the model it stands for."""
     if max_dim < 0:
         raise ValidationError("--max-dim must be nonnegative")
-    h = homology_range(boundaries, reduced=True)
+    h = homology_range(M.boundaries, reduced=True)
     # C_0 is never empty here, so H0 is H~0 plus one free summand
     h0 = AbelianGroupInvariants(h[0].free_rank + 1, h[0].torsion)
     rows = [
-        _row("level-sizes", level_sizes, counts_ref),
-        _row("nondegenerate-sizes", nondegenerate_sizes, counts_ref),
+        _row("level-sizes", M.level_sizes, counts_ref),
+        _row("nondegenerate-sizes", M.nondegenerate_sizes, counts_ref),
         _row("H0", h0, hom_ref),
         _row("H~0", h[0], hom_ref),
     ]
@@ -123,15 +121,10 @@ def _homology_rows(
 
 def cmd_homology_b2g(args):
     G = parse_group(args.group)
-    N = args.max_dim + 1
-    S = build_c(G, N, budget=args.budget)
+    # the collapsing-scheme Morse complex of build_c(G, max_dim + 1), never the model itself
+    M = bar_morse_complex(G, args.max_dim + 1, budget=args.budget)
     rows = _homology_rows(
-        args.max_dim,
-        [S.level_size(k) for k in range(N + 1)],
-        [len(S.nondegenerate(k)) for k in range(N + 1)],
-        [S.boundary_matrix(k) for k in range(1, N + 1)],
-        "commuting-tuple-level-counts",
-        "commuting-tuple-space-homology",
+        args.max_dim, M, "commuting-tuple-level-counts", "commuting-tuple-space-homology"
     )
     return rows, {"group": args.group, "max_dim": args.max_dim}, 0
 
@@ -140,14 +133,7 @@ def cmd_homology_e2g(args):
     G = parse_group(args.group)
     # the cone-matching Morse complex of build_e(G, max_dim + 1), never the model itself
     M = cone_morse_complex(G, args.max_dim + 1, budget=args.budget)
-    rows = _homology_rows(
-        args.max_dim,
-        M.level_sizes,
-        M.nondegenerate_sizes,
-        M.boundaries,
-        "total-space-level-counts",
-        "total-space-homology",
-    )
+    rows = _homology_rows(args.max_dim, M, "total-space-level-counts", "total-space-homology")
     return rows, {"group": args.group, "max_dim": args.max_dim}, 0
 
 

@@ -313,8 +313,12 @@ def abelianization(G: FiniteGroup) -> list:
 # tuple enumerations
 
 
-def commuting_tuples(G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> list:
-    """All n-tuples of pairwise commuting elements, in lexicographic order."""
+def commuting_tuples(
+    G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET, nondegenerate: bool = False
+) -> list:
+    """All n-tuples of pairwise commuting elements, in lexicographic order;
+    with nondegenerate=True only those without an identity entry.  The
+    budget is charged |G|^n either way."""
     if n < 0:
         raise ValidationError("tuple length must be nonnegative")
     check_power_budget(G.order, n, budget, f"commuting tuples of length {n}")
@@ -322,7 +326,7 @@ def commuting_tuples(G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> li
         return [()]
     out = []
     order = G.order
-    full = frozenset(range(order))
+    full = frozenset(range(1 if nondegenerate else 0, order))
 
     def extend(prefix, allowed):
         if len(prefix) == n:

@@ -3,8 +3,8 @@ their normalized chain complexes, and integral homology.
 
 A truncation stores its simplices and the face and degeneracy maps it is
 given, and applies the maps on demand.  face_boundary is the one
-alternating-face boundary loop, shared by the truncations, the cone Morse
-complex and the coset poset.
+alternating-face loop that assembles boundary matrices, shared by the
+truncations, both Morse complexes and the coset poset.
 
 Two models are provided.  build_c stacks the pairwise-commuting k-tuples
 with the bar maps bar_face (multiply adjacent entries, drop at the ends)
@@ -12,14 +12,20 @@ and bar_degeneracy (insert the identity); its
 realization is the commutativity classifying space of the group.  build_e
 stacks the (k+1)-tuples whose successive quotients commute pairwise, with
 homogeneous faces (drop an entry); it models the total space whose homology
-vanishes exactly for abelian groups.  cone_morse_complex builds only the
-critical cells of a Morse matching on the second model, with the same
-homology.  The projection p_map sends the second model to the first, and
-commutator_map records successive commutators.
+vanishes exactly for abelian groups.  Two MorseComplex builders keep only
+the critical cells of a Morse matching, straight from the commuting tuples
+and with the same homology: cone_morse_complex on the second model, from
+the cone matching, and bar_morse_complex on the first, from Brown's
+collapsing scheme on the normal forms x = r(x)·z(x) (a coset letter of
+G/Z(G), then a polycyclic word in the centre), with a gradient flow for its
+boundaries.  build_c and build_e stay as the unreduced oracle.  The
+projection p_map sends the second model to the first, and commutator_map
+records successive commutators.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .errors import (
@@ -30,7 +36,7 @@ from .errors import (
     check_budget,
     check_power_budget,
 )
-from .groups import FiniteGroup, commuting_tuples
+from .groups import FiniteGroup, center, commuting_tuples
 from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_at, homology_range
 
 
@@ -323,16 +329,16 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     return SimplicialTruncation(levels, drop_entry, lambda e, i: e[: i + 1] + e[i:], label=label)
 
 
-class ConeMorseComplex(NamedTuple):
-    """The cone-matching Morse complex of the normalized homogeneous model,
-    with the level counts of the model it stands for (degrees 0..N)."""
+class MorseComplex(NamedTuple):
+    """The Morse complex of a matching on a normalized model, with the level
+    counts of the model it stands for (degrees 0..N)."""
 
     level_sizes: list
     nondegenerate_sizes: list
     boundaries: list  # Morse d_1..d_N
 
 
-def cone_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> ConeMorseComplex:
+def cone_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> MorseComplex:
     """The Morse complex of the cone matching on build_e(G, N), built from
     the commuting tuples without building the model; it has the same
     homology.
@@ -396,7 +402,222 @@ def cone_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> 
             row_of = {cell: r for r, cell in enumerate(below)}
             boundaries.append(face_boundary(cells, k, drop_entry, row_of))
         below = cells
-    return ConeMorseComplex(level_sizes, nondegenerate_sizes, boundaries)
+    return MorseComplex(level_sizes, nondegenerate_sizes, boundaries)
+
+
+# ---------------------------------------------------------------------------
+# Brown's collapsing scheme on the commuting-tuple model
+
+
+def _normal_forms(G: FiniteGroup) -> list:
+    """The normal word nf(x) = r(x)·z(x) of every element x as a tuple of
+    letters (element indices); nf(1) is empty.
+
+    r(x) is the least element of the coset x·Z(G), left out when x is
+    central.  z(x) = r(x)^-1 x is g1^e1 ⋯ gm^em over a polycyclic sequence
+    of the centre, with 0 <= e_i below the relative order of g_i in
+    Z_i = <g_i, ..., g_m>.  The sequence is built from the bottom: g_m is
+    the least central element other than 1, and each g_i above it the least
+    central element outside Z_{i+1}."""
+    table = G.table
+    centre = center(G).elements
+    words = {0: ()}  # the normal words of the subgroup built so far
+    for z in centre:
+        if z in words:
+            continue
+        # the cosets z^e Z_{i+1}, e below the relative order of z, make up Z_i
+        layer = dict(words)
+        p, power = z, (z,)
+        while p not in words:
+            for h, w in words.items():
+                layer[table[p][h]] = power + w
+            p, power = table[p][z], power + (z,)
+        words = layer
+    nf = []
+    for x in range(G.order):
+        r = min(table[x][z] for z in centre)
+        nf.append(words[x] if r == 0 else (r,) + words[table[G.inv(r)][x]])
+    return nf
+
+
+class _BarMatching:
+    """Brown's collapsing scheme on the nondegenerate commuting tuples of G
+    (K. Brown, "The geometry of rewriting systems", 1992), read off the
+    normal forms of _normal_forms.
+
+    partner(t) scans t = (x_1, ..., x_k) from the left.  At position 1, a
+    normal word of two or more letters splits off its first letter (t is
+    matched up).  At position i >= 2, with w = nf(x_{i-1}), take the
+    shortest prefix u of nf(x_i) for which w·u is not a normal word: with
+    none, x_{i-1}·x_i merge (matched down); with u a proper prefix, x_i
+    splits into u·v (matched up); with u = nf(x_i) the scan goes on.  A
+    tuple the scan passes is critical.  Every prefix of a normal form
+    commutes with whatever the element commutes with, so a partner is again
+    a nondegenerate commuting tuple, and acyclicity restricts from the bar
+    complex of G.  The tables cover the commuting pairs only.
+    """
+
+    __slots__ = ("first", "steps")
+
+    def __init__(self, G: FiniteGroup):
+        table, inv, nf = G.table, G.inv, _normal_forms(G)
+        # the split (u, v) of x at position 1, or None
+        self.first = [(w[0], table[inv(w[0])][x]) if len(w) > 1 else None for x, w in enumerate(nf)]
+
+        def step(a, b):
+            # None to go on, (a·b,) to merge, (u, v) to split b
+            w, word = nf[a], nf[b]
+            u = 0
+            for n, letter in enumerate(word, 1):
+                u = table[u][letter]
+                if nf[table[a][u]] != w + word[:n]:
+                    return None if n == len(word) else (u, table[inv(u)][b])
+            return (table[a][b],)
+
+        self.steps = [{b: step(a, b) for b in G.commuting_set(a) if b} for a in range(G.order)]
+
+    def partner(self, t: tuple):
+        """The cell matched with the nondegenerate tuple t of length >= 1,
+        one level up or one level down, or None when t is critical."""
+        split = self.first[t[0]]
+        if split is not None:
+            return split + t[1:]
+        steps = self.steps
+        for i in range(1, len(t)):
+            s = steps[t[i - 1]][t[i]]
+            if s is not None:
+                # a merge replaces entries i-1 and i, a split entry i
+                return t[: i - 1] + s + t[i + 1 :] if len(s) == 1 else t[:i] + s + t[i + 1 :]
+        return None
+
+
+def _bar_chain(G: FiniteGroup, t: tuple) -> dict:
+    """The normalized boundary Σ(-1)^i d_i t of a nondegenerate commuting
+    tuple as {face: coefficient}, without degenerate faces or zero
+    coefficients."""
+    chain = {}
+    sign = 1
+    for i in range(len(t) + 1):
+        face = bar_face(G, t, i)
+        if 0 not in face:
+            chain[face] = chain.get(face, 0) + sign
+        sign = -sign
+    return {face: c for face, c in chain.items() if c}
+
+
+def _gradient_flow(G: FiniteGroup, matching: _BarMatching, y: tuple, critical: dict, memo: dict) -> dict:
+    """The gradient flow of the nondegenerate cell y onto the critical cells
+    of its level, numbered by `critical`, as {row: coefficient}; memo keeps
+    the flow of every cell met.
+
+    A critical cell flows to itself and a matched-down cell to 0.  A cell x
+    matched up with X, of incidence e = ±1 in dX, flows as -e times the
+    flow of dX - e·x (Sköldberg, Trans. AMS 2006).  The recursion runs on
+    an explicit stack, so no gradient path meets the interpreter's
+    recursion limit; a path that meets a cell still open on it is a cycle,
+    which an acyclic matching never has: MathInvariantError.
+    """
+    stack = [y]
+    path = {}  # the open cells: -e and the rest of their partner's boundary
+    while stack:
+        x = stack[-1]
+        if x in memo:
+            stack.pop()
+        elif x in path:  # every face of its partner has its flow now
+            sign, chain = path.pop(x)
+            flow = {}
+            for z, c in chain.items():
+                for r, v in memo[z].items():
+                    flow[r] = flow.get(r, 0) + sign * c * v
+            memo[x] = {r: v for r, v in flow.items() if v}
+            stack.pop()
+        elif x in critical:
+            memo[x] = {critical[x]: 1}
+            stack.pop()
+        else:
+            other = matching.partner(x)
+            if len(other) < len(x):
+                memo[x] = {}
+                stack.pop()
+                continue
+            chain = _bar_chain(G, other)
+            path[x] = (-chain.pop(x), chain)
+            for z in chain:
+                if z in path:
+                    raise MathInvariantError(f"bar matching: a gradient path from {y} meets {z} twice")
+                if z not in memo:
+                    stack.append(z)
+    return memo[y]
+
+
+def bar_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> MorseComplex:
+    """The Morse complex of Brown's collapsing scheme (_BarMatching) on the
+    normalized build_c(G, N), built from the nondegenerate commuting tuples
+    without building the model; it has the same homology.
+
+    The matching is counted at every level: critical + matched-up +
+    matched-down cells must number the nondegenerate ones, and the
+    matched-down cells the matched-up cells one level below.  Each
+    matched-down cell's partner must be matched back to it, with incidence
+    ±1.  MathInvariantError when any of these fails.  The Morse d_k is the
+    gradient flow of d_k on the critical k-cells.  A k-tuple with its
+    non-identity entries at j chosen places is a nondegenerate j-tuple, so
+    level k has sum_j C(k, j) n_j simplices, n_j nondegenerate at level j.
+    """
+    if N < 0:
+        raise ValidationError("degree bound must be nonnegative")
+    # the same refusals, in the same order, as build_c(G, N)
+    check_power_budget(G.order, N, budget, f"commuting tuples of length {N}")
+    _check_depth(N, budget)
+    matching = _BarMatching(G)
+    nondegenerate_sizes, boundaries = [1], []
+    below = {(): 0}  # the critical cells of the level below, numbered
+    matched_up = 0
+    for k in range(1, N + 1):
+        tuples = commuting_tuples(G, k, budget=budget, nondegenerate=True)
+        cells, up, down = [], 0, 0
+        for t in tuples:
+            other = matching.partner(t)
+            if other is None:
+                cells.append(t)
+            elif len(other) == k + 1:
+                up += 1
+            elif len(other) == k - 1:
+                down += 1
+                back = matching.partner(other)
+                if back != t:
+                    raise MathInvariantError(
+                        f"bar matching at level {k}: {t} is matched down to {other}, "
+                        f"which is matched to {back}"
+                    )
+                e = _bar_chain(G, t).get(other, 0)
+                if e not in (1, -1):
+                    raise MathInvariantError(
+                        f"bar matching at level {k}: {other} has incidence {e} "
+                        f"in the boundary of its partner {t}"
+                    )
+        if down != matched_up or len(cells) + up + down != len(tuples):
+            raise MathInvariantError(
+                f"bar matching at level {k}: {len(cells)} critical + {up} matched up + "
+                f"{down} matched down of {len(tuples)} nondegenerate cells, against "
+                f"{matched_up} matched up at level {k - 1}"
+            )
+        # the nondegenerate faces of the critical cells, and their flow
+        rows = {}
+        for c in cells:
+            for y in _bar_chain(G, c):
+                rows.setdefault(y, len(rows))
+        memo = {}
+        flow = [_gradient_flow(G, matching, y, below, memo) for y in rows]
+        d_k = face_boundary(cells, k, lambda t, i: bar_face(G, t, i), rows)
+        boundaries.append(IntMatrix.from_column_dicts(flow, len(below)) @ d_k)
+        nondegenerate_sizes.append(len(tuples))
+        below = {c: r for r, c in enumerate(cells)}
+        matched_up = up
+    level_sizes = [
+        sum(comb(k, j) * n for j, n in enumerate(nondegenerate_sizes[: k + 1])) for k in range(N + 1)
+    ]
+    return MorseComplex(level_sizes, nondegenerate_sizes, boundaries)
 
 
 def p_map(G: FiniteGroup, e) -> tuple:

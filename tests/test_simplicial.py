@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from commclass.simplicial import (
     SimplicialTruncation,
     bar_degeneracy,
     bar_face,
+    bar_morse_complex,
     build_c,
     build_e,
     commutator_map,
@@ -329,6 +331,139 @@ def test_cone_matching_count_invariant_detects_a_corrupted_level(capsys, monkeyp
             cone_morse_complex(catalog_group(name), 3)
         assert cli.main(["homology-e2g", "--group", name, "--max-dim", "2"]) == 4
         assert f"cone matching at level {corrupted}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [name for name, _ in catalog_groups(12)])
+def test_bar_morse_complex_has_the_homology_of_the_full_model(name):
+    G = catalog_group(name)
+    S = build_c(G, 4)
+    M = bar_morse_complex(G, 4)
+    assert M.level_sizes == [S.level_size(k) for k in range(5)]
+    assert M.nondegenerate_sizes == [len(S.nondegenerate(k)) for k in range(5)]
+    assert homology_range(M.boundaries, reduced=True) == reduced_homology_range(S, 3)
+
+
+def test_bar_morse_critical_counts():
+    # critical cells at levels 0..4; a group with a centre keeps few, a
+    # centreless one keeps every nondegenerate cell
+    for name, sizes in [
+        ("Z2", [1, 1, 1, 1, 1]),
+        ("Z5", [1, 1, 1, 1, 1]),
+        ("Z16", [1, 1, 1, 1, 1]),
+        ("Z3xZ3", [1, 2, 3, 4, 5]),
+        ("Z4xZ4", [1, 2, 3, 4, 5]),
+        ("Q8", [1, 4, 7, 10, 13]),
+        ("Q8oZ4", [1, 4, 7, 10, 13]),
+        ("S3", [1, 5, 7, 11, 19]),
+    ]:
+        M = bar_morse_complex(catalog_group(name), 4)
+        assert [M.boundaries[0].rows] + [d.cols for d in M.boundaries] == sizes, name
+        assert M.boundaries[0].is_zero()
+        for d_out, d_in in zip(M.boundaries, M.boundaries[1:]):
+            assert (d_out @ d_in).is_zero()
+    assert bar_morse_complex(catalog_group("Q8oZ4"), 4).nondegenerate_sizes == [1, 15, 129, 975, 7041]
+    with pytest.raises(ValidationError):
+        bar_morse_complex(catalog_group("S3"), -1)
+
+
+def test_bar_matching_is_mutual_on_small_groups():
+    # every nondegenerate cell through level 4 is critical or matched with a
+    # nondegenerate commuting cell one level away that is matched back, with
+    # incidence +-1
+    from commclass.simplicial import _BarMatching, _bar_chain
+
+    for name, G in catalog_groups(8):
+        matching = _BarMatching(G)
+        for k in range(1, 5):
+            for t in commuting_tuples(G, k):
+                if 0 in t:
+                    continue
+                other = matching.partner(t)
+                if other is None:
+                    continue
+                assert len(other) in (k - 1, k + 1) and 0 not in other, (name, t)
+                assert all(G.commute(a, b) for a in other for b in other), (name, t)
+                assert matching.partner(other) == t, (name, t, other)
+                down, up = (t, other) if len(other) < k else (other, t)
+                assert _bar_chain(G, down).get(up) in (1, -1), (name, t, other)
+
+
+def test_bar_gradient_flow_refuses_a_cycle():
+    # (2,) is matched up with (1, 1) and (1,) with (2, 3), whose boundary
+    # holds (2,) again: a cyclic matching, which the flow must refuse
+    from commclass.simplicial import _gradient_flow
+
+    class Cyclic:
+        def partner(self, t):
+            return {(2,): (1, 1), (1,): (2, 3), (3,): (1, 2)}.get(t)
+
+    with pytest.raises(MathInvariantError, match="meets"):
+        _gradient_flow(cyclic(4), Cyclic(), (2,), {}, {})
+
+
+def _homology_b2g_exit(capsys, name, max_dim):
+    code = cli.main(["homology-b2g", "--group", name, "--max-dim", str(max_dim)])
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    return code, captured.err
+
+
+def test_bar_matching_count_detects_a_missing_cell(capsys, monkeypatch):
+    # Z4's (1, 1) merges into (2,); without it level 2 has one matched-down
+    # cell fewer than level 1 has matched-up ones
+    from commclass import simplicial
+
+    enumerate_tuples = simplicial.commuting_tuples
+
+    def dropping(G, k, budget, nondegenerate=False):
+        tuples = enumerate_tuples(G, k, budget=budget, nondegenerate=nondegenerate)
+        return [t for t in tuples if t != (1, 1)]
+
+    monkeypatch.setattr(simplicial, "commuting_tuples", dropping)
+    message = (
+        "bar matching at level 2: 1 critical + 6 matched up + 1 matched down of 8 "
+        "nondegenerate cells, against 2 matched up at level 1"
+    )
+    with pytest.raises(MathInvariantError, match=re.escape(message)):
+        bar_morse_complex(cyclic(4), 3)
+    code, err = _homology_b2g_exit(capsys, "Z4", 2)
+    assert code == 4 and message in err
+
+
+def test_bar_matching_detects_a_partner_that_is_not_mutual(capsys, monkeypatch):
+    from commclass import simplicial
+
+    partner = simplicial._BarMatching.partner
+
+    def crossed(self, t):
+        return (3,) if t == (1, 1) else partner(self, t)
+
+    monkeypatch.setattr(simplicial._BarMatching, "partner", crossed)
+    code, err = _homology_b2g_exit(capsys, "Z4", 2)
+    assert code == 4
+    assert "bar matching at level 2: (1, 1) is matched down to (3,), which is matched to (1, 2)" in err
+
+
+@pytest.mark.parametrize(
+    "cell, i, face, incidence",
+    [
+        # the merge face of (1, 1) moved away
+        ((1, 1), 1, (3,), 0),
+        # d_3 of (1, 1, 1) moved onto its merge face d_1, of the same sign
+        ((1, 1, 1), 3, (2, 1), -2),
+    ],
+)
+def test_bar_matching_detects_an_incidence_other_than_a_unit(capsys, monkeypatch, cell, i, face, incidence):
+    from commclass import simplicial
+
+    def moved(G, t, j):
+        return face if (t, j) == (cell, i) else bar_face(G, t, j)
+
+    monkeypatch.setattr(simplicial, "bar_face", moved)
+    code, err = _homology_b2g_exit(capsys, "Z4", 2)
+    assert code == 4
+    merged = (2,) + cell[2:]
+    assert f"{merged} has incidence {incidence} in the boundary of its partner {cell}" in err
 
 
 def rank_mod_p(columns, p):
