@@ -326,17 +326,18 @@ def commuting_tuples(
         return [()]
     out = []
     order = G.order
-    full = frozenset(range(1 if nondegenerate else 0, order))
-
-    def extend(prefix, allowed):
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for g in range(order):
+    # depth first on an explicit stack, so no length meets the recursion
+    # limit: the least entry is pushed last and popped first, and a prefix
+    # one entry short takes its last entries straight from `allowed`
+    stack = [((), frozenset(range(1 if nondegenerate else 0, order)))]
+    while stack:
+        prefix, allowed = stack.pop()
+        if len(prefix) == n - 1:
+            out.extend([prefix + (g,) for g in range(order) if g in allowed])
+            continue
+        for g in range(order - 1, -1, -1):
             if g in allowed:
-                extend(prefix + (g,), allowed & G.commuting_set(g))
-
-    extend((), full)
+                stack.append((prefix + (g,), allowed & G.commuting_set(g)))
     return out
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -214,6 +215,26 @@ def test_commuting_tuples_symmetry():
 def test_commuting_tuples_budget():
     with pytest.raises(BudgetExceededError):
         commuting_tuples(catalog_group("S4"), 4, budget=1000)
+
+
+def test_commuting_tuples_are_the_lexicographic_filter_of_all_tuples():
+    from itertools import product
+
+    for name in ("Z1", "Z4", "S3", "Q8", "Z2xZ4"):
+        G = catalog_group(name)
+        for n in range(4):
+            every = [
+                t for t in product(range(G.order), repeat=n) if all(G.commute(a, b) for a in t for b in t)
+            ]
+            assert commuting_tuples(G, n) == every, (name, n)
+            assert commuting_tuples(G, n, nondegenerate=True) == [t for t in every if 0 not in t]
+
+
+def test_commuting_tuples_need_no_recursion():
+    # a raised budget admits lengths far past the interpreter's recursion limit
+    n = 3 * sys.getrecursionlimit()
+    assert commuting_tuples(cyclic(2), n, budget=2**n, nondegenerate=True) == [(1,) * n]
+    assert commuting_tuples(cyclic(1), n, budget=1) == [(0,) * n]
 
 
 def test_central_product():
