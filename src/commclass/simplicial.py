@@ -505,7 +505,9 @@ def _bar_chain(G: FiniteGroup, t: tuple) -> dict:
     return {face: c for face, c in chain.items() if c}
 
 
-def _gradient_flow(G: FiniteGroup, matching: _BarMatching, y: tuple, critical: dict, memo: dict) -> dict:
+def _gradient_flow(
+    G: FiniteGroup, matching: _BarMatching, y: tuple, critical: dict, memo: dict
+) -> dict:
     """The gradient flow of the nondegenerate cell y onto the critical cells
     of its level, numbered by `critical`, as {row: coefficient}; memo keeps
     the flow of every cell met.
@@ -544,7 +546,9 @@ def _gradient_flow(G: FiniteGroup, matching: _BarMatching, y: tuple, critical: d
             path[x] = (-chain.pop(x), chain)
             for z in chain:
                 if z in path:
-                    raise MathInvariantError(f"bar matching: a gradient path from {y} meets {z} twice")
+                    raise MathInvariantError(
+                        f"bar matching: a gradient path from {y} meets {z} twice"
+                    )
                 if z not in memo:
                     stack.append(z)
     return memo[y]
@@ -615,7 +619,8 @@ def bar_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> M
         below = {c: r for r, c in enumerate(cells)}
         matched_up = up
     level_sizes = [
-        sum(comb(k, j) * n for j, n in enumerate(nondegenerate_sizes[: k + 1])) for k in range(N + 1)
+        sum(comb(k, j) * n for j, n in enumerate(nondegenerate_sizes[: k + 1]))
+        for k in range(N + 1)
     ]
     return MorseComplex(level_sizes, nondegenerate_sizes, boundaries)
 

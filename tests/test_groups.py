@@ -224,7 +224,9 @@ def test_commuting_tuples_are_the_lexicographic_filter_of_all_tuples():
         G = catalog_group(name)
         for n in range(4):
             every = [
-                t for t in product(range(G.order), repeat=n) if all(G.commute(a, b) for a in t for b in t)
+                t
+                for t in product(range(G.order), repeat=n)
+                if all(G.commute(a, b) for a in t for b in t)
             ]
             assert commuting_tuples(G, n) == every, (name, n)
             assert commuting_tuples(G, n, nondegenerate=True) == [t for t in every if 0 not in t]

@@ -361,7 +361,8 @@ def test_bar_morse_critical_counts():
         assert M.boundaries[0].is_zero()
         for d_out, d_in in zip(M.boundaries, M.boundaries[1:]):
             assert (d_out @ d_in).is_zero()
-    assert bar_morse_complex(catalog_group("Q8oZ4"), 4).nondegenerate_sizes == [1, 15, 129, 975, 7041]
+    Q8oZ4 = bar_morse_complex(catalog_group("Q8oZ4"), 4)
+    assert Q8oZ4.nondegenerate_sizes == [1, 15, 129, 975, 7041]
     with pytest.raises(ValidationError):
         bar_morse_complex(catalog_group("S3"), -1)
 
@@ -441,7 +442,10 @@ def test_bar_matching_detects_a_partner_that_is_not_mutual(capsys, monkeypatch):
     monkeypatch.setattr(simplicial._BarMatching, "partner", crossed)
     code, err = _homology_b2g_exit(capsys, "Z4", 2)
     assert code == 4
-    assert "bar matching at level 2: (1, 1) is matched down to (3,), which is matched to (1, 2)" in err
+    assert (
+        "bar matching at level 2: (1, 1) is matched down to (3,), which is matched to (1, 2)"
+        in err
+    )
 
 
 @pytest.mark.parametrize(
@@ -453,7 +457,9 @@ def test_bar_matching_detects_a_partner_that_is_not_mutual(capsys, monkeypatch):
         ((1, 1, 1), 3, (2, 1), -2),
     ],
 )
-def test_bar_matching_detects_an_incidence_other_than_a_unit(capsys, monkeypatch, cell, i, face, incidence):
+def test_bar_matching_detects_an_incidence_other_than_a_unit(
+    capsys, monkeypatch, cell, i, face, incidence
+):
     from commclass import simplicial
 
     def moved(G, t, j):
