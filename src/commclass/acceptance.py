@@ -15,7 +15,7 @@ from itertools import product
 from .catalog import catalog_groups, cyclic, quaternion
 from .cocycles import PLPath, build_alpha_cocycle, build_qx_cocycle, clutch
 from .cosetposet import coset_poset_homology
-from .errors import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .groupring import coinvariants, moore_h2, pi2_e2_connected
 from .groups import (
     Subgroup,
@@ -335,11 +335,15 @@ CRITERIA = (
 
 
 def run_all(budget: int = DEFAULT_BUDGET) -> list:
-    """Run every criterion; returns [(number, name, passed, detail)]."""
+    """Run every criterion; returns [(number, name, passed, detail)].  A
+    criterion that raises fails, except that a BudgetExceededError, a
+    refusal of the whole run, propagates."""
     results = []
     for number, name, fn in CRITERIA:
         try:
             passed, detail = fn(budget=budget)
+        except BudgetExceededError:
+            raise
         except Exception as e:
             passed, detail = False, f"{type(e).__name__}: {e}"
         results.append((number, name, passed, detail))

@@ -171,6 +171,15 @@ class PatchCocycle:
             )
         return out
 
+    def _require(self, checks, what: str) -> None:
+        """ValidationError, prefixed with `what`, naming the first failed
+        check of validate() among `checks`."""
+        for d in self.validate():
+            if d["check"] in checks and not d["ok"]:
+                raise ValidationError(
+                    f"{what}: {d['check']} fails at {d['location']}: {d['detail']}"
+                )
+
     @property
     def is_valid(self) -> bool:
         return all(d["ok"] for d in self.validate())
@@ -178,12 +187,7 @@ class PatchCocycle:
     def invert(self):
         """Pointwise inverse cocycle; requires commutativity, otherwise the
         inverse would not satisfy the cocycle equation."""
-        failures = [d for d in self.validate() if not d["ok"]]
-        if failures:
-            first = failures[0]
-            raise ValidationError(
-                f"cannot invert: {first['check']} fails at {first['location']}: {first['detail']}"
-            )
+        self._require(("cocycle-equation", "commutativity"), "cannot invert")
         return PatchCocycle(self.a12.inverse(), self.a13.inverse(), self.a23.inverse())
 
     def __repr__(self):
@@ -211,14 +215,12 @@ class ClutchResult:
 def clutch(c: PatchCocycle) -> ClutchResult:
     """The winding class of the clutching loop, the a12*a23 arc (forward)
     followed by the a13 arc (backward): the difference of the two arcs'
-    lift displacements."""
+    lift displacements.  The loop closes exactly where the cocycle equation
+    holds at both triple points; ValidationError when it does not."""
     arc1 = c.a12.mul(c.a23)
     arc2 = c.a13
-    for t, location in ((0, "front"), (1, "back")):
-        if arc1.value_at(t) != arc2.value_at(t):
-            raise MathInvariantError(
-                f"clutching loop fails to close at the {location} triple point"
-            )
+    if any(arc1.value_at(t) != arc2.value_at(t) for t in (0, 1)):
+        c._require(("cocycle-equation",), "clutching loop fails to close")
     if arc1.f != arc2.f or arc1.f != 0:
         return ClutchResult(None, NOT_IDENTITY_COMPONENT)
     d1 = arc1.displacement()

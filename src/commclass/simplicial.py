@@ -13,14 +13,17 @@ realization is the commutativity classifying space of the group.  build_e
 stacks the (k+1)-tuples whose successive quotients commute pairwise, with
 homogeneous faces (drop an entry); it models the total space whose homology
 vanishes exactly for abelian groups.  Two MorseComplex builders keep only
-the critical cells of a Morse matching, straight from the commuting tuples
-and with the same homology: cone_morse_complex on the second model, from
-the cone matching, and bar_morse_complex on the first, from Brown's
-collapsing scheme on the normal forms x = r(x)·z(x) (a coset letter of
-G/Z(G), then a polycyclic word in the centre), with a gradient flow for its
-boundaries.  build_c and build_e stay as the unreduced oracle.  The
-projection p_map sends the second model to the first, and commutator_map
-records successive commutators.
+the critical cells of a Morse matching, straight from the nondegenerate
+commuting tuples and with the same homology: cone_morse_complex on the
+second model, from the cone matching, whose Morse boundaries are the
+model's own on the critical cells, and bar_morse_complex on the first, from
+Brown's collapsing scheme on the normal forms x = r(x)·z(x) (a coset letter
+of G/Z(G), then a polycyclic word in the centre), with a gradient flow for
+its boundaries.  Both count their matching with one check, and a
+MorseComplex derives the model's level counts from its nondegenerate
+counts.  build_c and build_e stay as the unreduced oracle; one helper makes
+the refusals of all four builders.  The projection p_map sends the second
+model to the first, and commutator_map records successive commutators.
 """
 
 from __future__ import annotations
@@ -222,17 +225,18 @@ def drop_entry(x: tuple, i: int) -> tuple:
     return x[:i] + x[i + 1 :]
 
 
-def _boundaries(S: SimplicialTruncation, top: int, normalized, bottom: int = 1) -> list:
-    """The boundaries d_bottom..d_{top+1}; H_0..H_top need d_1..d_{top+1}."""
+def _boundaries(S: SimplicialTruncation, top: int, bottom: int = 1) -> list:
+    """The normalized boundaries d_bottom..d_{top+1}; H_0..H_top need
+    d_1..d_{top+1}."""
     if top + 1 > S.max_degree:
         raise TruncationError(
             f"H_{top} needs levels through {top + 1}; truncation stops at {S.max_degree}"
         )
-    return [S.boundary_matrix(k, normalized=normalized) for k in range(bottom, top + 2)]
+    return [S.boundary_matrix(k) for k in range(bottom, top + 2)]
 
 
-def homology(S: SimplicialTruncation, k: int, reduced=False, normalized=True) -> AbelianGroupInvariants:
-    """Integral homology H_k (or reduced homology) of the chain complex of S.
+def homology(S: SimplicialTruncation, k: int) -> AbelianGroupInvariants:
+    """Integral homology H_k of the normalized chain complex of S.
 
     Needs the boundary out of degree k+1, so the truncation must extend at
     least one level beyond k.  Only d_k and d_{k+1} are built.
@@ -240,25 +244,30 @@ def homology(S: SimplicialTruncation, k: int, reduced=False, normalized=True) ->
     if k < 0:
         raise ValidationError("homology degree must be nonnegative")
     if k == 0:
-        return homology_range(_boundaries(S, 0, normalized), reduced=reduced)[0]
-    return homology_at(*_boundaries(S, k, normalized, bottom=k))
+        return homology_range(_boundaries(S, 0))[0]
+    return homology_at(*_boundaries(S, k, bottom=k))
 
 
-def reduced_homology_range(S: SimplicialTruncation, top: int, normalized=True) -> list:
+def reduced_homology_range(S: SimplicialTruncation, top: int) -> list:
     """Reduced homology in degrees 0..top as a list."""
-    return homology_range(_boundaries(S, top, normalized), reduced=True)
+    return homology_range(_boundaries(S, top), reduced=True)
 
 
 # ---------------------------------------------------------------------------
 # the two models
 
 
-def _check_depth(N: int, budget: int) -> None:
-    """A depth-N truncation applies k+1 maps to each k-simplex, each
+def _check_truncation(G: FiniteGroup, N: int, budget: int, length: int, what: str) -> None:
+    """The refusals of a depth-N truncation, before anything is enumerated:
+    a negative N, then the |G|^length top tuples named `what`, then the
+    depth.  A depth-N truncation applies k+1 maps to each k-simplex, each
     copying a tuple of about k entries, so even with one simplex per level
     (the trivial group) its construction and boundaries copy on the order of
     sum_{k=1..N} k(k+1) = N(N+1)(N+2)/3 tuple entries; the depth itself
     counts against the budget."""
+    if N < 0:
+        raise ValidationError("degree bound must be nonnegative")
+    check_power_budget(G.order, length, budget, f"{what} of length {length}")
     check_budget(N * (N + 1) * (N + 2) // 3, budget, f"faces and degeneracies of depth {N}")
 
 
@@ -283,11 +292,7 @@ def build_c(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     """Truncation of the commuting-tuple nerve: level k lists the pairwise
     commuting k-tuples, faces multiply adjacent entries (dropping at the
     ends), degeneracies insert the identity."""
-    if N < 0:
-        raise ValidationError("degree bound must be nonnegative")
-    # refuse before enumerating the lower levels
-    check_power_budget(G.order, N, budget, f"commuting tuples of length {N}")
-    _check_depth(N, budget)
+    _check_truncation(G, N, budget, N, "commuting tuples")
     levels = [commuting_tuples(G, k, budget=budget) for k in range(N + 1)]
     label = f"commuting-nerve({G.label or G.order}, N={N})"
     return SimplicialTruncation(levels, lambda t, i: bar_face(G, t, i), bar_degeneracy, label=label)
@@ -309,10 +314,7 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     """Truncation of the homogeneous model: level k lists the (k+1)-tuples
     whose successive quotients commute pairwise, faces drop an entry,
     degeneracies repeat one."""
-    if N < 0:
-        raise ValidationError("degree bound must be nonnegative")
-    check_power_budget(G.order, N + 1, budget, f"tuples of length {N + 1}")
-    _check_depth(N, budget)
+    _check_truncation(G, N, budget, N + 1, "tuples")
     levels = []
     for k in range(N + 1):
         level = []
@@ -330,54 +332,66 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
 
 
 class MorseComplex(NamedTuple):
-    """The Morse complex of a matching on a normalized model, with the level
-    counts of the model it stands for (degrees 0..N)."""
+    """The Morse complex of a matching on a normalized model: the
+    nondegenerate counts N_0..N_N of the model it stands for, and the Morse
+    d_1..d_N."""
 
-    level_sizes: list
     nondegenerate_sizes: list
-    boundaries: list  # Morse d_1..d_N
+    boundaries: list
+
+    @property
+    def level_sizes(self) -> list:
+        """The level counts of the model.  A k-simplex whose non-identity
+        steps sit at j chosen places is a nondegenerate j-simplex, so level k
+        has sum_j C(k, j) N_j simplices."""
+        n = self.nondegenerate_sizes
+        return [sum(comb(k, j) * n[j] for j in range(k + 1)) for k in range(len(n))]
+
+
+def _check_matching(model: str, k: int, critical: int, up: int, down: int, cells: int, below: int):
+    """A matching pairs each matched-down k-cell with a matched-up cell one
+    level below, and leaves the rest of the nondegenerate k-cells critical:
+    MathInvariantError unless critical + up + down = cells and down = below,
+    the matched-up count at level k-1."""
+    if critical + up + down != cells or down != below:
+        raise MathInvariantError(
+            f"{model} matching at level {k}: {critical} critical + {up} matched up + "
+            f"{down} matched down of {cells} nondegenerate cells, against "
+            f"{below} matched up at level {k - 1}"
+        )
 
 
 def cone_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> MorseComplex:
     """The Morse complex of the cone matching on build_e(G, N), built from
-    the commuting tuples without building the model; it has the same
-    homology.
+    the nondegenerate commuting tuples without building the model; it has
+    the same homology, and the refusals of build_e(G, N).
 
-    A k-simplex of the model is (g0, g0 p1, ..., g0 pk) for a commuting
-    k-tuple x with partial products p_i = x1...xi; it is nondegenerate when
-    no x_i is 1.  A nondegenerate simplex with g0 != 1 is matched with
-    (1, g0, g0 p1, ..., g0 pk) when that simplex exists, that is when g0
-    lies in Z = the intersection of the centralizers of the p_i.  The
-    critical cells are the vertex (1) and, for k >= 1, the simplices with
-    g0 != 1 outside Z.  Every face of (1, f) other than f starts with 1, so
-    every gradient path has length one (Skoldberg, Trans. AMS 2006): the
-    Morse d_1 is the zero 1 x c_1 matrix, since every vertex flows to (1),
-    and for k >= 2 the Morse d_k is d_k on the critical rows and columns.
+    A nondegenerate k-simplex of the model is (g0, g0 p1, ..., g0 pk) for a
+    commuting k-tuple x without identity entries, with partial products
+    p_i = x1...xi.  One with g0 != 1 is matched with (1, g0, g0 p1, ...,
+    g0 pk) when that simplex exists, that is when g0 lies in Z = the
+    intersection of the centralizers of the p_i.  The critical cells are the
+    vertex (1) and, for k >= 1, the simplices with g0 != 1 outside Z.  Every
+    face of (1, f) other than f starts with 1, so every gradient path has
+    length one (Skoldberg, Trans. AMS 2006) and the Morse d_k is d_k on the
+    critical rows and columns.  No critical edge (g0, g0 x) has the face (1),
+    since g0 x = 1 would put g0 in the centralizer of x, so d_1 is zero.
 
-    The cells starting with 1 are matched down, one to each matched-up cell
-    of the level below, so at every level critical + matched-up +
-    matched-down cells number the nondegenerate ones; MathInvariantError
-    when they do not.
+    The cells (1, p1, ..., pk), one for each tuple, are matched down, and
+    _check_matching counts the matching at every level.
     """
-    if N < 0:
-        raise ValidationError("degree bound must be nonnegative")
-    # the same refusals, in the same order, as build_e(G, N)
-    check_power_budget(G.order, N + 1, budget, f"tuples of length {N + 1}")
-    _check_depth(N, budget)
+    _check_truncation(G, N, budget, N + 1, "tuples")
     order = G.order
     table = G.table
     everything = frozenset(range(order))
-    level_sizes, nondegenerate_sizes, boundaries = [order], [order], []
+    nondegenerate_sizes, boundaries = [order], []
     below = [(0,)]  # the critical cells of the level below
     matched_up = order - 1  # every vertex g0 != 1 is matched with the edge (1, g0)
     for k in range(1, N + 1):
-        tuples = commuting_tuples(G, k, budget=budget)
-        nondegenerate = up = 0
+        tuples = commuting_tuples(G, k, budget=budget, nondegenerate=True)
+        up = 0
         cells = []
         for x in tuples:
-            if 0 in x:
-                continue
-            nondegenerate += 1
             partials = [x[0]]
             for a in x[1:]:
                 partials.append(table[partials[-1]][a])
@@ -387,22 +401,15 @@ def cone_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> 
                 if g0 not in fixed:
                     row = table[g0]
                     cells.append((g0, *(row[p] for p in partials)))
-        if len(cells) + up + matched_up != order * nondegenerate:
-            raise MathInvariantError(
-                f"cone matching at level {k}: {len(cells)} critical + {up} matched up + "
-                f"{matched_up} matched down != {order * nondegenerate} nondegenerate cells"
-            )
-        level_sizes.append(order * len(tuples))
-        nondegenerate_sizes.append(order * nondegenerate)
+        n = len(tuples)
+        _check_matching("cone", k, len(cells), up, n, order * n, matched_up)
+        nondegenerate_sizes.append(order * n)
         matched_up = up
         cells.sort()  # the rows and columns of d_k in the order of build_e
-        if k == 1:
-            boundaries.append(IntMatrix.zero(1, len(cells)))
-        else:
-            row_of = {cell: r for r, cell in enumerate(below)}
-            boundaries.append(face_boundary(cells, k, drop_entry, row_of))
+        row_of = {cell: r for r, cell in enumerate(below)}
+        boundaries.append(face_boundary(cells, k, drop_entry, row_of))
         below = cells
-    return MorseComplex(level_sizes, nondegenerate_sizes, boundaries)
+    return MorseComplex(nondegenerate_sizes, boundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -559,20 +566,13 @@ def bar_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> M
     normalized build_c(G, N), built from the nondegenerate commuting tuples
     without building the model; it has the same homology.
 
-    The matching is counted at every level: critical + matched-up +
-    matched-down cells must number the nondegenerate ones, and the
-    matched-down cells the matched-up cells one level below.  Each
+    The matching is counted at every level (_check_matching), and each
     matched-down cell's partner must be matched back to it, with incidence
-    ±1.  MathInvariantError when any of these fails.  The Morse d_k is the
-    gradient flow of d_k on the critical k-cells.  A k-tuple with its
-    non-identity entries at j chosen places is a nondegenerate j-tuple, so
-    level k has sum_j C(k, j) n_j simplices, n_j nondegenerate at level j.
+    ±1: MathInvariantError when any of these fails.  The Morse d_k is the
+    gradient flow of d_k on the critical k-cells.  The refusals are those
+    of build_c(G, N).
     """
-    if N < 0:
-        raise ValidationError("degree bound must be nonnegative")
-    # the same refusals, in the same order, as build_c(G, N)
-    check_power_budget(G.order, N, budget, f"commuting tuples of length {N}")
-    _check_depth(N, budget)
+    _check_truncation(G, N, budget, N, "commuting tuples")
     matching = _BarMatching(G)
     nondegenerate_sizes, boundaries = [1], []
     below = {(): 0}  # the critical cells of the level below, numbered
@@ -600,12 +600,7 @@ def bar_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> M
                         f"bar matching at level {k}: {other} has incidence {e} "
                         f"in the boundary of its partner {t}"
                     )
-        if down != matched_up or len(cells) + up + down != len(tuples):
-            raise MathInvariantError(
-                f"bar matching at level {k}: {len(cells)} critical + {up} matched up + "
-                f"{down} matched down of {len(tuples)} nondegenerate cells, against "
-                f"{matched_up} matched up at level {k - 1}"
-            )
+        _check_matching("bar", k, len(cells), up, down, len(tuples), matched_up)
         # the nondegenerate faces of the critical cells, and their flow
         rows = {}
         for c in cells:
@@ -618,11 +613,7 @@ def bar_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> M
         nondegenerate_sizes.append(len(tuples))
         below = {c: r for r, c in enumerate(cells)}
         matched_up = up
-    level_sizes = [
-        sum(comb(k, j) * n for j, n in enumerate(nondegenerate_sizes[: k + 1]))
-        for k in range(N + 1)
-    ]
-    return MorseComplex(level_sizes, nondegenerate_sizes, boundaries)
+    return MorseComplex(nondegenerate_sizes, boundaries)
 
 
 def p_map(G: FiniteGroup, e) -> tuple:

@@ -247,6 +247,30 @@ def test_verify_all_failure_exit(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_all_refused_by_the_budget_exits_3(capsys):
+    code, out, err = run(capsys, "verify-all", "--budget", "1000")
+    assert code == 3
+    assert out == ""
+    assert err == "error: tuples of length 4: enumeration size 1296 exceeds budget 1000\n"
+
+
+@pytest.mark.parametrize("invert", [False, True])
+def test_clutch_of_arcs_that_are_not_a_cocycle_exits_2(capsys, tmp_path, invert):
+    # a13 moved off a12*a23 at the back triple point: the loop cannot close
+    with open(os.path.join(SPEC_DIR, "o2_alpha.cocycle.json")) as fh:
+        doc = json.load(fh)
+    doc["extension"] = os.path.abspath(os.path.join(SPEC_DIR, doc["extension"]))
+    doc["arcs"]["a13"][1]["t"] = ["1/2"]
+    spec = tmp_path / "broken.cocycle.json"
+    spec.write_text(json.dumps(doc))
+    argv = ("clutch", "--cocycle", str(spec)) + (("--invert",) if invert else ())
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "cocycle-equation fails at back: a12*a23 = " in err
+    assert "Traceback" not in err
+
+
 def test_verify_all_success_stub(capsys, monkeypatch):
     monkeypatch.setattr(
         acceptance,
@@ -323,6 +347,10 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
         ("homology-b2g_D16", ("homology-b2g", "--group", "D16", "--max-dim", "3")),
         ("homology-b2g_Q16", ("homology-b2g", "--group", "Q16", "--max-dim", "3")),
         ("homology-b2g_S4", ("homology-b2g", "--group", "S4", "--max-dim", "3")),
+        # the homogeneous model to high degree, pinned by the build that
+        # enumerated every commuting tuple, degenerate ones included
+        ("homology-e2g_Z2_18", ("homology-e2g", "--group", "Z2", "--max-dim", "18")),
+        ("homology-e2g_Z3_11", ("homology-e2g", "--group", "Z3", "--max-dim", "11")),
     ],
 )
 def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv):

@@ -98,7 +98,7 @@ def test_h0_and_reduced_h0():
     S3 = catalog_group("S3")
     C = build_c(S3, 2)
     assert homology(C, 0) == Z(1, ())
-    assert homology(C, 0, reduced=True) == Z(0, ())
+    assert reduced_homology_range(C, 0)[0] == Z(0, ())
     E = build_e(S3, 2)
     assert homology(E, 0) == Z(1, ())
 
@@ -107,8 +107,10 @@ def test_normalized_matches_unnormalized():
     models = [build_c(catalog_group(name), 3) for name in ("Z6", "S3", "D8")]
     models += [build_e(catalog_group(name), 3) for name in ("S3", "D8")]
     for S in models:
-        for k in (0, 1, 2):
-            assert homology(S, k, normalized=True) == homology(S, k, normalized=False)
+        normalized, full = (
+            [S.boundary_matrix(k, normalized=n) for k in (1, 2, 3)] for n in (True, False)
+        )
+        assert homology_range(normalized) == homology_range(full)
 
 
 def test_total_space_s3():
@@ -313,6 +315,31 @@ def test_cone_morse_critical_cells():
         cone_morse_complex(catalog_group("S3"), -1)
 
 
+@pytest.mark.parametrize("name, N", [("Z2", 10), ("Z3", 6)])
+def test_cone_morse_complex_counts_the_levels_of_the_full_model_past_degree_3(name, N):
+    # the level counts come from the nondegenerate ones by the binomial rule
+    G = catalog_group(name)
+    S = build_e(G, N)
+    M = cone_morse_complex(G, N)
+    assert M.level_sizes == [S.level_size(k) for k in range(N + 1)]
+    assert M.nondegenerate_sizes == [len(S.nondegenerate(k)) for k in range(N + 1)]
+
+
+def test_cone_morse_complex_enumerates_only_nondegenerate_tuples(monkeypatch):
+    from commclass import simplicial
+
+    enumerate_tuples = simplicial.commuting_tuples
+    asked = []
+
+    def spy(G, k, budget, nondegenerate=False):
+        asked.append((k, nondegenerate))
+        return enumerate_tuples(G, k, budget=budget, nondegenerate=nondegenerate)
+
+    monkeypatch.setattr(simplicial, "commuting_tuples", spy)
+    cone_morse_complex(catalog_group("S3"), 3)
+    assert asked == [(1, True), (2, True), (3, True)]
+
+
 @pytest.mark.parametrize("corrupted", [1, 2, 3])
 def test_cone_matching_count_invariant_detects_a_corrupted_level(capsys, monkeypatch, corrupted):
     # one tuple missing from a level leaves its cell starting with 1 without a
@@ -321,8 +348,8 @@ def test_cone_matching_count_invariant_detects_a_corrupted_level(capsys, monkeyp
 
     enumerate_tuples = simplicial.commuting_tuples
 
-    def dropping_one_tuple(G, k, budget):
-        tuples = enumerate_tuples(G, k, budget=budget)
+    def dropping_one_tuple(G, k, budget, nondegenerate=False):
+        tuples = enumerate_tuples(G, k, budget=budget, nondegenerate=nondegenerate)
         return tuples[:-1] if k == corrupted else tuples
 
     monkeypatch.setattr(simplicial, "commuting_tuples", dropping_one_tuple)
