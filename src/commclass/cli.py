@@ -35,7 +35,7 @@ from .intlinalg import (
     complement,
     homology_range,
 )
-from .simplicial import bar_morse_complex, cone_morse_complex
+from .simplicial import morse_complex
 from .torus import (
     commutator_lattices,
     psi_star,
@@ -122,7 +122,7 @@ def _homology_rows(max_dim: int, M, counts_ref: str, hom_ref: str) -> list:
 def cmd_homology_b2g(args):
     G = parse_group(args.group)
     # the collapsing-scheme Morse complex of build_c(G, max_dim + 1), never the model itself
-    M = bar_morse_complex(G, args.max_dim + 1, budget=args.budget)
+    M = morse_complex(G, args.max_dim + 1, budget=args.budget)
     rows = _homology_rows(
         args.max_dim, M, "commuting-tuple-level-counts", "commuting-tuple-space-homology"
     )
@@ -131,8 +131,8 @@ def cmd_homology_b2g(args):
 
 def cmd_homology_e2g(args):
     G = parse_group(args.group)
-    # the cone-matching Morse complex of build_e(G, max_dim + 1), never the model itself
-    M = cone_morse_complex(G, args.max_dim + 1, budget=args.budget)
+    # the same scheme lifted to the free G-cover build_e(G, max_dim + 1), never the model itself
+    M = morse_complex(G, args.max_dim + 1, budget=args.budget, cover=True)
     rows = _homology_rows(args.max_dim, M, "total-space-level-counts", "total-space-homology")
     return rows, {"group": args.group, "max_dim": args.max_dim}, 0
 

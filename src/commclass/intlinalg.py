@@ -391,33 +391,6 @@ def snf_diagonal(M: IntMatrix):
     return divisors
 
 
-def determinant(M: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if M.rows != M.cols:
-        raise ValidationError("determinant requires a square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    A = M.to_rows()
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if A[t][t] == 0:
-            for i in range(t + 1, n):
-                if A[i][t]:
-                    A[t], A[i] = A[i], A[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                A[i][j] = (A[i][j] * A[t][t] - A[i][t] * A[t][j]) // prev
-            A[i][t] = 0
-        prev = A[t][t]
-    return sign * A[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Hermite form and lattices
 

@@ -4,7 +4,7 @@ their normalized chain complexes, and integral homology.
 A truncation stores its simplices and the face and degeneracy maps it is
 given, and applies the maps on demand.  face_boundary is the one
 alternating-face loop that assembles boundary matrices, shared by the
-truncations, both Morse complexes and the coset poset.
+truncations, the Morse complexes and the coset poset.
 
 Two models are provided.  build_c stacks the pairwise-commuting k-tuples
 with the bar maps bar_face (multiply adjacent entries, drop at the ends)
@@ -12,22 +12,22 @@ and bar_degeneracy (insert the identity); its
 realization is the commutativity classifying space of the group.  build_e
 stacks the (k+1)-tuples whose successive quotients commute pairwise, with
 homogeneous faces (drop an entry); it models the total space whose homology
-vanishes exactly for abelian groups.  Two MorseComplex builders keep only
-the critical cells of a Morse matching, straight from the nondegenerate
-commuting tuples and with the same homology: cone_morse_complex on the
-second model, from the cone matching, whose Morse boundaries are the
-model's own on the critical cells, and bar_morse_complex on the first, from
-Brown's collapsing scheme on the normal forms x = r(x)·z(x) (a coset letter
-of G/Z(G), then a polycyclic word in the centre), with a gradient flow for
-its boundaries.  Both count their matching with one check, and a
+vanishes exactly for abelian groups, and it is the free G-cover of the first
+model.  morse_complex keeps only the critical cells of Brown's collapsing
+scheme on the normal forms x = r(x)·z(x) (a coset letter of G/Z(G), then a
+polycyclic word in the centre), straight from the nondegenerate commuting
+tuples and with the same homology: on the first model, or lifted
+G-equivariantly to its cover, the second.  It checks the matching at every
+level and takes its boundaries from one memoised gradient flow, and a
 MorseComplex derives the model's level counts from its nondegenerate
 counts.  build_c and build_e stay as the unreduced oracle; one helper makes
-the refusals of all four builders.  The projection p_map sends the second
+the refusals of all three builders.  The projection p_map sends the second
 model to the first, and commutator_map records successive commutators.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 from typing import NamedTuple
 
@@ -348,72 +348,8 @@ class MorseComplex(NamedTuple):
         return [sum(comb(k, j) * n[j] for j in range(k + 1)) for k in range(len(n))]
 
 
-def _check_matching(model: str, k: int, critical: int, up: int, down: int, cells: int, below: int):
-    """A matching pairs each matched-down k-cell with a matched-up cell one
-    level below, and leaves the rest of the nondegenerate k-cells critical:
-    MathInvariantError unless critical + up + down = cells and down = below,
-    the matched-up count at level k-1."""
-    if critical + up + down != cells or down != below:
-        raise MathInvariantError(
-            f"{model} matching at level {k}: {critical} critical + {up} matched up + "
-            f"{down} matched down of {cells} nondegenerate cells, against "
-            f"{below} matched up at level {k - 1}"
-        )
-
-
-def cone_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> MorseComplex:
-    """The Morse complex of the cone matching on build_e(G, N), built from
-    the nondegenerate commuting tuples without building the model; it has
-    the same homology, and the refusals of build_e(G, N).
-
-    A nondegenerate k-simplex of the model is (g0, g0 p1, ..., g0 pk) for a
-    commuting k-tuple x without identity entries, with partial products
-    p_i = x1...xi.  One with g0 != 1 is matched with (1, g0, g0 p1, ...,
-    g0 pk) when that simplex exists, that is when g0 lies in Z = the
-    intersection of the centralizers of the p_i.  The critical cells are the
-    vertex (1) and, for k >= 1, the simplices with g0 != 1 outside Z.  Every
-    face of (1, f) other than f starts with 1, so every gradient path has
-    length one (Skoldberg, Trans. AMS 2006) and the Morse d_k is d_k on the
-    critical rows and columns.  No critical edge (g0, g0 x) has the face (1),
-    since g0 x = 1 would put g0 in the centralizer of x, so d_1 is zero.
-
-    The cells (1, p1, ..., pk), one for each tuple, are matched down, and
-    _check_matching counts the matching at every level.
-    """
-    _check_truncation(G, N, budget, N + 1, "tuples")
-    order = G.order
-    table = G.table
-    everything = frozenset(range(order))
-    nondegenerate_sizes, boundaries = [order], []
-    below = [(0,)]  # the critical cells of the level below
-    matched_up = order - 1  # every vertex g0 != 1 is matched with the edge (1, g0)
-    for k in range(1, N + 1):
-        tuples = commuting_tuples(G, k, budget=budget, nondegenerate=True)
-        up = 0
-        cells = []
-        for x in tuples:
-            partials = [x[0]]
-            for a in x[1:]:
-                partials.append(table[partials[-1]][a])
-            fixed = everything.intersection(*(G.commuting_set(p) for p in partials))
-            up += len(fixed) - 1
-            for g0 in range(1, order):
-                if g0 not in fixed:
-                    row = table[g0]
-                    cells.append((g0, *(row[p] for p in partials)))
-        n = len(tuples)
-        _check_matching("cone", k, len(cells), up, n, order * n, matched_up)
-        nondegenerate_sizes.append(order * n)
-        matched_up = up
-        cells.sort()  # the rows and columns of d_k in the order of build_e
-        row_of = {cell: r for r, cell in enumerate(below)}
-        boundaries.append(face_boundary(cells, k, drop_entry, row_of))
-        below = cells
-    return MorseComplex(nondegenerate_sizes, boundaries)
-
-
 # ---------------------------------------------------------------------------
-# Brown's collapsing scheme on the commuting-tuple model
+# Brown's collapsing scheme on the commuting-tuple model and its cover
 
 
 def _normal_forms(G: FiniteGroup) -> list:
@@ -498,36 +434,53 @@ class _BarMatching:
         return None
 
 
-def _bar_chain(G: FiniteGroup, t: tuple) -> dict:
-    """The normalized boundary Σ(-1)^i d_i t of a nondegenerate commuting
-    tuple as {face: coefficient}, without degenerate faces or zero
-    coefficients."""
+def _cover_face(G: FiniteGroup, act: list, t: tuple, i: int) -> tuple:
+    """Face d_i of the cell (1; t) as (label, tuple): d_0 is (t_1; t_2..t_k),
+    its label t_1 read through act, and every other face is (1; d_i t)."""
+    return (act[t[0]][0] if i == 0 else 0, bar_face(G, t, i))
+
+
+def _cover_chain(G: FiniteGroup, act: list, t: tuple) -> dict:
+    """The normalized boundary Σ(-1)^i d_i (1; t) of a nondegenerate
+    commuting tuple t as {(label, face): coefficient}, with the faces of
+    _cover_face, without degenerate faces or zero coefficients."""
     chain = {}
-    sign = 1
+    label, sign = act[t[0]][0], 1
     for i in range(len(t) + 1):
         face = bar_face(G, t, i)
         if 0 not in face:
-            chain[face] = chain.get(face, 0) + sign
-        sign = -sign
+            key = label, face
+            chain[key] = chain.get(key, 0) + sign
+        label, sign = 0, -sign
     return {face: c for face, c in chain.items() if c}
 
 
+def _translate(act: list, g: int, column: dict) -> dict:
+    """A column over the cells (h; c), numbered c·L + h for the L labels of
+    act, translated by g: (h; c) -> (act[g][h]; c)."""
+    if not g:  # the identity acts trivially
+        return column
+    labels, row = len(act[0]), act[g]
+    return {r - r % labels + row[r % labels]: v for r, v in column.items()}
+
+
 def _gradient_flow(
-    G: FiniteGroup, matching: _BarMatching, y: tuple, critical: dict, memo: dict
+    G: FiniteGroup, act: list, matching: _BarMatching, y: tuple, critical: dict, memo: dict
 ) -> dict:
-    """The gradient flow of the nondegenerate cell y onto the critical cells
-    of its level, numbered by `critical`, as {row: coefficient}; memo keeps
-    the flow of every cell met.
+    """The gradient flow of the cell (1; y) onto the critical cells (h; c) of
+    its level as {critical[c]·L + h: coefficient}, for the L labels of act;
+    memo keeps the flow of every tuple met.
 
     A critical cell flows to itself and a matched-down cell to 0.  A cell x
     matched up with X, of incidence e = ±1 in dX, flows as -e times the
-    flow of dX - e·x (Sköldberg, Trans. AMS 2006).  The recursion runs on
-    an explicit stack, so no gradient path meets the interpreter's
-    recursion limit; a path that meets a cell still open on it is a cycle,
-    which an acyclic matching never has: MathInvariantError.
+    flow of dX - e·x (Sköldberg, Trans. AMS 2006), a face (g; z) as the flow
+    of (1; z) translated by g.  The recursion runs on an explicit stack, so
+    no gradient path meets the interpreter's recursion limit; a path that
+    meets a tuple still open on it is a cycle, which an acyclic matching
+    never has: MathInvariantError.
     """
     stack = [y]
-    path = {}  # the open cells: -e and the rest of their partner's boundary
+    path = {}  # the open tuples: -e and the rest of their partner's boundary
     while stack:
         x = stack[-1]
         if x in memo:
@@ -535,13 +488,13 @@ def _gradient_flow(
         elif x in path:  # every face of its partner has its flow now
             sign, chain = path.pop(x)
             flow = {}
-            for z, c in chain.items():
-                for r, v in memo[z].items():
+            for (g, z), c in chain.items():
+                for r, v in _translate(act, g, memo[z]).items():
                     flow[r] = flow.get(r, 0) + sign * c * v
             memo[x] = {r: v for r, v in flow.items() if v}
             stack.pop()
         elif x in critical:
-            memo[x] = {critical[x]: 1}
+            memo[x] = {critical[x] * len(act[0]): 1}
             stack.pop()
         else:
             other = matching.partner(x)
@@ -549,9 +502,9 @@ def _gradient_flow(
                 memo[x] = {}
                 stack.pop()
                 continue
-            chain = _bar_chain(G, other)
-            path[x] = (-chain.pop(x), chain)
-            for z in chain:
+            chain = _cover_chain(G, act, other)
+            path[x] = (-chain.pop((0, x)), chain)
+            for _, z in chain:
                 if z in path:
                     raise MathInvariantError(
                         f"bar matching: a gradient path from {y} meets {z} twice"
@@ -561,21 +514,43 @@ def _gradient_flow(
     return memo[y]
 
 
-def bar_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> MorseComplex:
+def morse_complex(
+    G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET, cover: bool = False
+) -> MorseComplex:
     """The Morse complex of Brown's collapsing scheme (_BarMatching) on the
-    normalized build_c(G, N), built from the nondegenerate commuting tuples
-    without building the model; it has the same homology.
+    normalized build_c(G, N), or with cover=True on its free G-cover
+    build_e(G, N), built from the nondegenerate commuting tuples without
+    building the model; it has the same homology, and the refusals of the
+    model.
 
-    The matching is counted at every level (_check_matching), and each
-    matched-down cell's partner must be matched back to it, with incidence
-    ±1: MathInvariantError when any of these fails.  The Morse d_k is the
-    gradient flow of d_k on the critical k-cells.  The refusals are those
-    of build_c(G, N).
+    The k-simplex (g, g p1, ..., g pk) of build_e, p_i = x1...xi, is the
+    cell (g; x): its face d_0 is (g x1; x2, ..., xk) and its face d_i is
+    (g; d_i x) for i >= 1.  The scheme pairs x with its partner through a
+    face d_i with 0 < i < k, so (g; x) <-> (g; partner(x)) is a
+    G-equivariant matching on build_e (Brown 1992; algebraic Morse theory
+    over Z[G], Sköldberg 2006): its critical cells are G times those of
+    build_c, and the flow of (g; y) is that of (1; y) translated by g.  The
+    labels g are acted on by act, left multiplication in the cover; build_c
+    is the quotient of build_e by G, the same cells with one label.
+
+    At every level, critical + matched-up + matched-down tuples must make up
+    the nondegenerate ones, the matched-down ones must pair with the
+    matched-up ones one level below, and each matched-down tuple's partner
+    must be matched back to it with incidence ±1 in the cover's chain:
+    MathInvariantError when any of these fails.  The Morse d_k is the
+    gradient flow of d_k on the critical cells (1; c), each column then
+    translated to every (g; c).
     """
-    _check_truncation(G, N, budget, N, "commuting tuples")
+    if cover:
+        _check_truncation(G, N, budget, N + 1, "tuples")
+        act = G.table
+    else:
+        _check_truncation(G, N, budget, N, "commuting tuples")
+        act = [[0]] * G.order
+    labels = len(act[0])
     matching = _BarMatching(G)
-    nondegenerate_sizes, boundaries = [1], []
-    below = {(): 0}  # the critical cells of the level below, numbered
+    nondegenerate_sizes, boundaries = [labels], []
+    below = {(): 0}  # the critical tuples of the level below, numbered
     matched_up = 0
     for k in range(1, N + 1):
         tuples = commuting_tuples(G, k, budget=budget, nondegenerate=True)
@@ -594,23 +569,33 @@ def bar_morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> M
                         f"bar matching at level {k}: {t} is matched down to {other}, "
                         f"which is matched to {back}"
                     )
-                e = _bar_chain(G, t).get(other, 0)
+                e = _cover_chain(G, act, t).get((0, other), 0)
                 if e not in (1, -1):
                     raise MathInvariantError(
                         f"bar matching at level {k}: {other} has incidence {e} "
                         f"in the boundary of its partner {t}"
                     )
-        _check_matching("bar", k, len(cells), up, down, len(tuples), matched_up)
+        if len(cells) + up + down != len(tuples) or down != matched_up:
+            raise MathInvariantError(
+                f"bar matching at level {k}: {len(cells)} critical + {up} matched up + "
+                f"{down} matched down of {len(tuples)} nondegenerate cells, against "
+                f"{matched_up} matched up at level {k - 1}"
+            )
         # the nondegenerate faces of the critical cells, and their flow
         rows = {}
         for c in cells:
-            for y in _bar_chain(G, c):
-                rows.setdefault(y, len(rows))
+            for face in _cover_chain(G, act, c):
+                rows.setdefault(face, len(rows))
         memo = {}
-        flow = [_gradient_flow(G, matching, y, below, memo) for y in rows]
-        d_k = face_boundary(cells, k, lambda t, i: bar_face(G, t, i), rows)
-        boundaries.append(IntMatrix.from_column_dicts(flow, len(below)) @ d_k)
-        nondegenerate_sizes.append(len(tuples))
+        flow = [
+            _translate(act, g, _gradient_flow(G, act, matching, y, below, memo)) for g, y in rows
+        ]
+        d_k = face_boundary(cells, k, partial(_cover_face, G, act), rows)
+        d_k = IntMatrix.from_column_dicts(flow, labels * len(below)) @ d_k
+        # the column of (g; c) is that of (1; c) translated by g
+        columns = [_translate(act, g, col) for col in d_k.column_dicts() for g in range(labels)]
+        boundaries.append(IntMatrix.from_column_dicts(columns, d_k.rows))
+        nondegenerate_sizes.append(labels * len(tuples))
         below = {c: r for r, c in enumerate(cells)}
         matched_up = up
     return MorseComplex(nondegenerate_sizes, boundaries)

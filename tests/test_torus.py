@@ -6,7 +6,7 @@ import pytest
 
 from commclass.catalog import catalog_group, cyclic
 from commclass.errors import ValidationError
-from commclass.intlinalg import IntMatrix, Lattice, determinant
+from commclass.intlinalg import IntMatrix, Lattice
 from commclass.torus import (
     TorusExtension,
     catalog_extension,
@@ -18,6 +18,7 @@ from commclass.torus import (
     single_commutator_cover,
     torus_pi1_lattice,
 )
+from test_intlinalg import determinant
 
 rng = random.Random(0x70f)
 
