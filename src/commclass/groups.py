@@ -1,5 +1,6 @@
-"""Finite groups as explicit multiplication tables, subgroups, and the
-commuting-tuple enumeration the simplicial models are built from.
+"""Finite groups as explicit multiplication tables, subgroups, the
+commuting-tuple enumeration the simplicial models are built from, and the
+count of those tuples that their Morse complexes are checked against.
 
 Conventions: elements are indices 0..order-1 with the identity at index 0;
 the commutator is [x, y] = x^-1 y^-1 x y; commuting tuples are tuples whose
@@ -339,6 +340,31 @@ def commuting_tuples(
             if g in allowed:
                 stack.append((prefix + (g,), allowed & G.commuting_set(g)))
     return out
+
+
+def count_nondegenerate_commuting_tuples(G: FiniteGroup, n: int) -> list:
+    """The numbers f(0, G), ..., f(n, G) of pairwise commuting k-tuples
+    without an identity entry, counted without listing them:
+    f(k, S) = sum over x in S, x != 1, of f(k - 1, S ∩ C(x)), f(0, S) = 1,
+    level by level over the sets S ∩ C(x) reachable from G."""
+    top = frozenset(range(G.order))
+    # each reachable allowed set with its next sets and their multiplicities
+    children, todo = {}, [top]
+    while todo:
+        S = todo.pop()
+        if S not in children:
+            nxt = children[S] = {}
+            for x in S:
+                if x:
+                    T = S & G.commuting_set(x)
+                    nxt[T] = nxt.get(T, 0) + 1
+            todo.extend(nxt)
+    f = dict.fromkeys(children, 1)
+    counts = [1]
+    for _ in range(n):
+        f = {S: sum(m * f[T] for T, m in nxt.items()) for S, nxt in children.items()}
+        counts.append(f[top])
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ model.  morse_complex keeps only the critical cells of Brown's collapsing
 scheme on the normal forms x = r(x)·z(x) (a coset letter of G/Z(G), then a
 polycyclic word in the centre), straight from the nondegenerate commuting
 tuples and with the same homology: on the first model, or lifted
-G-equivariantly to its cover, the second.  It checks the matching at every
-level and takes its boundaries from one memoised gradient flow, and a
-MorseComplex derives the model's level counts from its nondegenerate
-counts.  build_c and build_e stay as the unreduced oracle; one helper makes
-the refusals of all three builders.  The projection p_map sends the second
-model to the first, and commutator_map records successive commutators.
+G-equivariantly to its cover, the second.  It checks the matching and the
+tuple count at every level, takes its boundaries from one memoised
+gradient flow, and a MorseComplex derives the model's level counts from
+its nondegenerate counts.  build_c and build_e stay as the unreduced
+oracle; one helper makes the refusals of all three builders.  The
+projection p_map sends the second model to the first, and commutator_map
+records successive commutators.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     check_budget,
     check_power_budget,
 )
-from .groups import FiniteGroup, center, commuting_tuples
+from .groups import FiniteGroup, center, commuting_tuples, count_nondegenerate_commuting_tuples
 from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_at, homology_range
 
 
@@ -445,13 +446,12 @@ def _cover_chain(G: FiniteGroup, act: list, t: tuple) -> dict:
     commuting tuple t as {(label, face): coefficient}, with the faces of
     _cover_face, without degenerate faces or zero coefficients."""
     chain = {}
-    label, sign = act[t[0]][0], 1
+    sign = 1
     for i in range(len(t) + 1):
-        face = bar_face(G, t, i)
-        if 0 not in face:
-            key = label, face
+        key = _cover_face(G, act, t, i)
+        if 0 not in key[1]:
             chain[key] = chain.get(key, 0) + sign
-        label, sign = 0, -sign
+        sign = -sign
     return {face: c for face, c in chain.items() if c}
 
 
@@ -498,6 +498,10 @@ def _gradient_flow(
             stack.pop()
         else:
             other = matching.partner(x)
+            if other is None:
+                raise MathInvariantError(
+                    f"bar matching: {x} is a face of a flow but neither critical nor matched"
+                )
             if len(other) < len(x):
                 memo[x] = {}
                 stack.pop()
@@ -535,9 +539,10 @@ def morse_complex(
 
     At every level, critical + matched-up + matched-down tuples must make up
     the nondegenerate ones, the matched-down ones must pair with the
-    matched-up ones one level below, and each matched-down tuple's partner
-    must be matched back to it with incidence ±1 in the cover's chain:
-    MathInvariantError when any of these fails.  The Morse d_k is the
+    matched-up ones one level below, each matched-down tuple's partner must
+    be matched back to it with incidence ±1 in the cover's boundary, and
+    each level must hold count_nondegenerate_commuting_tuples(G, N)[k]
+    tuples: MathInvariantError when any of these fails.  The Morse d_k is the
     gradient flow of d_k on the critical cells (1; c), each column then
     translated to every (g; c).
     """
@@ -548,6 +553,7 @@ def morse_complex(
         _check_truncation(G, N, budget, N, "commuting tuples")
         act = [[0]] * G.order
     labels = len(act[0])
+    counted = count_nondegenerate_commuting_tuples(G, N)
     matching = _BarMatching(G)
     nondegenerate_sizes, boundaries = [labels], []
     below = {(): 0}  # the critical tuples of the level below, numbered
@@ -569,7 +575,7 @@ def morse_complex(
                         f"bar matching at level {k}: {t} is matched down to {other}, "
                         f"which is matched to {back}"
                     )
-                e = _cover_chain(G, act, t).get((0, other), 0)
+                e = sum((-1) ** i for i in range(k + 1) if _cover_face(G, act, t, i) == (0, other))
                 if e not in (1, -1):
                     raise MathInvariantError(
                         f"bar matching at level {k}: {other} has incidence {e} "
@@ -580,6 +586,11 @@ def morse_complex(
                 f"bar matching at level {k}: {len(cells)} critical + {up} matched up + "
                 f"{down} matched down of {len(tuples)} nondegenerate cells, against "
                 f"{matched_up} matched up at level {k - 1}"
+            )
+        if len(tuples) != counted[k]:
+            raise MathInvariantError(
+                f"bar matching at level {k}: {len(tuples)} nondegenerate cells enumerated, "
+                f"{counted[k]} counted"
             )
         # the nondegenerate faces of the critical cells, and their flow
         rows = {}
@@ -592,9 +603,11 @@ def morse_complex(
         ]
         d_k = face_boundary(cells, k, partial(_cover_face, G, act), rows)
         d_k = IntMatrix.from_column_dicts(flow, labels * len(below)) @ d_k
-        # the column of (g; c) is that of (1; c) translated by g
-        columns = [_translate(act, g, col) for col in d_k.column_dicts() for g in range(labels)]
-        boundaries.append(IntMatrix.from_column_dicts(columns, d_k.rows))
+        if labels > 1:
+            # the column of (g; c) is that of (1; c) translated by g
+            cols = [_translate(act, g, col) for col in d_k.column_dicts() for g in range(labels)]
+            d_k = IntMatrix.from_column_dicts(cols, d_k.rows)
+        boundaries.append(d_k)
         nondegenerate_sizes.append(labels * len(tuples))
         below = {c: r for r, c in enumerate(cells)}
         matched_up = up

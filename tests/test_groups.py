@@ -26,6 +26,7 @@ from commclass.groups import (
     closure,
     commutator_subgroup,
     commuting_tuples,
+    count_nondegenerate_commuting_tuples,
     direct_product,
     generated_subgroup,
     invariant_factors_of_abelian,
@@ -230,6 +231,17 @@ def test_commuting_tuples_are_the_lexicographic_filter_of_all_tuples():
             ]
             assert commuting_tuples(G, n) == every, (name, n)
             assert commuting_tuples(G, n, nondegenerate=True) == [t for t in every if 0 not in t]
+
+
+def test_count_of_nondegenerate_commuting_tuples_matches_the_enumeration():
+    for name, G in catalog_groups(16):
+        top = 4 if G.order <= 8 else 3
+        assert count_nondegenerate_commuting_tuples(G, top) == [
+            len(commuting_tuples(G, k, nondegenerate=True)) for k in range(top + 1)
+        ], name
+    # an abelian group of order n has (n - 1)^k of them, at any length
+    assert count_nondegenerate_commuting_tuples(cyclic(3), 40)[-1] == 2**40
+    assert count_nondegenerate_commuting_tuples(cyclic(1), 5) == [1, 0, 0, 0, 0, 0]
 
 
 def test_commuting_tuples_need_no_recursion():

@@ -336,29 +336,24 @@ def test_cone_morse_complex_enumerates_only_nondegenerate_tuples(monkeypatch):
 
 @pytest.mark.parametrize("corrupted", [1, 2, 3])
 def test_cone_matching_count_invariant_detects_a_corrupted_level(capsys, monkeypatch, corrupted):
-    # one matched tuple missing from a level: the matched-down tuples no
-    # longer pair with the matched-up ones a level below.  Level 1 has no
-    # matched-down tuple, so it loses a matched-up one, seen at level 2.
+    # one tuple missing from a level, whether critical, matched up or matched
+    # down, at the top level too: the level no longer adds up, or it holds
+    # fewer tuples than count_nondegenerate_commuting_tuples counts
     from commclass import simplicial
 
     enumerate_tuples = simplicial.commuting_tuples
 
     def dropping_one_tuple(G, k, budget, nondegenerate=False):
         tuples = enumerate_tuples(G, k, budget=budget, nondegenerate=nondegenerate)
-        if k != corrupted:
-            return tuples
-        matching = simplicial._BarMatching(G)
-        side = k + 1 if k == 1 else k - 1
-        matched = [t for t in tuples if len(matching.partner(t) or ()) == side]
-        return [t for t in tuples if t != matched[-1]]
+        return tuples[:-1] if k == corrupted else tuples
 
     monkeypatch.setattr(simplicial, "commuting_tuples", dropping_one_tuple)
-    message = f"bar matching at level {max(corrupted, 2)}:"
-    for name in ("Z4", "Q8"):
-        with pytest.raises(MathInvariantError, match=message):
-            morse_complex(catalog_group(name), 3, cover=True)
-        assert cli.main(["homology-e2g", "--group", name, "--max-dim", "2"]) == 4
-        assert message in capsys.readouterr().err
+    for name in ("S3", "Z4"):
+        for command in ("homology-e2g", "homology-b2g"):
+            with pytest.raises(MathInvariantError, match=f"bar matching at level {corrupted}:"):
+                morse_complex(catalog_group(name), 3, cover=command == "homology-e2g")
+            assert cli.main([command, "--group", name, "--max-dim", "2"]) == 4
+            assert f"bar matching at level {corrupted}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", [name for name, _ in catalog_groups(12)])
@@ -433,6 +428,18 @@ def test_bar_gradient_flow_refuses_a_cycle():
             _gradient_flow(G, act, Cyclic(), (2,), {}, {})
 
 
+def test_bar_gradient_flow_refuses_a_face_neither_critical_nor_matched():
+    # S3 has a trivial centre, so every nondegenerate tuple is critical; with
+    # (1,) left out of the critical cells the flow of (1,) has nowhere to go
+    from commclass.simplicial import _BarMatching, _gradient_flow
+
+    G = catalog_group("S3")
+    critical = {t: r for r, t in enumerate(commuting_tuples(G, 1, nondegenerate=True)[1:])}
+    for act in (G.table, [[0]] * G.order):
+        with pytest.raises(MathInvariantError, match="neither critical nor matched"):
+            _gradient_flow(G, act, _BarMatching(G), (1,), critical, {})
+
+
 def _homology_exit(capsys, command, name, max_dim):
     code = cli.main([command, "--group", name, "--max-dim", str(max_dim)])
     captured = capsys.readouterr()
@@ -464,6 +471,24 @@ def test_bar_matching_count_detects_a_missing_cell(capsys, monkeypatch, command)
         morse_complex(cyclic(4), 3, cover=command == "homology-e2g")
     code, err = _homology_exit(capsys, command, "Z4", 2)
     assert code == 4 and message in err
+
+
+@BOTH_COMMANDS
+def test_bar_matching_detects_a_missing_critical_cell(capsys, monkeypatch, command):
+    # every nondegenerate tuple of S3 is critical, so without (3, 4) level 2
+    # still adds up, but holds one tuple fewer than it should
+    from commclass import simplicial
+
+    enumerate_tuples = simplicial.commuting_tuples
+
+    def dropping(G, k, budget, nondegenerate=False):
+        tuples = enumerate_tuples(G, k, budget=budget, nondegenerate=nondegenerate)
+        return [t for t in tuples if t != (3, 4)]
+
+    monkeypatch.setattr(simplicial, "commuting_tuples", dropping)
+    code, err = _homology_exit(capsys, command, "S3", 2)
+    assert code == 4
+    assert "bar matching at level 2: 6 nondegenerate cells enumerated, 7 counted" in err
 
 
 @BOTH_COMMANDS
