@@ -8,7 +8,7 @@ and the central products Z4oZ4 and Q8oZ4.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import DEFAULT_BUDGET, ValidationError, check_budget
 from .groups import FiniteGroup, central_product, direct_product
 
 
@@ -93,9 +93,11 @@ def _cycle_name(p):
     return "".join(parts) or "e"
 
 
-def permutation_group(generators, label=None) -> FiniteGroup:
+def permutation_group(generators, label=None, budget: int = DEFAULT_BUDGET) -> FiniteGroup:
     """Group generated by permutations (tuples mapping i to p[i]), with
-    elements sorted lexicographically so the identity sits at index 0."""
+    elements sorted lexicographically so the identity sits at index 0.  The
+    |G|^2 entries of the Cayley table are charged against budget as the
+    closure grows, before the table is built."""
     gens = [tuple(p) for p in generators]
     if not gens:
         raise ValidationError("need at least one generator")
@@ -113,6 +115,7 @@ def permutation_group(generators, label=None) -> FiniteGroup:
                 q = _perm_mul(p, g)
                 if q not in elements:
                     elements.add(q)
+                    check_budget(len(elements) ** 2, budget, "Cayley table of a permutation group")
                     nxt.append(q)
         frontier = nxt
     elems = sorted(elements)

@@ -120,7 +120,7 @@ def _homology_rows(max_dim: int, M, counts_ref: str, hom_ref: str) -> list:
 
 
 def cmd_homology_b2g(args):
-    G = parse_group(args.group)
+    G = parse_group(args.group, budget=args.budget)
     # the collapsing-scheme Morse complex of build_c(G, max_dim + 1), never the model itself
     M = morse_complex(G, args.max_dim + 1, budget=args.budget)
     rows = _homology_rows(
@@ -130,7 +130,7 @@ def cmd_homology_b2g(args):
 
 
 def cmd_homology_e2g(args):
-    G = parse_group(args.group)
+    G = parse_group(args.group, budget=args.budget)
     # the same scheme lifted to the free G-cover build_e(G, max_dim + 1), never the model itself
     M = morse_complex(G, args.max_dim + 1, budget=args.budget, cover=True)
     rows = _homology_rows(args.max_dim, M, "total-space-level-counts", "total-space-homology")
@@ -138,7 +138,7 @@ def cmd_homology_e2g(args):
 
 
 def cmd_coinvariants(args):
-    G = parse_group(args.group)
+    G = parse_group(args.group, budget=args.budget)
     co = coinvariants(G, budget=args.budget)
     ab = AbelianGroupInvariants(0, tuple(abelianization(G)))
     rows = [
@@ -150,7 +150,7 @@ def cmd_coinvariants(args):
 
 
 def cmd_moore_h2(args):
-    G = parse_group(args.group)
+    G = parse_group(args.group, budget=args.budget)
     h2 = moore_h2(G, budget=args.budget)
     co = coinvariants(G, budget=args.budget)
     rows = [
@@ -172,7 +172,7 @@ def cmd_pi2_e2(args):
 
 
 def cmd_torus_analyze(args):
-    E = parse_extension(args.ext)
+    E = parse_extension(args.ext, budget=args.budget)
     rows = [
         _row("rank", E.rank, "extension-shape"),
         _row("finite-order", E.F.order, "extension-shape"),
@@ -200,7 +200,7 @@ def cmd_torus_analyze(args):
 
 
 def cmd_single_comm(args):
-    E = parse_extension(args.ext)
+    E = parse_extension(args.ext, budget=args.budget)
     report = single_commutator_cover(
         E, args.denominator, search_denominator=args.search_denominator, budget=args.budget
     )
@@ -231,7 +231,7 @@ def cmd_single_comm(args):
 
 
 def cmd_clutch(args):
-    E, cocycle = parse_cocycle(args.cocycle)
+    E, cocycle = parse_cocycle(args.cocycle, budget=args.budget)
     if args.invert:
         cocycle = cocycle.invert()
     rows = []
@@ -253,7 +253,7 @@ def cmd_clutch(args):
 
 
 def cmd_coset_poset(args):
-    G = parse_group(args.group)
+    G = parse_group(args.group, budget=args.budget)
     poset = CosetPoset(G, budget=args.budget)
     vertices, edges = poset.size()
     # distinct abelian subgroups never share a coset set, so each keeps a vertex

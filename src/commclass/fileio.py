@@ -1,7 +1,9 @@
 """Parsing of the JSON spec files the CLI consumes: groups (catalog name,
 explicit table, or permutation generators), torus extensions, and patch
 cocycles.  All rationals are exact "p/q" strings; parse errors carry the
-file and field that failed.
+file and field that failed.  Every reader takes a budget, which the
+permutation-group closure and the torus-extension constructor charge; a
+catalog name is returned from its cache without a charge.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 from .catalog import catalog_group, catalog_names, permutation_group
 from .cocycles import PatchCocycle, PLPath
-from .errors import ParseError
+from .errors import DEFAULT_BUDGET, ParseError
 from .groups import FiniteGroup
 from .intlinalg import IntMatrix
 from .torus import TorusExtension, catalog_extension, extension_names
@@ -61,7 +63,7 @@ def _int_list(value, where: str) -> list:
     return value
 
 
-def group_from_spec(doc, where: str = "group") -> FiniteGroup:
+def group_from_spec(doc, where: str = "group", budget: int = DEFAULT_BUDGET) -> FiniteGroup:
     fmt = _require(doc, "format", where, str)
     if fmt == "catalog":
         name = _require(doc, "name", where, str)
@@ -83,16 +85,16 @@ def group_from_spec(doc, where: str = "group") -> FiniteGroup:
         for i, g in enumerate(gens):
             if len(_int_list(g, f"{where}.generators[{i}]")) != degree:
                 raise ParseError(f"{where}.generators: each generator lists the images of 0..{degree - 1}")
-        return permutation_group([tuple(g) for g in gens], label=doc.get("label"))
+        return permutation_group([tuple(g) for g in gens], label=doc.get("label"), budget=budget)
     raise ParseError(f"{where}.format: unknown format {fmt!r}")
 
 
-def parse_group(source: str) -> FiniteGroup:
+def parse_group(source: str, budget: int = DEFAULT_BUDGET) -> FiniteGroup:
     """Accept a catalog group name or a path to a group spec file."""
     if source in catalog_names():
         return catalog_group(source)
     if os.path.exists(source):
-        return group_from_spec(load_json(source), where=source)
+        return group_from_spec(load_json(source), where=source, budget=budget)
     raise ParseError(f"{source!r} is neither a catalog group nor a readable file")
 
 
@@ -108,9 +110,11 @@ def _element_index(F: FiniteGroup, name, where: str) -> int:
     raise ParseError(f"{where}: expected an element name or index")
 
 
-def extension_from_spec(doc, where: str = "extension") -> TorusExtension:
+def extension_from_spec(
+    doc, where: str = "extension", budget: int = DEFAULT_BUDGET
+) -> TorusExtension:
     rank = _require(doc, "rank", where, int)
-    F = group_from_spec(_require(doc, "finite", where), where=f"{where}.finite")
+    F = group_from_spec(_require(doc, "finite", where), where=f"{where}.finite", budget=budget)
     action = _require(doc, "action", where, dict)
     images = {}
     for name, mat in action.items():
@@ -134,15 +138,17 @@ def extension_from_spec(doc, where: str = "extension") -> TorusExtension:
         t = tuple(parse_rational(x, f"{gwhere}.t") for x in tvec)
         f = _element_index(F, _require(gen, "f", gwhere), f"{gwhere}.f")
         quotient.append((t, f))
-    return TorusExtension(rank, F, images, central_quotient=quotient, label=doc.get("label"))
+    return TorusExtension(
+        rank, F, images, central_quotient=quotient, label=doc.get("label"), budget=budget
+    )
 
 
-def parse_extension(source: str) -> TorusExtension:
+def parse_extension(source: str, budget: int = DEFAULT_BUDGET) -> TorusExtension:
     """Accept a catalog extension name or a path to an extension spec file."""
     if source in extension_names():
         return catalog_extension(source)
     if os.path.exists(source):
-        return extension_from_spec(load_json(source), where=source)
+        return extension_from_spec(load_json(source), where=source, budget=budget)
     raise ParseError(f"{source!r} is neither a catalog extension nor a readable file")
 
 
@@ -163,16 +169,18 @@ def _arc_from_spec(E: TorusExtension, points, where: str) -> PLPath:
     return PLPath(E, times, lifts, fs[0])
 
 
-def cocycle_from_spec(doc, where: str = "cocycle", base_dir: str | None = None):
+def cocycle_from_spec(
+    doc, where: str = "cocycle", base_dir: str | None = None, budget: int = DEFAULT_BUDGET
+):
     ext = _require(doc, "extension", where)
     if isinstance(ext, str):
         if base_dir and ext not in extension_names():
             candidate = os.path.join(base_dir, ext)
             if os.path.exists(candidate):
                 ext = candidate
-        E = parse_extension(ext)
+        E = parse_extension(ext, budget=budget)
     else:
-        E = extension_from_spec(ext, where=f"{where}.extension")
+        E = extension_from_spec(ext, where=f"{where}.extension", budget=budget)
     arcs = _require(doc, "arcs", where, dict)
     paths = {}
     for key in ("a12", "a13", "a23"):
@@ -180,11 +188,14 @@ def cocycle_from_spec(doc, where: str = "cocycle", base_dir: str | None = None):
     return E, PatchCocycle(paths["a12"], paths["a13"], paths["a23"])
 
 
-def parse_cocycle(source: str):
+def parse_cocycle(source: str, budget: int = DEFAULT_BUDGET):
     """Parse a cocycle spec file; returns (extension, cocycle).
 
     A relative extension path inside the file resolves against the file's
     own directory first, so spec bundles can be moved as a unit."""
     return cocycle_from_spec(
-        load_json(source), where=source, base_dir=os.path.dirname(os.path.abspath(source))
+        load_json(source),
+        where=source,
+        base_dir=os.path.dirname(os.path.abspath(source)),
+        budget=budget,
     )

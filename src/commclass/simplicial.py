@@ -4,7 +4,7 @@ their normalized chain complexes, and integral homology.
 A truncation stores its simplices and the face and degeneracy maps it is
 given, and applies the maps on demand.  face_boundary is the one
 alternating-face loop that assembles boundary matrices, shared by the
-truncations, the Morse complexes and the coset poset.
+truncations and the coset poset.
 
 Two models are provided.  build_c stacks the pairwise-commuting k-tuples
 with the bar maps bar_face (multiply adjacent entries, drop at the ends)
@@ -18,17 +18,16 @@ scheme on the normal forms x = r(x)·z(x) (a coset letter of G/Z(G), then a
 polycyclic word in the centre), straight from the nondegenerate commuting
 tuples and with the same homology: on the first model, or lifted
 G-equivariantly to its cover, the second.  It checks the matching and the
-tuple count at every level, takes its boundaries from one memoised
-gradient flow, and a MorseComplex derives the model's level counts from
-its nondegenerate counts.  build_c and build_e stay as the unreduced
-oracle; one helper makes the refusals of all three builders.  The
-projection p_map sends the second model to the first, and commutator_map
-records successive commutators.
+tuple count at every level, takes each boundary column from one memoised
+gradient flow of a critical cell's chain, and a MorseComplex derives the
+model's level counts from its nondegenerate counts.  build_c and build_e
+stay as the unreduced oracle; one helper makes the refusals of all three
+builders.  The projection p_map sends the second model to the first, and
+commutator_map records successive commutators.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from math import comb
 from typing import NamedTuple
 
@@ -435,21 +434,17 @@ class _BarMatching:
         return None
 
 
-def _cover_face(G: FiniteGroup, act: list, t: tuple, i: int) -> tuple:
-    """Face d_i of the cell (1; t) as (label, tuple): d_0 is (t_1; t_2..t_k),
-    its label t_1 read through act, and every other face is (1; d_i t)."""
-    return (act[t[0]][0] if i == 0 else 0, bar_face(G, t, i))
-
-
 def _cover_chain(G: FiniteGroup, act: list, t: tuple) -> dict:
     """The normalized boundary Σ(-1)^i d_i (1; t) of a nondegenerate
-    commuting tuple t as {(label, face): coefficient}, with the faces of
-    _cover_face, without degenerate faces or zero coefficients."""
+    commuting tuple t as {(label, face): coefficient}, without degenerate
+    faces or zero coefficients: d_0 is (t_1; t_2..t_k), its label t_1 read
+    through act, and every other face is (1; d_i t)."""
     chain = {}
     sign = 1
     for i in range(len(t) + 1):
-        key = _cover_face(G, act, t, i)
-        if 0 not in key[1]:
+        face = bar_face(G, t, i)
+        if 0 not in face:
+            key = (act[t[0]][0] if i == 0 else 0, face)
             chain[key] = chain.get(key, 0) + sign
         sign = -sign
     return {face: c for face, c in chain.items() if c}
@@ -465,33 +460,37 @@ def _translate(act: list, g: int, column: dict) -> dict:
 
 
 def _gradient_flow(
-    G: FiniteGroup, act: list, matching: _BarMatching, y: tuple, critical: dict, memo: dict
+    G: FiniteGroup, act: list, matching: _BarMatching, chain: dict, critical: dict, memo: dict
 ) -> dict:
-    """The gradient flow of the cell (1; y) onto the critical cells (h; c) of
-    its level as {critical[c]·L + h: coefficient}, for the L labels of act;
-    memo keeps the flow of every tuple met.
+    """The gradient flow of a chain {(g, y): coefficient} of cells of one
+    level onto its critical cells (h; c) as {critical[c]·L + h: coefficient},
+    for the L labels of act; memo keeps the flow of every tuple met.
 
     A critical cell flows to itself and a matched-down cell to 0.  A cell x
     matched up with X, of incidence e = ±1 in dX, flows as -e times the
-    flow of dX - e·x (Sköldberg, Trans. AMS 2006), a face (g; z) as the flow
+    flow of dX - e·x (Sköldberg, Trans. AMS 2006), a cell (g; z) as the flow
     of (1; z) translated by g.  The recursion runs on an explicit stack, so
     no gradient path meets the interpreter's recursion limit; a path that
     meets a tuple still open on it is a cycle, which an acyclic matching
     never has: MathInvariantError.
     """
-    stack = [y]
+
+    def flow_of(terms, sign=1):
+        flow = {}
+        for (g, z), c in terms.items():
+            for r, v in _translate(act, g, memo[z]).items():
+                flow[r] = flow.get(r, 0) + sign * c * v
+        return {r: v for r, v in flow.items() if v}
+
+    stack = [z for _, z in chain]
     path = {}  # the open tuples: -e and the rest of their partner's boundary
     while stack:
         x = stack[-1]
         if x in memo:
             stack.pop()
         elif x in path:  # every face of its partner has its flow now
-            sign, chain = path.pop(x)
-            flow = {}
-            for (g, z), c in chain.items():
-                for r, v in _translate(act, g, memo[z]).items():
-                    flow[r] = flow.get(r, 0) + sign * c * v
-            memo[x] = {r: v for r, v in flow.items() if v}
+            sign, rest = path.pop(x)
+            memo[x] = flow_of(rest, sign)
             stack.pop()
         elif x in critical:
             memo[x] = {critical[x] * len(act[0]): 1}
@@ -506,16 +505,14 @@ def _gradient_flow(
                 memo[x] = {}
                 stack.pop()
                 continue
-            chain = _cover_chain(G, act, other)
-            path[x] = (-chain.pop((0, x)), chain)
-            for _, z in chain:
+            rest = _cover_chain(G, act, other)
+            path[x] = (-rest.pop((0, x)), rest)
+            for _, z in rest:
                 if z in path:
-                    raise MathInvariantError(
-                        f"bar matching: a gradient path from {y} meets {z} twice"
-                    )
+                    raise MathInvariantError(f"bar matching: a gradient path meets {z} twice")
                 if z not in memo:
                     stack.append(z)
-    return memo[y]
+    return flow_of(chain)
 
 
 def morse_complex(
@@ -542,9 +539,9 @@ def morse_complex(
     matched-up ones one level below, each matched-down tuple's partner must
     be matched back to it with incidence ±1 in the cover's boundary, and
     each level must hold count_nondegenerate_commuting_tuples(G, N)[k]
-    tuples: MathInvariantError when any of these fails.  The Morse d_k is the
-    gradient flow of d_k on the critical cells (1; c), each column then
-    translated to every (g; c).
+    tuples: MathInvariantError when any of these fails.  The Morse d_k
+    takes each critical cell (1; c) to the gradient flow of its chain, and
+    (g; c) to that column translated by g.
     """
     if cover:
         _check_truncation(G, N, budget, N + 1, "tuples")
@@ -555,7 +552,7 @@ def morse_complex(
     labels = len(act[0])
     counted = count_nondegenerate_commuting_tuples(G, N)
     matching = _BarMatching(G)
-    nondegenerate_sizes, boundaries = [labels], []
+    boundaries = []
     below = {(): 0}  # the critical tuples of the level below, numbered
     matched_up = 0
     for k in range(1, N + 1):
@@ -575,7 +572,7 @@ def morse_complex(
                         f"bar matching at level {k}: {t} is matched down to {other}, "
                         f"which is matched to {back}"
                     )
-                e = sum((-1) ** i for i in range(k + 1) if _cover_face(G, act, t, i) == (0, other))
+                e = _cover_chain(G, act, t).get((0, other), 0)
                 if e not in (1, -1):
                     raise MathInvariantError(
                         f"bar matching at level {k}: {other} has incidence {e} "
@@ -592,26 +589,15 @@ def morse_complex(
                 f"bar matching at level {k}: {len(tuples)} nondegenerate cells enumerated, "
                 f"{counted[k]} counted"
             )
-        # the nondegenerate faces of the critical cells, and their flow
-        rows = {}
-        for c in cells:
-            for face in _cover_chain(G, act, c):
-                rows.setdefault(face, len(rows))
         memo = {}
-        flow = [
-            _translate(act, g, _gradient_flow(G, act, matching, y, below, memo)) for g, y in rows
-        ]
-        d_k = face_boundary(cells, k, partial(_cover_face, G, act), rows)
-        d_k = IntMatrix.from_column_dicts(flow, labels * len(below)) @ d_k
-        if labels > 1:
-            # the column of (g; c) is that of (1; c) translated by g
-            cols = [_translate(act, g, col) for col in d_k.column_dicts() for g in range(labels)]
-            d_k = IntMatrix.from_column_dicts(cols, d_k.rows)
-        boundaries.append(d_k)
-        nondegenerate_sizes.append(labels * len(tuples))
+        columns = []
+        for c in cells:
+            flow = _gradient_flow(G, act, matching, _cover_chain(G, act, c), below, memo)
+            columns += [_translate(act, g, flow) for g in range(labels)]
+        boundaries.append(IntMatrix.from_column_dicts(columns, labels * len(below)))
         below = {c: r for r, c in enumerate(cells)}
         matched_up = up
-    return MorseComplex(nondegenerate_sizes, boundaries)
+    return MorseComplex([labels * n for n in counted], boundaries)
 
 
 def p_map(G: FiniteGroup, e) -> tuple:

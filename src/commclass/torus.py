@@ -106,14 +106,25 @@ class TorusExtension:
         "_zd",
     )
 
-    def __init__(self, rank: int, F: FiniteGroup, action: dict, central_quotient=(), label=None):
+    def __init__(
+        self,
+        rank: int,
+        F: FiniteGroup,
+        action: dict,
+        central_quotient=(),
+        label=None,
+        budget: int = DEFAULT_BUDGET,
+    ):
         """action maps element indices of F to rank x rank IntMatrix images;
         the indexed elements must generate F.  The images are extended by
         products, and checking rho(x g) = rho(x) rho(g) for every element x
         and every generator g proves rho a homomorphism; rho(f) rho(f^-1) =
-        rho(1) = I then makes every image invertible over Z."""
+        rho(1) = I then makes every image invertible over Z.  The |F|·rank^2
+        entries of the images are charged against budget before the action
+        is extended, and the central quotient as its closure grows."""
         if rank < 0:
             raise ValidationError("rank must be nonnegative")
+        check_budget(F.order * rank * rank, budget, f"action of {F.order} elements on rank {rank}")
         self.rank = rank
         self.F = F
         self.label = label
@@ -177,6 +188,7 @@ class TorusExtension:
                     z = (tuple((a + b) % zd for a, b in zip(n, ng)), F.mul(f, fg))
                     if z not in elements:
                         elements.add(z)
+                        check_budget(len(elements), budget, "central quotient elements")
                         nxt.append(z)
             frontier = nxt
         elements = sorted(elements)

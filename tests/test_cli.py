@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -181,6 +182,48 @@ def test_budget_exit_code(capsys):
         assert code == 0
 
 
+def _symmetric_spec(degree):
+    # a transposition and a full cycle generate the symmetric group
+    swap = [1, 0] + list(range(2, degree))
+    cycle = list(range(1, degree)) + [0]
+    return {"format": "perm", "degree": degree, "generators": [swap, cycle]}
+
+
+_TRIVIAL = {"format": "catalog", "name": "Z1"}
+_WIDE_TORUS = {"rank": 20000, "finite": _TRIVIAL, "action": {}}
+_LONG_QUOTIENT = {
+    "rank": 1,
+    "finite": _TRIVIAL,
+    "action": {},
+    "central_quotient": [{"t": ["1/1000000000"], "f": 0}],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, spec, budget",
+    [
+        # S8's closure and its 40320^2 Cayley table
+        ("homology-b2g", "--group", _symmetric_spec(8), ["--budget", "100"]),
+        # S10 asks for 10^13 table entries, past the default budget
+        ("homology-b2g", "--group", _symmetric_spec(10), []),
+        # 20000^2 action entries
+        ("torus-analyze", "--ext", _WIDE_TORUS, ["--budget", "100"]),
+        # a central quotient of 10^9 elements
+        ("torus-analyze", "--ext", _LONG_QUOTIENT, ["--budget", "100"]),
+        # a cocycle reads its inline extension under the same budget
+        ("clutch", "--cocycle", {"extension": _WIDE_TORUS, "arcs": {}}, ["--budget", "100"]),
+    ],
+)
+def test_spec_parsing_is_charged_against_the_budget(capsys, tmp_path, command, flag, spec, budget):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, flag, str(path), *budget)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert "exceeds budget" in err and "Traceback" not in err
+
+
 def test_validation_error_exit_code(capsys):
     code, out, err = run(capsys, "pi2-e2", "--pi1", "3,2")
     assert code == 2
@@ -190,23 +233,21 @@ def test_validation_error_exit_code(capsys):
 @pytest.mark.parametrize("command", ["homology-b2g", "homology-e2g"])
 def test_broken_boundary_exit_code(capsys, monkeypatch, command):
     from commclass import simplicial
-    from commclass.intlinalg import IntMatrix
 
-    build = simplicial.face_boundary
+    build = simplicial._cover_chain
     flipped = []
 
-    def flip_one_sign(columns, k, face, row_of):
-        # one entry of the top boundary d_3, checked against d_2
-        M = build(columns, k, face, row_of)
-        cols = M.column_dicts()
-        for col in cols:
-            if col and k == 3 and not flipped:
-                r = next(iter(col))
-                col[r] = -col[r]
-                flipped.append(r)
-        return IntMatrix.from_column_dicts(cols, M.rows)
+    def flip_one_sign(G, act, t):
+        # one coefficient of the top boundary d_3, checked against d_2; S3
+        # keeps every cell critical, so the chain is a column of d_3 itself
+        chain = build(G, act, t)
+        if chain and len(t) == 3 and not flipped:
+            face = next(iter(chain))
+            chain[face] = -chain[face]
+            flipped.append(face)
+        return chain
 
-    monkeypatch.setattr(simplicial, "face_boundary", flip_one_sign)
+    monkeypatch.setattr(simplicial, "_cover_chain", flip_one_sign)
     code, out, err = run(capsys, command, "--group", "S3", "--max-dim", "2")
     assert flipped and code == 4
     assert "is nonzero" in err and out == ""
@@ -478,6 +519,9 @@ def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, arg
     for k in range(1, top_degree):
         if reduced[k - 1].rows and reduced[k].cols:
             assert any(A is reduced[k - 1] and B is reduced[k] for A, B in products)
+    # and those checks are the only products: the Morse path multiplies no matrices
+    checks = list(zip(reduced, reduced[1:]))
+    assert all(any(A is d and B is e for d, e in checks) for A, B in products)
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

@@ -425,7 +425,7 @@ def test_bar_gradient_flow_refuses_a_cycle():
     G = cyclic(4)
     for act in (G.table, [[0]] * G.order):
         with pytest.raises(MathInvariantError, match="meets"):
-            _gradient_flow(G, act, Cyclic(), (2,), {}, {})
+            _gradient_flow(G, act, Cyclic(), {(0, (2,)): 1}, {}, {})
 
 
 def test_bar_gradient_flow_refuses_a_face_neither_critical_nor_matched():
@@ -437,7 +437,7 @@ def test_bar_gradient_flow_refuses_a_face_neither_critical_nor_matched():
     critical = {t: r for r, t in enumerate(commuting_tuples(G, 1, nondegenerate=True)[1:])}
     for act in (G.table, [[0]] * G.order):
         with pytest.raises(MathInvariantError, match="neither critical nor matched"):
-            _gradient_flow(G, act, _BarMatching(G), (1,), critical, {})
+            _gradient_flow(G, act, _BarMatching(G), {(0, (1,)): 1}, critical, {})
 
 
 def _homology_exit(capsys, command, name, max_dim):
