@@ -14,7 +14,11 @@ Element arithmetic is on integers: a torus part is stored as numerators
 n over one denominator d, in lowest terms with every n_i in [0, d), and
 the central subgroup is checked and closed as numerators over one
 denominator.  Fractions appear only at the input boundary and in the
-read-only views ExtElement.t, z_generators and z_elements.
+read-only views ExtElement.t, z_generators and z_elements.  A commutator
+is computed on the lifts (s, p), (t, q) as (yx)^-1 (xy) = (rho((qp)^-1)
+((s + rho(p) t) - (t + rho(q) s)), (qp)^-1 pq) and canonicalised once:
+the quotient map from the split group is a homomorphism, and the
+canonical representative depends only on the coset.
 
 On fundamental groups, commutation against a lift of q induces the integer
 matrix I - rho(q^-1) (psi_star); summing its images over all q and
@@ -222,12 +226,13 @@ class TorusExtension:
         return _reduced(best[0], D, best[1])
 
     def element(self, t, f=0) -> ExtElement:
-        t = _mod1(t)
+        t = [Fraction(x) for x in t]
         if len(t) != self.rank:
             raise ValidationError(f"torus part must have length {self.rank}")
         f = self._finite_part(f)
+        # x mod 1 has x's own denominator, so the numerators reduce mod d
         d = lcm(*(x.denominator for x in t))
-        n = tuple(x.numerator * (d // x.denominator) for x in t)
+        n = tuple(x.numerator * (d // x.denominator) % d for x in t)
         return ExtElement(self, *self._canonical(n, d, f))
 
     def _finite_part(self, f) -> int:
@@ -271,8 +276,29 @@ class TorusExtension:
         return ExtElement(self, *self._canonical(n, d, finv))
 
     def commutator(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        """[x, y] = x^-1 y^-1 x y."""
-        return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
+        """[x, y] = x^-1 y^-1 x y, computed on the lifts.
+
+        With x = (s, p) and y = (t, q) over D = lcm(x.d, y.d), xy = (s +
+        rho(p) t, pq) and yx = (t + rho(q) s, qp), so [x, y] = (yx)^-1 (xy)
+        = (rho(r) ((s + rho(p) t) - (t + rho(q) s)), r pq) with r = (qp)^-1.
+        The quotient map from the split group is a homomorphism and
+        _canonical picks one representative per coset, so one
+        canonicalisation of this split-group result is exact."""
+        self._check_parent(x)
+        self._check_parent(y)
+        F = self.F
+        p, q = x.f, y.f
+        D = lcm(x.d, y.d)
+        a, b = D // x.d, D // y.d
+        s = [v * a for v in x.n]
+        t = [v * b for v in y.n]
+        u = [
+            si - ti + sum(map(_times, rp, t)) - sum(map(_times, rq, s))
+            for si, ti, rp, rq in zip(s, t, self._rows[p], self._rows[q])
+        ]
+        r = F.inv(F.mul(q, p))
+        n = tuple(sum(map(_times, row, u)) % D for row in self._rows[r])
+        return ExtElement(self, *self._canonical(n, D, F.commutator(p, q)))
 
     def elements_of_denominator(self, M: int, budget: int = DEFAULT_BUDGET) -> list:
         """All group elements whose torus lift has coordinates with

@@ -136,6 +136,55 @@ def test_equal_inputs_give_equal_elements():
     E = catalog_extension("su2_normalizer")
     assert E.element([Fraction(1, 2)], 2).is_identity()
     assert not E.element([Fraction(1, 2)], 0).is_identity()
+    # mixed coordinates in rank >= 2, also on a central quotient
+    swap_half = TorusExtension(
+        2,
+        cyclic(2),
+        {1: IntMatrix.from_rows([[0, 1], [1, 0]])},
+        central_quotient=[((Fraction(1, 2), Fraction(1, 2)), 0)],
+    )
+    assert not swap_half.is_split
+    forms = [
+        [Fraction(5, 6), Fraction(1, 4)],
+        [Fraction(-7, 6), "5/4"],
+        ["-7/6", Fraction(10, 8)],
+        [Fraction(-14, 12), "-3/4"],
+        [Fraction(17, 6), Fraction(9, 4)],
+    ]
+    zeros = [[0, 0], [1, -2], ["3", Fraction(4, 2)], ["-6/3", Fraction(0)]]
+    for E in (catalog_extension("d8_square"), catalog_extension("rot6"), swap_half):
+        for f in range(E.F.order):
+            for group in (forms, zeros):
+                els = [E.element(t, f) for t in group]
+                assert all(el == els[0] and hash(el) == hash(els[0]) for el in els)
+                assert all(0 <= x < el.d for el in els for x in el.n)
+    # (t, 0) and (t + (1/2, 1/2), 0) are one coset of swap_half
+    third = swap_half.element([Fraction(1, 3), Fraction(3, 4)])
+    assert swap_half.element(["-7/6", "5/4"]) == third
+    assert swap_half.element([Fraction(1, 2), "-1/2"]).is_identity()
+    E = catalog_extension("perm_s3")
+    assert E.element([Fraction(-7, 6), "5/4", 3], 5) == E.element(
+        [Fraction(5, 6), Fraction(1, 4), 0], 5
+    )
+
+
+def test_commutator_matches_composed_products():
+    # the one-canonicalisation commutator against three products and two
+    # inverses, each canonicalised; the quotients skip most canonicalisations
+    seen = set()
+    for name, E in catalog_extensions():
+        for M in (2, 3):
+            pool = E.elements_of_denominator(M)
+            if M == 3 and len(pool) > 200:
+                continue
+            if not E.is_split:
+                seen.add(name)
+            for x in pool:
+                for y in pool:
+                    got = E.commutator(x, y)
+                    want = E.mul(E.mul(E.inv(x), E.inv(y)), E.mul(x, y))
+                    assert (got.n, got.d, got.f) == (want.n, want.d, want.f), (name, x, y)
+    assert {"su2_normalizer", "o2_half"} <= seen
 
 
 def test_element_arithmetic_constructs_no_fraction(monkeypatch):
@@ -382,5 +431,13 @@ def test_constructor_validation():
 def test_parent_separation():
     A = catalog_extension("o2")
     B = TorusExtension(1, cyclic(2), {1: IntMatrix.from_rows([[-1]])})
-    with pytest.raises(ValidationError):
-        A.mul(A.identity(), B.identity())
+    a, b = A.lift_element(1), B.lift_element(1)
+    for call in (
+        lambda: A.mul(a, b),
+        lambda: A.mul(b, a),
+        lambda: A.inv(b),
+        lambda: A.commutator(a, b),
+        lambda: A.commutator(b, a),
+    ):
+        with pytest.raises(ValidationError, match="element belongs to a different extension"):
+            call()
