@@ -14,34 +14,53 @@ lives in the identity component and its class is the displacement
 difference of the torus lifts, an exact rational vector (integral whenever
 the central quotient meets the torus trivially); the loop itself is never
 built.
+
+Paths are stored on integers, as extension elements are: breakpoint times
+as numerators over one denominator and lifts as numerator tuples over
+another.  Fractions appear only at the input boundary and in the read-only
+results of lift_at and displacement; floats and bools are refused.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul as _times
 
 from .errors import MathInvariantError, ValidationError
 from .intlinalg import Lattice
-from .torus import ExtElement, TorusExtension, psi_star, torus_pi1_lattice
+from .torus import ExtElement, TorusExtension, psi_star, rational, torus_pi1_lattice
 
 NOT_IDENTITY_COMPONENT = "not in identity-component loop"
+
+
+def _lift_at(times, lifts, d, k, t, q=1):
+    """(numerators, denominator) of the lift at the integer time t / q with
+    times[k - 1] q < t <= times[k] q: the stored lift over d at a
+    breakpoint, otherwise interpolated on integers over d (t1 - t0)."""
+    t1 = times[k] * q
+    if t1 == t:
+        return lifts[k], d
+    t0 = times[k - 1] * q
+    w, u = t1 - t0, t - t0
+    return [x * w + u * (y - x) for x, y in zip(lifts[k - 1], lifts[k])], d * w
 
 
 class PLPath:
     """Piecewise-linear path of extension elements with constant finite part.
 
-    Stored as strictly increasing rational times from 0 to 1 and one exact
-    rational lift vector per time; the path value at t is the interpolated
-    lift reduced into the group.  Lifts are NOT reduced mod 1, so closed
-    loops keep their winding information.
+    Stored as strictly increasing breakpoint time numerators _t from 0 to
+    _dt over _dt, and one lift numerator tuple per time over _dl; the path
+    value at t is the interpolated lift reduced into the group.  Lifts are
+    NOT reduced mod 1, so closed loops keep their winding information.
     """
 
-    __slots__ = ("parent", "times", "lifts", "f")
+    __slots__ = ("parent", "f", "_dt", "_t", "_dl", "_l")
 
     def __init__(self, parent: TorusExtension, times, lifts, f=0):
-        self.parent = parent
-        times = tuple(Fraction(t) for t in times)
-        lifts = tuple(tuple(Fraction(x) for x in lift) for lift in lifts)
+        times = [rational(t) for t in times]
+        lifts = [[rational(x) for x in lift] for lift in lifts]
         if len(times) < 2:
             raise ValidationError("a path needs at least two breakpoints")
         if len(times) != len(lifts):
@@ -54,68 +73,90 @@ class PLPath:
         for lift in lifts:
             if len(lift) != parent.rank:
                 raise ValidationError("lift length must equal the extension rank")
-        f = int(f)
-        if not 0 <= f < parent.F.order:
-            raise ValidationError("finite part out of range")
-        self.times = times
-        self.lifts = lifts
-        self.f = f
+        self.parent, self.f = parent, parent._finite_part(f)
+        self._dt = dt = lcm(*(t.denominator for t in times))
+        self._dl = dl = lcm(*(x.denominator for lift in lifts for x in lift))
+        self._t = tuple(t.numerator * (dt // t.denominator) for t in times)
+        self._l = tuple(tuple(x.numerator * (dl // x.denominator) for x in lift) for lift in lifts)
+
+    @classmethod
+    def _of(cls, parent, dt, t, dl, lifts, f):
+        """A path from numerators already checked."""
+        p = cls.__new__(cls)
+        p.parent, p.f, p._dt, p._t, p._dl, p._l = parent, f, dt, t, dl, lifts
+        return p
 
     @classmethod
     def constant(cls, parent: TorusExtension, element: ExtElement):
         if element.parent is not parent:
             raise ValidationError("element belongs to a different extension")
-        return cls(parent, (0, 1), (element.t, element.t), element.f)
+        return cls._of(parent, 1, (0, 1), element.d, (element.n, element.n), element.f)
 
-    def lift_at(self, t) -> tuple:
-        t = Fraction(t)
+    def _lift(self, t):
+        """The lift at parameter t as (numerators, denominator): the stored
+        lift at a breakpoint, otherwise interpolated on integers."""
+        t = rational(t)
         if not 0 <= t <= 1:
             raise ValidationError("parameter outside [0, 1]")
-        times = self.times
-        lo = 0
-        for i in range(len(times) - 1):
-            if times[i] <= t <= times[i + 1]:
-                lo = i
-                break
-        t0, t1 = times[lo], times[lo + 1]
-        a, b = self.lifts[lo], self.lifts[lo + 1]
-        lam = (t - t0) / (t1 - t0)
-        return tuple(x + lam * (y - x) for x, y in zip(a, b))
+        # t dt = p / q against the breakpoint numerators, compared as tn q
+        p, q = t.numerator * self._dt, t.denominator
+        k = bisect_left(self._t, p, key=lambda tn: tn * q)
+        return _lift_at(self._t, self._l, self._dl, k, p, q)
+
+    def lift_at(self, t) -> tuple:
+        n, d = self._lift(t)
+        return tuple(Fraction(x, d) for x in n)
 
     def value_at(self, t) -> ExtElement:
-        return self.parent.element(self.lift_at(t), self.f)
+        n, d = self._lift(t)
+        return self.parent._from_numerators(n, d, self.f)
 
     def displacement(self) -> tuple:
-        return tuple(b - a for a, b in zip(self.lifts[0], self.lifts[-1]))
-
-    def _merged_times(self, other) -> tuple:
-        return tuple(sorted(set(self.times) | set(other.times)))
+        d = self._dl
+        return tuple(Fraction(b - a, d) for a, b in zip(self._l[0], self._l[-1]))
 
     def mul(self, other):
-        """Pointwise product path: t -> self(t) * other(t)."""
+        """Pointwise product path: t -> self(t) * other(t), in one merged
+        walk over both breakpoint lists."""
         if other.parent is not self.parent:
             raise ValidationError("paths belong to different extensions")
         E = self.parent
-        rho_f = E.rho[self.f]
-        times = self._merged_times(other)
-        lifts = []
-        for t in times:
-            a = self.lift_at(t)
-            b = rho_f.times_vector(other.lift_at(t))
-            lifts.append(tuple(x + y for x, y in zip(a, b)))
-        return PLPath(E, times, lifts, E.F.mul(self.f, other.f))
+        rows = E._rows[self.f]
+        dt = lcm(self._dt, other._dt)
+        ta = [t * (dt // self._dt) for t in self._t]
+        tb = [t * (dt // other._dt) for t in other._t]
+        la, lb, da, db = self._l, other._l, self._dl, other._dl
+        times, lifts = [], []
+        i = j = 0
+        while i < len(ta):
+            t = min(ta[i], tb[j])
+            a, a_d = _lift_at(ta, la, da, i, t)
+            b, b_d = _lift_at(tb, lb, db, j, t)
+            # a + rho(self.f) b over lcm(a_d, b_d)
+            d = lcm(a_d, b_d)
+            sa, sb = d // a_d, d // b_d
+            times.append(t)
+            lifts.append(([x * sa + sb * sum(map(_times, row, b)) for x, row in zip(a, rows)], d))
+            i += ta[i] == t
+            j += tb[j] == t
+        # one denominator for all lifts, in lowest terms
+        dl = lcm(*(d for _, d in lifts))
+        lifts = [[x * (dl // d) for x in n] for n, d in lifts]
+        g = gcd(dl, *(x for n in lifts for x in n))
+        lifts = tuple(tuple(x // g for x in n) for n in lifts)
+        return PLPath._of(E, dt, tuple(times), dl // g, lifts, E.F.mul(self.f, other.f))
 
     def inverse(self):
         """Pointwise group inverse path: t -> self(t)^-1."""
         E = self.parent
         finv = E.F.inv(self.f)
-        rho_inv = E.rho[finv]
-        lifts = [tuple(-x for x in rho_inv.times_vector(lift)) for lift in self.lifts]
-        return PLPath(E, self.times, lifts, finv)
+        rows = E._rows[finv]
+        lifts = tuple(tuple(-sum(map(_times, row, n)) for row in rows) for n in self._l)
+        return PLPath._of(E, self._dt, self._t, self._dl, lifts, finv)
 
     def __repr__(self):
         fname = self.parent.F.names[self.f]
-        return f"PLPath({len(self.times)} breakpoints, f={fname})"
+        return f"PLPath({len(self._t)} breakpoints, f={fname})"
 
 
 class PatchCocycle:
@@ -221,6 +262,10 @@ def clutch(c: PatchCocycle) -> ClutchResult:
     arc2 = c.a13
     if any(arc1.value_at(t) != arc2.value_at(t) for t in (0, 1)):
         c._require(("cocycle-equation",), "clutching loop fails to close")
+        raise MathInvariantError(
+            "the product arc a12*a23 misses a13 at a triple point "
+            "although the cocycle equation holds there"
+        )
     if arc1.f != arc2.f or arc1.f != 0:
         return ClutchResult(None, NOT_IDENTITY_COMPONENT)
     d1 = arc1.displacement()
@@ -252,16 +297,17 @@ def build_qx_cocycle(E: TorusExtension, q: int, x: PLPath) -> QxResult:
     if x.parent is not E:
         raise ValidationError("path belongs to a different extension")
     _require_torus_path(x, "x")
-    if not x.value_at(0).is_identity():
+    ends = x.value_at(0), x.value_at(1)
+    if not ends[0].is_identity():
         raise ValidationError("x must be based at the identity")
-    if not x.value_at(1).is_identity():
+    if not ends[1].is_identity():
         raise ValidationError("x must be a closed loop at the identity")
     qbar = E.lift_element(q)
     ident = E.identity()
 
     # triple-point check: successive quotients of (x(t*), qbar, 1) commute
-    for t in (0, 1):
-        u1 = E.mul(E.inv(x.value_at(t)), qbar)
+    for t, xt in zip((0, 1), ends):
+        u1 = E.mul(E.inv(xt), qbar)
         u2 = E.inv(qbar)
         c = E.commutator(u1, u2)
         if not c.is_identity():
@@ -269,9 +315,12 @@ def build_qx_cocycle(E: TorusExtension, q: int, x: PLPath) -> QxResult:
                 f"patch data is not a homogeneous 2-simplex at parameter {t}: {c!r}"
             )
 
-    L = psi_star(E, q)
-    a12_lifts = [tuple(-v for v in L.times_vector(lift)) for lift in x.lifts]
-    a12 = PLPath(E, x.times, a12_lifts, 0)
+    # a12 = -psi_star(q) x = rho(q^-1) x - x on the lift numerators
+    rows = E._rows[E.F.inv(q)]
+    a12_lifts = tuple(
+        tuple(sum(map(_times, row, n)) - v for v, row in zip(n, rows)) for n in x._l
+    )
+    a12 = PLPath._of(E, x._dt, x._t, x._dl, a12_lifts, 0)
     a13 = PLPath.constant(E, ident)
     a23 = PLPath.constant(E, ident)
     cocycle = PatchCocycle(a12, a13, a23)
@@ -279,6 +328,7 @@ def build_qx_cocycle(E: TorusExtension, q: int, x: PLPath) -> QxResult:
     if failures:
         raise MathInvariantError(f"composite cocycle invalid: {failures[0]}")
     result = clutch(cocycle)
+    L = psi_star(E, q)
     D, pi1 = torus_pi1_lattice(E)
     image = Lattice.from_columns(
         E.rank, [L.times_vector(col) for col in pi1.basis_rows()]

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from .catalog import catalog_group, catalog_names, permutation_group
 from .cocycles import PatchCocycle, PLPath
-from .errors import DEFAULT_BUDGET, ParseError
+from .errors import DEFAULT_BUDGET, ParseError, ValidationError
 from .groups import FiniteGroup
 from .intlinalg import IntMatrix
-from .torus import TorusExtension, catalog_extension, extension_names
+from .torus import TorusExtension, catalog_extension, extension_names, rational
 
 
 def load_json(path: str):
@@ -31,16 +31,10 @@ def load_json(path: str):
 
 
 def parse_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{where}: {value!r} is not a p/q rational") from None
-    raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
+    try:
+        return rational(value)
+    except ValidationError as e:
+        raise ParseError(f"{where}: {e}") from None
 
 
 def _require(doc, key, where, kind=None):

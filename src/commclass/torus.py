@@ -13,7 +13,8 @@ Z-orbit, torus part compared first).
 Element arithmetic is on integers: a torus part is stored as numerators
 n over one denominator d, in lowest terms with every n_i in [0, d), and
 the central subgroup is checked and closed as numerators over one
-denominator.  Fractions appear only at the input boundary and in the
+denominator.  Fractions appear only at the input boundary, which reads
+ints, Fractions and "p/q" strings and refuses floats and bools, and in the
 read-only views ExtElement.t, z_generators and z_elements.  A commutator
 is computed on the lifts (s, p), (t, q) as (yx)^-1 (xy) = (rho((qp)^-1)
 ((s + rho(p) t) - (t + rho(q) s)), (qp)^-1 pq) and canonicalised once:
@@ -46,8 +47,18 @@ from .intlinalg import (
 )
 
 
-def _mod1(vec) -> tuple:
-    return tuple(Fraction(x) % 1 for x in vec)
+def rational(x) -> Fraction:
+    """x as an exact Fraction.  Ints, Fractions and "p/q" strings are read,
+    as the spec files are; floats and bools are refused, so no binary
+    approximation reaches the math path."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+        raise ValidationError(f"expected a rational, got {type(x).__name__}")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{x!r} is not a p/q rational") from None
 
 
 def _reduced(n, d, f):
@@ -108,6 +119,7 @@ class TorusExtension:
         "_rows",
         "_translates",
         "_zd",
+        "_lifts",
     )
 
     def __init__(
@@ -161,14 +173,14 @@ class TorusExtension:
         self._rows = tuple(tuple(tuple(r) for r in M.to_rows()) for M in self.rho)
 
         # central generators are checked and closed as numerators over zd
-        self.z_generators = tuple((_mod1(t), int(f)) for t, f in central_quotient)
+        self.z_generators = tuple(
+            (tuple(rational(x) % 1 for x in t), self._finite_part(f)) for t, f in central_quotient
+        )
         self._zd = zd = lcm(*(x.denominator for t, _ in self.z_generators for x in t))
         zgens = []
         for t, f in self.z_generators:
             if len(t) != rank:
                 raise ValidationError("central generator torus part has wrong length")
-            if not 0 <= f < F.order:
-                raise ValidationError("central generator finite part out of range")
             if any(F.mul(f, g) != F.mul(g, f) for g in range(F.order)):
                 raise ValidationError(
                     f"central generator finite part {F.names[f]} is not central in F"
@@ -205,6 +217,8 @@ class TorusExtension:
                 tuple((M.times_vector(n), F.mul(f, fz)) for n, fz in elements)
                 for f, M in enumerate(self.rho)
             )
+        zero = (0,) * rank
+        self._lifts = tuple(ExtElement(self, *self._canonical(zero, 1, f)) for f in range(F.order))
 
     @property
     def is_split(self):
@@ -225,18 +239,22 @@ class TorusExtension:
                 best = cand
         return _reduced(best[0], D, best[1])
 
+    def _from_numerators(self, n, d, f) -> ExtElement:
+        """The element (n/d, f) for integer numerators n over d >= 1 and an
+        index f already checked: reduced mod d, canonicalised once."""
+        return ExtElement(self, *self._canonical(tuple(x % d for x in n), d, f))
+
     def element(self, t, f=0) -> ExtElement:
-        t = [Fraction(x) for x in t]
+        t = [rational(x) for x in t]
         if len(t) != self.rank:
             raise ValidationError(f"torus part must have length {self.rank}")
         f = self._finite_part(f)
-        # x mod 1 has x's own denominator, so the numerators reduce mod d
         d = lcm(*(x.denominator for x in t))
-        n = tuple(x.numerator * (d // x.denominator) % d for x in t)
-        return ExtElement(self, *self._canonical(n, d, f))
+        return self._from_numerators([x.numerator * (d // x.denominator) for x in t], d, f)
 
     def _finite_part(self, f) -> int:
-        f = int(f)
+        if isinstance(f, bool) or not isinstance(f, int):
+            raise ValidationError(f"finite part must be an integer index, got {f!r}")
         if not 0 <= f < self.F.order:
             raise ValidationError("finite part out of range")
         return f
@@ -249,8 +267,7 @@ class TorusExtension:
 
     def lift_element(self, f) -> ExtElement:
         """The canonical lift (0, f) of a finite-part element."""
-        zero = (0,) * self.rank
-        return ExtElement(self, *self._canonical(zero, 1, self._finite_part(f)))
+        return self._lifts[self._finite_part(f)]
 
     def _check_parent(self, x: ExtElement):
         if x.parent is not self:

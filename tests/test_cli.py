@@ -312,6 +312,18 @@ def test_clutch_of_arcs_that_are_not_a_cocycle_exits_2(capsys, tmp_path, invert)
     assert "Traceback" not in err
 
 
+def test_clutch_exits_4_when_the_product_arc_misses_a13(capsys, monkeypatch):
+    from test_cocycles import shift_last_lift
+
+    shift_last_lift(monkeypatch)
+    spec = os.path.join(SPEC_DIR, "o2_alpha.cocycle.json")
+    code, out, err = run(capsys, "clutch", "--cocycle", spec)
+    assert code == 4
+    assert out == ""
+    assert "misses a13" in err
+    assert "Traceback" not in err
+
+
 def test_verify_all_success_stub(capsys, monkeypatch):
     monkeypatch.setattr(
         acceptance,

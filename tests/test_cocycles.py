@@ -11,9 +11,9 @@ from commclass.cocycles import (
     build_qx_cocycle,
     clutch,
 )
-from commclass.errors import ValidationError
+from commclass.errors import MathInvariantError, ValidationError
 from commclass.intlinalg import Lattice
-from commclass.torus import catalog_extension, psi_star
+from commclass.torus import catalog_extension, catalog_extensions, psi_star
 
 rng = random.Random(0xc0c)
 
@@ -207,3 +207,165 @@ def test_qx_winding_lands_in_action_lattice():
             assert w is not None
             image = Lattice.from_columns(E.rank, psi_star(E, q).to_columns())
             assert image.contains(list(w))
+
+
+class FractionPLPath:
+    """Reference: the path stored and interpolated in Fractions, with the
+    product rescanning the segments for every merged time."""
+
+    def __init__(self, parent, times, lifts, f=0):
+        self.parent = parent
+        self.times = tuple(Fraction(t) for t in times)
+        self.lifts = tuple(tuple(Fraction(x) for x in lift) for lift in lifts)
+        self.f = f
+
+    def lift_at(self, t):
+        t = Fraction(t)
+        times = self.times
+        lo = 0
+        for i in range(len(times) - 1):
+            if times[i] <= t <= times[i + 1]:
+                lo = i
+                break
+        t0, t1 = times[lo], times[lo + 1]
+        a, b = self.lifts[lo], self.lifts[lo + 1]
+        lam = (t - t0) / (t1 - t0)
+        return tuple(x + lam * (y - x) for x, y in zip(a, b))
+
+    def value_at(self, t):
+        return self.parent.element(self.lift_at(t), self.f)
+
+    def displacement(self):
+        return tuple(b - a for a, b in zip(self.lifts[0], self.lifts[-1]))
+
+    def mul(self, other):
+        E = self.parent
+        rho_f = E.rho[self.f]
+        times = tuple(sorted(set(self.times) | set(other.times)))
+        lifts = []
+        for t in times:
+            a = self.lift_at(t)
+            b = rho_f.times_vector(other.lift_at(t))
+            lifts.append(tuple(x + y for x, y in zip(a, b)))
+        return FractionPLPath(E, times, lifts, E.F.mul(self.f, other.f))
+
+    def inverse(self):
+        E = self.parent
+        finv = E.F.inv(self.f)
+        rho_inv = E.rho[finv]
+        lifts = [tuple(-x for x in rho_inv.times_vector(lift)) for lift in self.lifts]
+        return FractionPLPath(E, self.times, lifts, finv)
+
+
+def random_path_pair(E, denominator):
+    """The same random path as a PLPath and as the reference, with interior
+    breakpoints drawn from the multiples of 1/denominator."""
+    interior = rng.sample(range(1, denominator), rng.randrange(0, min(4, denominator - 1) + 1))
+    times = [Fraction(0), *sorted(Fraction(k, denominator) for k in interior), Fraction(1)]
+    denominators = (1, 2, 3, 4, 6, 12)
+    lifts = [
+        tuple(Fraction(rng.randrange(-24, 25), rng.choice(denominators)) for _ in range(E.rank))
+        for _ in times
+    ]
+    f = rng.randrange(E.F.order)
+    return PLPath(E, times, lifts, f), FractionPLPath(E, times, lifts, f)
+
+
+def probe_times(times):
+    """The breakpoints and a point strictly inside every segment."""
+    inside = [a + (b - a) * Fraction(rng.randrange(1, 8), 8) for a, b in zip(times, times[1:])]
+    return sorted(set(times) | set(inside))
+
+
+def assert_same_path(p, ref):
+    assert p.f == ref.f
+    assert p.displacement() == ref.displacement()
+    for t in probe_times(ref.times):
+        assert p.lift_at(t) == ref.lift_at(t), t
+        assert p.value_at(t) == ref.value_at(t), t
+
+
+def test_integer_paths_match_the_fraction_reference():
+    seen = set()
+    for name, E in catalog_extensions():
+        seen.add(name)
+        for _ in range(6):
+            p, ref = random_path_pair(E, 7)
+            assert_same_path(p, ref)
+            assert_same_path(p.inverse(), ref.inverse())
+            # interior breakpoints over 7 and over 8 are disjoint; over 6
+            # and over 4 they may share 1/2
+            for d1, d2 in ((7, 8), (6, 4)):
+                a, ra = random_path_pair(E, d1)
+                b, rb = random_path_pair(E, d2)
+                assert_same_path(a.mul(b), ra.mul(rb))
+                assert_same_path(b.mul(a).inverse(), rb.mul(ra).inverse())
+    assert {"su2_normalizer", "o2_half"} <= seen and len(seen) == 13
+
+
+def test_lift_at_a_breakpoint_is_the_stored_lift():
+    E = catalog_extension("rot3")
+    lifts = ((0, 0), (Fraction(5, 3), Fraction(-7, 4)), (2, 1))
+    p = PLPath(E, (0, Fraction(2, 9), 1), lifts, 1)
+    for t, lift in zip((0, Fraction(2, 9), 1), lifts):
+        assert p.lift_at(t) == lift
+        assert p.value_at(t) == E.element(lift, 1)
+    assert p.lift_at(Fraction(1, 9)) == (Fraction(5, 6), Fraction(-7, 8))
+
+
+def test_floats_and_bools_are_refused():
+    E = catalog_extension("o2")
+    for times, lifts, f in (
+        ((0, 0.1, 1), ((0,), (0,), (0,)), 0),
+        ((0, Fraction(1, 10), 1), ((0,), (0.5,), (0,)), 0),
+        ((0, 1), ((0,), (True,)), 0),
+        ((0, 1), ((0,), (0,)), True),
+        ((0, 1), ((0,), (0,)), 1.0),
+    ):
+        with pytest.raises(ValidationError):
+            PLPath(E, times, lifts, f)
+    p = PLPath(E, (0, "1/10", 1), ((0,), ("-3/2",), (1,)), 1)
+    assert p.lift_at("1/20") == (Fraction(-3, 4),)
+    for t in (0.5, True):
+        with pytest.raises(ValidationError):
+            p.lift_at(t)
+    for t, f in (((0.1,), 0), ((False,), 0), ((0,), 1.0), ((0,), True)):
+        with pytest.raises(ValidationError):
+            E.element(t, f)
+    with pytest.raises(ValidationError):
+        E.lift_element(True)
+
+
+def test_times_outside_the_unit_interval_are_refused():
+    E = catalog_extension("o2")
+    p = PLPath(E, (0, 1), ((0,), (1,)), 0)
+    for t in (Fraction(-1, 3), 1 + Fraction(1, 10**30)):
+        with pytest.raises(ValidationError):
+            PLPath(E, (0, t, 1), ((0,), (0,), (0,)), 0)
+        with pytest.raises(ValidationError):
+            p.lift_at(t)
+        with pytest.raises(ValidationError):
+            p.value_at(t)
+
+
+def shift_last_lift(monkeypatch):
+    """Make PLPath.mul move the product's last lift by half a step of its
+    denominator, so the product arc leaves the group element it should end on."""
+    mul = PLPath.mul
+
+    def shifted(self, other):
+        p = mul(self, other)
+        lifts = [tuple(2 * x for x in lift) for lift in p._l]
+        lifts[-1] = (lifts[-1][0] + 1, *lifts[-1][1:])
+        return PLPath._of(p.parent, p._dt, p._t, 2 * p._dl, tuple(lifts), p.f)
+
+    monkeypatch.setattr(PLPath, "mul", shifted)
+
+
+def test_clutch_refuses_a_product_arc_that_misses_a13(monkeypatch):
+    E = catalog_extension("o2")
+    c = build_alpha_cocycle(E, 0, 1, degree_loop(E, 1), PLPath.constant(E, E.identity()))
+    shift_last_lift(monkeypatch)
+    assert c.is_valid
+    with pytest.raises(MathInvariantError, match="misses a13"):
+        clutch(c)

@@ -411,6 +411,10 @@ def test_constructor_validation():
     ]:
         with pytest.raises(ValidationError, match=message):
             TorusExtension(rank, F, action)
+    for t, f in (((0.1,), 0), ((Fraction(1, 2),), True), ((Fraction(1, 2),), 0.0)):
+        with pytest.raises(ValidationError):
+            # floats and bools never reach the closure of the central quotient
+            TorusExtension(1, cyclic(2), {1: ident}, central_quotient=[(t, f)])
     with pytest.raises(ValidationError):
         # central torus part not fixed by the action
         TorusExtension(1, cyclic(2), {1: neg}, central_quotient=[((Fraction(1, 4),), 0)])
