@@ -103,8 +103,6 @@ def _row(name: str, value, ref: str) -> dict:
 def _homology_rows(max_dim: int, M, counts_ref: str, hom_ref: str) -> list:
     """Level counts and homology rows from a Morse complex M of levels
     0..max_dim+1, which has the homology of the model it stands for."""
-    if max_dim < 0:
-        raise ValidationError("--max-dim must be nonnegative")
     h = homology_range(M.boundaries, reduced=True)
     # C_0 is never empty here, so H0 is H~0 plus one free summand
     h0 = AbelianGroupInvariants(h[0].free_rank + 1, h[0].torsion)
@@ -431,6 +429,10 @@ def main(argv=None) -> int:
         _PARSER = _parser()
     args = _PARSER.parse_args(argv)
     try:
+        # the bounds every command shares, refused before any work
+        for flag, value in (("--budget", args.budget), ("--max-dim", getattr(args, "max_dim", 0))):
+            if value < 0:
+                raise ValidationError(f"{flag} must be nonnegative")
         rows, inputs, code = args.handler(args)
         machine_text = _machine_doc(args.command, inputs, rows)
         if args.output == "machine":

@@ -1,6 +1,7 @@
 """Finite groups as explicit multiplication tables, subgroups, the
 commuting-tuple enumeration the simplicial models are built from, and the
-count of those tuples that their Morse complexes are checked against.
+counts of those tuples, in G and in each intersection of centralisers, that
+their Morse complexes are counted and checked with.
 
 Conventions: elements are indices 0..order-1 with the identity at index 0;
 the commutator is [x, y] = x^-1 y^-1 x y; commuting tuples are tuples whose
@@ -342,14 +343,13 @@ def commuting_tuples(
     return out
 
 
-def count_nondegenerate_commuting_tuples(G: FiniteGroup, n: int) -> list:
-    """The numbers f(0, G), ..., f(n, G) of pairwise commuting k-tuples
-    without an identity entry, counted without listing them:
-    f(k, S) = sum over x in S, x != 1, of f(k - 1, S ∩ C(x)), f(0, S) = 1,
-    level by level over the sets S ∩ C(x) reachable from G."""
-    top = frozenset(range(G.order))
+def continuation_counts(G: FiniteGroup, n: int) -> dict:
+    """The numbers f(0, S), ..., f(n, S) of pairwise commuting k-tuples
+    without an identity entry and with every entry in S, as a list for each
+    set S ∩ C(x) reachable from G, counted without listing them:
+    f(k, S) = sum over x in S, x != 1, of f(k - 1, S ∩ C(x)), f(0, S) = 1."""
     # each reachable allowed set with its next sets and their multiplicities
-    children, todo = {}, [top]
+    children, todo = {}, [frozenset(range(G.order))]
     while todo:
         S = todo.pop()
         if S not in children:
@@ -359,12 +359,12 @@ def count_nondegenerate_commuting_tuples(G: FiniteGroup, n: int) -> list:
                     T = S & G.commuting_set(x)
                     nxt[T] = nxt.get(T, 0) + 1
             todo.extend(nxt)
-    f = dict.fromkeys(children, 1)
-    counts = [1]
-    for _ in range(n):
-        f = {S: sum(m * f[T] for T, m in nxt.items()) for S, nxt in children.items()}
-        counts.append(f[top])
-    return counts
+    f = {S: [1] for S in children}
+    for k in range(n):
+        level = [sum(m * f[T][k] for T, m in nxt.items()) for nxt in children.values()]
+        for counts, c in zip(f.values(), level):
+            counts.append(c)
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,19 @@ realization is the commutativity classifying space of the group.  build_e
 stacks the (k+1)-tuples whose successive quotients commute pairwise, with
 homogeneous faces (drop an entry); it models the total space whose homology
 vanishes exactly for abelian groups, and it is the free G-cover of the first
-model.  morse_complex keeps only the critical cells of Brown's collapsing
-scheme on the normal forms x = r(x)·z(x) (a coset letter of G/Z(G), then a
-polycyclic word in the centre), straight from the nondegenerate commuting
-tuples and with the same homology: on the first model, or lifted
-G-equivariantly to its cover, the second.  It checks the matching and the
-tuple count at every level, takes each boundary column from one memoised
-gradient flow of a critical cell's chain, and a MorseComplex derives the
-model's level counts from its nondegenerate counts.  build_c and build_e
-stay as the unreduced oracle; one helper makes the refusals of all three
-builders.  The projection p_map sends the second model to the first, and
-commutator_map records successive commutators.
+model.  morse_complex builds the Morse complex, with the same homology, of
+Brown's collapsing scheme on the normal forms x = r(x)·z(x) (a coset letter
+of G/Z(G), then a polycyclic word in the centre) on the first model or,
+lifted G-equivariantly, the second: it lists the critical cells only,
+counts the matched ones, and takes each boundary column from one memoised
+gradient flow.  build_c and build_e stay as the unreduced oracle; one helper
+makes the refusals of all three.  p_map projects the second model onto the
+first, and commutator_map records successive commutators.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
@@ -39,7 +37,7 @@ from .errors import (
     check_budget,
     check_power_budget,
 )
-from .groups import FiniteGroup, center, commuting_tuples, count_nondegenerate_commuting_tuples
+from .groups import FiniteGroup, center, commuting_tuples, continuation_counts
 from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_at, homology_range
 
 
@@ -55,16 +53,8 @@ class SimplicialTruncation:
     stored levels raises MathInvariantError.
     """
 
-    __slots__ = (
-        "max_degree",
-        "levels",
-        "index",
-        "degenerate",
-        "label",
-        "_faces",
-        "_degeneracies",
-        "_nondegen",
-    )
+    __slots__ = ("max_degree", "levels", "index", "degenerate", "label",
+                 "_faces", "_degeneracies", "_nondegen")
 
     def __init__(self, levels, face, degeneracy, label=None):
         levels = [list(level) for level in levels]
@@ -90,9 +80,7 @@ class SimplicialTruncation:
             for idx in range(len(levels[k])):
                 for i in range(k + 1):
                     flags[degeneracy_k(idx, i)] = True
-        self._nondegen = [
-            [i for i, d in enumerate(flags) if not d] for flags in self.degenerate
-        ]
+        self._nondegen = [[i for i, d in enumerate(flags) if not d] for flags in self.degenerate]
 
     def level_size(self, k):
         return len(self.levels[k])
@@ -135,48 +123,32 @@ class SimplicialTruncation:
         Raises MathInvariantError at the first failure; returns the number
         of identities checked.
         """
+        d, s, N = self.face, self.degeneracy, self.max_degree
         checked = 0
-        N = self.max_degree
-        for k in range(2, N + 1):
-            for idx in range(len(self.levels[k])):
-                for j in range(1, k + 1):
-                    dj = self.face(k, idx, j)
+
+        def fail(identity, k, x):
+            raise MathInvariantError(f"{identity} at level {k}, simplex {x}")
+
+        for k in range(N + 1):
+            for x in range(len(self.levels[k])):
+                for j in range(1, k + 1 if k >= 2 else 1):
                     for i in range(j):
-                        if self.face(k - 1, dj, i) != self.face(
-                            k - 1, self.face(k, idx, i), j - 1
-                        ):
-                            raise MathInvariantError(
-                                f"d_{i} d_{j} != d_{j - 1} d_{i} at level {k}, simplex {idx}"
-                            )
+                        if d(k - 1, d(k, x, j), i) != d(k - 1, d(k, x, i), j - 1):
+                            fail(f"d_{i} d_{j} != d_{j - 1} d_{i}", k, x)
                         checked += 1
-        for k in range(N - 1):
-            for idx in range(len(self.levels[k])):
-                for j in range(k + 1):
-                    sj = self.degeneracy(k, idx, j)
+                for j in range(k + 1 if k < N - 1 else 0):
                     for i in range(j + 1):
-                        if self.degeneracy(k + 1, sj, i) != self.degeneracy(
-                            k + 1, self.degeneracy(k, idx, i), j + 1
-                        ):
-                            raise MathInvariantError(
-                                f"s_{i} s_{j} != s_{j + 1} s_{i} at level {k}, simplex {idx}"
-                            )
+                        if s(k + 1, s(k, x, j), i) != s(k + 1, s(k, x, i), j + 1):
+                            fail(f"s_{i} s_{j} != s_{j + 1} s_{i}", k, x)
                         checked += 1
-        for k in range(N):
-            for idx in range(len(self.levels[k])):
-                for j in range(k + 1):
-                    sj = self.degeneracy(k, idx, j)
+                for j in range(k + 1 if k < N else 0):
                     for i in range(k + 2):
-                        got = self.face(k + 1, sj, i)
-                        if i == j or i == j + 1:
-                            want = idx
-                        elif i < j:
-                            want = self.degeneracy(k - 1, self.face(k, idx, i), j - 1)
+                        if i < j:
+                            want = s(k - 1, d(k, x, i), j - 1)
                         else:
-                            want = self.degeneracy(k - 1, self.face(k, idx, i - 1), j)
-                        if got != want:
-                            raise MathInvariantError(
-                                f"d_{i} s_{j} identity fails at level {k}, simplex {idx}"
-                            )
+                            want = x if i <= j + 1 else s(k - 1, d(k, x, i - 1), j)
+                        if d(k + 1, s(k, x, j), i) != want:
+                            fail(f"d_{i} s_{j} identity fails", k, x)
                         checked += 1
         return checked
 
@@ -260,11 +232,9 @@ def reduced_homology_range(S: SimplicialTruncation, top: int) -> list:
 def _check_truncation(G: FiniteGroup, N: int, budget: int, length: int, what: str) -> None:
     """The refusals of a depth-N truncation, before anything is enumerated:
     a negative N, then the |G|^length top tuples named `what`, then the
-    depth.  A depth-N truncation applies k+1 maps to each k-simplex, each
-    copying a tuple of about k entries, so even with one simplex per level
-    (the trivial group) its construction and boundaries copy on the order of
-    sum_{k=1..N} k(k+1) = N(N+1)(N+2)/3 tuple entries; the depth itself
-    counts against the budget."""
+    depth.  Its k+1 maps on each k-simplex copy about k entries each, so
+    even the trivial group's truncation copies on the order of
+    sum_{k=1..N} k(k+1) = N(N+1)(N+2)/3 entries: the depth is charged too."""
     if N < 0:
         raise ValidationError("degree bound must be nonnegative")
     check_power_budget(G.order, length, budget, f"{what} of length {length}")
@@ -315,18 +285,14 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     whose successive quotients commute pairwise, faces drop an entry,
     degeneracies repeat one."""
     _check_truncation(G, N, budget, N + 1, "tuples")
-    levels = []
-    for k in range(N + 1):
-        level = []
-        for t in commuting_tuples(G, k, budget=budget):
-            for g0 in range(G.order):
-                e = [g0]
-                for x in t:
-                    e.append(G.mul(e[-1], x))
-                level.append(tuple(e))
-        level.sort()
-        levels.append(level)
-
+    levels = [
+        sorted(
+            tuple(accumulate(t, G.mul, initial=g0))
+            for t in commuting_tuples(G, k, budget=budget)
+            for g0 in range(G.order)
+        )
+        for k in range(N + 1)
+    ]
     label = f"homogeneous-model({G.label or G.order}, N={N})"
     return SimplicialTruncation(levels, drop_entry, lambda e, i: e[: i + 1] + e[i:], label=label)
 
@@ -397,18 +363,16 @@ class _BarMatching:
     tuple the scan passes is critical.  Every prefix of a normal form
     commutes with whatever the element commutes with, so a partner is again
     a nondegenerate commuting tuple, and acyclicity restricts from the bar
-    complex of G.  The tables cover the commuting pairs only.
+    complex of G.  steps[a][b], b ≠ 1 commuting with a, is the step of b
+    after a (a = 1 at position 1): None, (a·b,) or (u, v).
     """
 
-    __slots__ = ("first", "steps")
+    __slots__ = ("steps",)
 
     def __init__(self, G: FiniteGroup):
         table, inv, nf = G.table, G.inv, _normal_forms(G)
-        # the split (u, v) of x at position 1, or None
-        self.first = [(w[0], table[inv(w[0])][x]) if len(w) > 1 else None for x, w in enumerate(nf)]
 
         def step(a, b):
-            # None to go on, (a·b,) to merge, (u, v) to split b
             w, word = nf[a], nf[b]
             u = 0
             for n, letter in enumerate(word, 1):
@@ -417,21 +381,74 @@ class _BarMatching:
                     return None if n == len(word) else (u, table[inv(u)][b])
             return (table[a][b],)
 
-        self.steps = [{b: step(a, b) for b in G.commuting_set(a) if b} for a in range(G.order)]
+        first = {x: (w[0], table[inv(w[0])][x]) if w[1:] else None for x, w in enumerate(nf) if x}
+        rows = [{b: step(a, b) for b in G.commuting_set(a) if b} for a in range(1, G.order)]
+        self.steps = [first] + rows
 
     def partner(self, t: tuple):
         """The cell matched with the nondegenerate tuple t of length >= 1,
         one level up or one level down, or None when t is critical."""
-        split = self.first[t[0]]
-        if split is not None:
-            return split + t[1:]
-        steps = self.steps
-        for i in range(1, len(t)):
-            s = steps[t[i - 1]][t[i]]
+        a = 0
+        for i, b in enumerate(t):
+            s = self.steps[a][b]
             if s is not None:
                 # a merge replaces entries i-1 and i, a split entry i
                 return t[: i - 1] + s + t[i + 1 :] if len(s) == 1 else t[:i] + s + t[i + 1 :]
+            a = b
         return None
+
+
+def _critical_cells(G: FiniteGroup, steps: list, cells: list) -> list:
+    """The critical cells of the next level from those of one level, each
+    with the set S of elements commuting with its entries, in lexicographic
+    order: a critical cell's prefix is critical, so they are the cells
+    extended by each b ≠ 1 in S at which the scan goes on."""
+    return [
+        (c + (b,), S & G.commuting_set(b))
+        for c, S in cells
+        for b in sorted(S)[1:]
+        if steps[c[-1] if c else 0][b] is None
+    ]
+
+
+def _matched_counts(G: FiniteGroup, steps: list, counts: dict, N: int) -> tuple:
+    """The numbers up[k] and down[k] of nondegenerate commuting k-tuples,
+    k = 0..N, that the scan matches up and down, counted without listing
+    them.  A scan stops at the first entry b whose step after the entry a
+    before it is not None, behind a critical prefix whose entries commute
+    with S; any f(j, T) tuples (counts, groups.continuation_counts) of
+    T = S ∩ C(b) may follow b.  A dynamic program over the configurations
+    (p, a, S), p the entry before a, counts the prefixes reaching each.  A
+    partner differs from its tuple only from a on, so a check per
+    configuration covers every tuple: a split (u, v) of b needs u to go on
+    after a and v to merge back into b after u, a merge (a·b,) needs a·b to
+    split back into (a, b) after p.
+    """
+    up, down = [0] * (N + 1), [0] * (N + 1)
+    reached = {(0, 0, frozenset(range(G.order))): 1}
+    for i in range(1, N + 1):
+        nxt = {}
+        for (p, a, S), m in reached.items():
+            for b in sorted(S)[1:]:  # every S holds the identity, index 0
+                s, T = steps[a][b], S & G.commuting_set(b)
+                if s is None:
+                    nxt[a, b, T] = nxt.get((a, b, T), 0) + m
+                    continue
+                u = s[0]
+                if len(s) == 2:
+                    back, tally = steps[a].get(u, ()) is None and steps[u].get(s[1]) == (b,), up
+                else:
+                    back, tally = steps[p].get(u) == (a, b), down
+                if not back:
+                    raise MathInvariantError(
+                        f"bar matching at level {i}: entry {b} "
+                        f"{f'after {a}' if a else 'at the start'} steps to {s}, "
+                        f"which the partner's scan does not undo"
+                    )
+                for k in range(i, N + 1):
+                    tally[k] += m * counts[T][k - i]
+        reached = nxt
+    return up, down
 
 
 def _cover_chain(G: FiniteGroup, act: list, t: tuple) -> dict:
@@ -469,10 +486,10 @@ def _gradient_flow(
     A critical cell flows to itself and a matched-down cell to 0.  A cell x
     matched up with X, of incidence e = ±1 in dX, flows as -e times the
     flow of dX - e·x (Sköldberg, Trans. AMS 2006), a cell (g; z) as the flow
-    of (1; z) translated by g.  The recursion runs on an explicit stack, so
-    no gradient path meets the interpreter's recursion limit; a path that
-    meets a tuple still open on it is a cycle, which an acyclic matching
-    never has: MathInvariantError.
+    of (1; z) translated by g, on an explicit stack, so no gradient path
+    meets the recursion limit.  A partner not matched back, another
+    incidence, or a cycle (a path meeting a tuple open on it) raises
+    MathInvariantError.
     """
 
     def flow_of(terms, sign=1):
@@ -501,12 +518,25 @@ def _gradient_flow(
                 raise MathInvariantError(
                     f"bar matching: {x} is a face of a flow but neither critical nor matched"
                 )
+            back = matching.partner(other)
+            if back != x:  # named by the longer cell of the pair and its partner
+                t, s = (x, other) if len(other) < len(x) else (other, back)
+                raise MathInvariantError(
+                    f"bar matching at level {len(t)}: {t} is matched down to {s}, "
+                    f"which is matched to {s and matching.partner(s)}"
+                )
             if len(other) < len(x):
                 memo[x] = {}
                 stack.pop()
                 continue
             rest = _cover_chain(G, act, other)
-            path[x] = (-rest.pop((0, x)), rest)
+            e = rest.pop((0, x), 0)
+            if e not in (1, -1):
+                raise MathInvariantError(
+                    f"bar matching at level {len(other)}: {x} has incidence {e} "
+                    f"in the boundary of its partner {other}"
+                )
+            path[x] = (-e, rest)
             for _, z in rest:
                 if z in path:
                     raise MathInvariantError(f"bar matching: a gradient path meets {z} twice")
@@ -520,9 +550,7 @@ def morse_complex(
 ) -> MorseComplex:
     """The Morse complex of Brown's collapsing scheme (_BarMatching) on the
     normalized build_c(G, N), or with cover=True on its free G-cover
-    build_e(G, N), built from the nondegenerate commuting tuples without
-    building the model; it has the same homology, and the refusals of the
-    model.
+    build_e(G, N), without building the model: same homology and refusals.
 
     The k-simplex (g, g p1, ..., g pk) of build_e, p_i = x1...xi, is the
     cell (g; x): its face d_0 is (g x1; x2, ..., xk) and its face d_i is
@@ -534,69 +562,41 @@ def morse_complex(
     labels g are acted on by act, left multiplication in the cover; build_c
     is the quotient of build_e by G, the same cells with one label.
 
-    At every level, critical + matched-up + matched-down tuples must make up
-    the nondegenerate ones, the matched-down ones must pair with the
-    matched-up ones one level below, each matched-down tuple's partner must
-    be matched back to it with incidence ±1 in the cover's boundary, and
-    each level must hold count_nondegenerate_commuting_tuples(G, N)[k]
-    tuples: MathInvariantError when any of these fails.  The Morse d_k
-    takes each critical cell (1; c) to the gradient flow of its chain, and
-    (g; c) to that column translated by g.
+    Only the critical tuples are listed (_critical_cells).  The matched
+    ones are counted, with their partners checked once per scan
+    configuration (_matched_counts); at every level the critical,
+    matched-up and matched-down tuples must add up to the nondegenerate
+    count, and the matched-down ones to the matched-up ones a level below.
+    The flow checks the partner and the incidence ±1 of every pair it uses;
+    a pair it never uses is never built, and its incidence is (-1)^i all
+    the same, as the merge face d_i, 0 < i < k, of a nondegenerate tuple
+    equals no other face.  A failure raises MathInvariantError.  The
+    Morse d_k takes each critical cell (1; c) to the gradient flow of its
+    chain, and (g; c) to that column translated by g.
     """
-    if cover:
-        _check_truncation(G, N, budget, N + 1, "tuples")
-        act = G.table
-    else:
-        _check_truncation(G, N, budget, N, "commuting tuples")
-        act = [[0]] * G.order
+    length, what = (N + 1, "tuples") if cover else (N, "commuting tuples")
+    _check_truncation(G, N, budget, length, what)
+    act = G.table if cover else [[0]] * G.order
     labels = len(act[0])
-    counted = count_nondegenerate_commuting_tuples(G, N)
-    matching = _BarMatching(G)
-    boundaries = []
-    below = {(): 0}  # the critical tuples of the level below, numbered
-    matched_up = 0
+    counts, top = continuation_counts(G, N), frozenset(range(G.order))
+    counted, matching = counts[top], _BarMatching(G)
+    up, down = _matched_counts(G, matching.steps, counts, N)
+    # the critical tuples of the level below with their allowed sets, and numbered
+    boundaries, cells, below = [], [((), top)], {(): 0}
     for k in range(1, N + 1):
-        tuples = commuting_tuples(G, k, budget=budget, nondegenerate=True)
-        cells, up, down = [], 0, 0
-        for t in tuples:
-            other = matching.partner(t)
-            if other is None:
-                cells.append(t)
-            elif len(other) == k + 1:
-                up += 1
-            elif len(other) == k - 1:
-                down += 1
-                back = matching.partner(other)
-                if back != t:
-                    raise MathInvariantError(
-                        f"bar matching at level {k}: {t} is matched down to {other}, "
-                        f"which is matched to {back}"
-                    )
-                e = _cover_chain(G, act, t).get((0, other), 0)
-                if e not in (1, -1):
-                    raise MathInvariantError(
-                        f"bar matching at level {k}: {other} has incidence {e} "
-                        f"in the boundary of its partner {t}"
-                    )
-        if len(cells) + up + down != len(tuples) or down != matched_up:
+        cells = _critical_cells(G, matching.steps, cells)
+        if len(cells) + up[k] + down[k] != counted[k] or down[k] != up[k - 1]:
             raise MathInvariantError(
-                f"bar matching at level {k}: {len(cells)} critical + {up} matched up + "
-                f"{down} matched down of {len(tuples)} nondegenerate cells, against "
-                f"{matched_up} matched up at level {k - 1}"
+                f"bar matching at level {k}: {len(cells)} critical + {up[k]} matched up + "
+                f"{down[k]} matched down of {counted[k]} nondegenerate cells, against "
+                f"{up[k - 1]} matched up at level {k - 1}"
             )
-        if len(tuples) != counted[k]:
-            raise MathInvariantError(
-                f"bar matching at level {k}: {len(tuples)} nondegenerate cells enumerated, "
-                f"{counted[k]} counted"
-            )
-        memo = {}
-        columns = []
-        for c in cells:
+        memo, columns = {}, []
+        for c, _ in cells:
             flow = _gradient_flow(G, act, matching, _cover_chain(G, act, c), below, memo)
             columns += [_translate(act, g, flow) for g in range(labels)]
         boundaries.append(IntMatrix.from_column_dicts(columns, labels * len(below)))
-        below = {c: r for r, c in enumerate(cells)}
-        matched_up = up
+        below = {c: r for r, (c, _) in enumerate(cells)}
     return MorseComplex([labels * n for n in counted], boundaries)
 
 

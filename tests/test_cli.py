@@ -410,6 +410,10 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
             "homology-e2g_Q8oZ4_4",
             ("homology-e2g", "--group", "Q8oZ4", "--max-dim", "4", "--budget", "100000000"),
         ),
+        # the commuting-tuple model to degree 10, pinned by the build that
+        # listed and classified every nondegenerate commuting tuple
+        ("homology-b2g_Z4_10", ("homology-b2g", "--group", "Z4", "--max-dim", "10")),
+        ("homology-b2g_Z2xZ2_10", ("homology-b2g", "--group", "Z2xZ2", "--max-dim", "10")),
     ],
 )
 def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv):
@@ -455,6 +459,34 @@ def test_homology_e2g_matches_the_coset_poset_through_degree_3(capsys, name):
 def test_negative_max_dim_exits_2(capsys):
     code, _, _ = run(capsys, "homology-e2g", "--group", "Z2", "--max-dim", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homology-b2g", "--group", "Z2", "--max-dim", "0"),
+        ("homology-e2g", "--group", "Z2", "--max-dim", "0"),
+        ("coinvariants", "--group", "Z2"),
+        ("moore-h2", "--group", "Z1"),
+        ("pi2-e2", "--pi1", "2"),
+        ("coset-poset", "--group", "Z2", "--max-dim", "0"),
+        ("torus-analyze", "--ext", "o2"),
+        ("single-comm", "--ext", "o2", "--denominator", "2"),
+        ("clutch", "--cocycle", "specs/o2_alpha.cocycle.json"),
+        ("verify-all",),
+    ],
+)
+def test_negative_budget_is_a_usage_error_on_every_command(capsys, monkeypatch, argv):
+    monkeypatch.chdir(REPO_ROOT)
+    for budget in ("-1", "-5"):
+        assert run(capsys, *argv, "--budget", budget) == (
+            2,
+            "",
+            "error: --budget must be nonnegative\n",
+        )
+    # a zero budget is a budget: the command runs or is refused by it
+    code, _, err = run(capsys, *argv, "--budget", "0")
+    assert code in (0, 3) and "must be nonnegative" not in err
 
 
 @pytest.mark.parametrize(

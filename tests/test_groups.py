@@ -26,7 +26,7 @@ from commclass.groups import (
     closure,
     commutator_subgroup,
     commuting_tuples,
-    count_nondegenerate_commuting_tuples,
+    continuation_counts,
     direct_product,
     generated_subgroup,
     invariant_factors_of_abelian,
@@ -234,14 +234,18 @@ def test_commuting_tuples_are_the_lexicographic_filter_of_all_tuples():
 
 
 def test_count_of_nondegenerate_commuting_tuples_matches_the_enumeration():
+    # f(k, S) counts the nondegenerate commuting k-tuples with entries in S,
+    # for G itself and every intersection of centralisers reached from it
     for name, G in catalog_groups(16):
         top = 4 if G.order <= 8 else 3
-        assert count_nondegenerate_commuting_tuples(G, top) == [
-            len(commuting_tuples(G, k, nondegenerate=True)) for k in range(top + 1)
-        ], name
+        tuples = [commuting_tuples(G, k, nondegenerate=True) for k in range(top + 1)]
+        counts = continuation_counts(G, top)
+        assert frozenset(range(G.order)) in counts, name
+        for S, f in counts.items():
+            assert f == [sum(1 for t in level if S.issuperset(t)) for level in tuples], name
     # an abelian group of order n has (n - 1)^k of them, at any length
-    assert count_nondegenerate_commuting_tuples(cyclic(3), 40)[-1] == 2**40
-    assert count_nondegenerate_commuting_tuples(cyclic(1), 5) == [1, 0, 0, 0, 0, 0]
+    assert continuation_counts(cyclic(3), 40)[frozenset(range(3))][-1] == 2**40
+    assert continuation_counts(cyclic(1), 5) == {frozenset({0}): [1, 0, 0, 0, 0, 0]}
 
 
 def test_commuting_tuples_need_no_recursion():

@@ -320,34 +320,47 @@ def test_cone_morse_complex_counts_the_levels_of_the_full_model_past_degree_3(na
 
 
 def test_cone_morse_complex_enumerates_only_nondegenerate_tuples(monkeypatch):
+    # the builder lists no tuple but the critical ones: the critical search,
+    # asked once per level, lists exactly the nondegenerate tuples the scan
+    # passes, in lexicographic order; S3 keeps every tuple, Q8 few of them
     from commclass import simplicial
 
-    enumerate_tuples = simplicial.commuting_tuples
-    asked = []
+    search = simplicial._critical_cells
+    listed = []
 
-    def spy(G, k, budget, nondegenerate=False):
-        asked.append((k, nondegenerate))
-        return enumerate_tuples(G, k, budget=budget, nondegenerate=nondegenerate)
+    def spy(G, steps, cells):
+        found = search(G, steps, cells)
+        listed.append([c for c, _ in found])
+        return found
 
-    monkeypatch.setattr(simplicial, "commuting_tuples", spy)
-    morse_complex(catalog_group("S3"), 3, cover=True)
-    assert asked == [(1, True), (2, True), (3, True)]
+    monkeypatch.setattr(simplicial, "_critical_cells", spy)
+    monkeypatch.setattr(simplicial, "commuting_tuples", None)
+    for name in ("S3", "Q8"):
+        G = catalog_group(name)
+        listed.clear()
+        morse_complex(G, 3, cover=True)
+        partner = simplicial._BarMatching(G).partner
+        assert listed == [
+            [t for t in commuting_tuples(G, k, nondegenerate=True) if partner(t) is None]
+            for k in (1, 2, 3)
+        ], name
 
 
 @pytest.mark.parametrize("corrupted", [1, 2, 3])
 def test_cone_matching_count_invariant_detects_a_corrupted_level(capsys, monkeypatch, corrupted):
-    # one tuple missing from a level, whether critical, matched up or matched
-    # down, at the top level too: the level no longer adds up, or it holds
-    # fewer tuples than count_nondegenerate_commuting_tuples counts
+    # the last critical cell missing from a level, the top level too: the
+    # level no longer adds up to the count of its nondegenerate tuples.  S3
+    # keeps every tuple critical, so the cell is the level's last tuple; Z4
+    # keeps one critical cell per level and counts the matched ones
     from commclass import simplicial
 
-    enumerate_tuples = simplicial.commuting_tuples
+    search = simplicial._critical_cells
 
-    def dropping_one_tuple(G, k, budget, nondegenerate=False):
-        tuples = enumerate_tuples(G, k, budget=budget, nondegenerate=nondegenerate)
-        return tuples[:-1] if k == corrupted else tuples
+    def dropping_one_cell(G, steps, cells):
+        found = search(G, steps, cells)
+        return found[:-1] if found and len(found[-1][0]) == corrupted else found
 
-    monkeypatch.setattr(simplicial, "commuting_tuples", dropping_one_tuple)
+    monkeypatch.setattr(simplicial, "_critical_cells", dropping_one_cell)
     for name in ("S3", "Z4"):
         for command in ("homology-e2g", "homology-b2g"):
             with pytest.raises(MathInvariantError, match=f"bar matching at level {corrupted}:"):
@@ -391,26 +404,54 @@ def test_bar_morse_critical_counts():
 
 
 def test_bar_matching_is_mutual_on_small_groups():
-    # every nondegenerate cell through level 4 is critical or matched with a
-    # nondegenerate commuting cell one level away that is matched back, with
-    # incidence +-1 in the chain of build_c and in that of its cover
+    # every nondegenerate cell, through level 4 for the catalog groups of
+    # order <= 16 and through level 5 for those of order <= 8, is critical
+    # or matched with a nondegenerate commuting cell one level away that is
+    # matched back, with incidence +-1 in the chain of build_c and in that
+    # of its cover; a matched-down cell's partner was checked a level below
     from commclass.simplicial import _BarMatching, _cover_chain
 
-    for name, G in catalog_groups(8):
-        matching = _BarMatching(G)
-        for k in range(1, 5):
-            for t in commuting_tuples(G, k):
-                if 0 in t:
-                    continue
-                other = matching.partner(t)
+    for name, G in catalog_groups(16):
+        partner = _BarMatching(G).partner
+        top = 5 if G.order <= 8 else 4
+        for k in range(1, top + 1):
+            for t in commuting_tuples(G, k, nondegenerate=True):
+                other = partner(t)
                 if other is None:
                     continue
-                assert len(other) in (k - 1, k + 1) and 0 not in other, (name, t)
+                if len(other) == k - 1:
+                    assert partner(other) == t, (name, t, other)
+                    continue
+                assert len(other) == k + 1 and 0 not in other, (name, t)
                 assert all(G.commute(a, b) for a in other for b in other), (name, t)
-                assert matching.partner(other) == t, (name, t, other)
-                down, up = (t, other) if len(other) < k else (other, t)
+                assert partner(other) == t, (name, t, other)
                 for act in (G.table, [[0]] * G.order):
-                    assert _cover_chain(G, act, down).get((0, up)) in (1, -1), (name, t, other)
+                    assert _cover_chain(G, act, other).get((0, t)) in (1, -1), (name, t, other)
+
+
+def test_morse_complex_builds_the_chains_of_the_flow_only():
+    # one chain per critical cell and per matched-up cell the flow visits:
+    # Z2xZ2 keeps 1, 2, ..., 7 critical cells of its 3^k nondegenerate ones
+    from commclass import simplicial
+
+    chains, memos = [], {}
+    build, flow = simplicial._cover_chain, simplicial._gradient_flow
+
+    def counting_chain(G, act, t):
+        chains.append(t)
+        return build(G, act, t)
+
+    def recording_flow(G, act, matching, chain, critical, memo):
+        memos[id(memo)] = memo
+        return flow(G, act, matching, chain, critical, memo)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplicial, "_cover_chain", counting_chain)
+        patch.setattr(simplicial, "_gradient_flow", recording_flow)
+        M = morse_complex(catalog_group("Z2xZ2"), 6)
+    critical = sum(d.cols for d in M.boundaries)
+    visited = sum(len(memo) for memo in memos.values())
+    assert critical == 27 and len(chains) <= critical + visited < sum(M.nondegenerate_sizes) // 4
 
 
 def test_bar_gradient_flow_refuses_a_cycle():
@@ -418,9 +459,11 @@ def test_bar_gradient_flow_refuses_a_cycle():
     # holds (2,) again: a cyclic matching, which the flow must refuse
     from commclass.simplicial import _gradient_flow
 
+    pairs = {(2,): (1, 1), (1,): (2, 3), (3,): (1, 2)}
+
     class Cyclic:
         def partner(self, t):
-            return {(2,): (1, 1), (1,): (2, 3), (3,): (1, 2)}.get(t)
+            return {**pairs, **{up: down for down, up in pairs.items()}}.get(t)
 
     G = cyclic(4)
     for act in (G.table, [[0]] * G.order):
@@ -452,19 +495,20 @@ BOTH_COMMANDS = pytest.mark.parametrize("command", ["homology-b2g", "homology-e2
 
 @BOTH_COMMANDS
 def test_bar_matching_count_detects_a_missing_cell(capsys, monkeypatch, command):
-    # Z4's (1, 1) merges into (2,); without it level 2 has one matched-down
-    # cell fewer than level 1 has matched-up ones
+    # Z4's (1, 1) merges into (2,); counted without it, level 2 has one
+    # matched-down cell fewer than level 1 has matched-up ones
     from commclass import simplicial
 
-    enumerate_tuples = simplicial.commuting_tuples
+    count = simplicial._matched_counts
 
-    def dropping(G, k, budget, nondegenerate=False):
-        tuples = enumerate_tuples(G, k, budget=budget, nondegenerate=nondegenerate)
-        return [t for t in tuples if t != (1, 1)]
+    def dropping(G, steps, counts, N):
+        up, down = count(G, steps, counts, N)
+        down[2] -= 1
+        return up, down
 
-    monkeypatch.setattr(simplicial, "commuting_tuples", dropping)
+    monkeypatch.setattr(simplicial, "_matched_counts", dropping)
     message = (
-        "bar matching at level 2: 1 critical + 6 matched up + 1 matched down of 8 "
+        "bar matching at level 2: 1 critical + 6 matched up + 1 matched down of 9 "
         "nondegenerate cells, against 2 matched up at level 1"
     )
     with pytest.raises(MathInvariantError, match=re.escape(message)):
@@ -476,19 +520,48 @@ def test_bar_matching_count_detects_a_missing_cell(capsys, monkeypatch, command)
 @BOTH_COMMANDS
 def test_bar_matching_detects_a_missing_critical_cell(capsys, monkeypatch, command):
     # every nondegenerate tuple of S3 is critical, so without (3, 4) level 2
-    # still adds up, but holds one tuple fewer than it should
+    # holds one tuple fewer than it should
     from commclass import simplicial
 
-    enumerate_tuples = simplicial.commuting_tuples
+    search = simplicial._critical_cells
 
-    def dropping(G, k, budget, nondegenerate=False):
-        tuples = enumerate_tuples(G, k, budget=budget, nondegenerate=nondegenerate)
-        return [t for t in tuples if t != (3, 4)]
+    def dropping(G, steps, cells):
+        return [(c, S) for c, S in search(G, steps, cells) if c != (3, 4)]
 
-    monkeypatch.setattr(simplicial, "commuting_tuples", dropping)
+    monkeypatch.setattr(simplicial, "_critical_cells", dropping)
     code, err = _homology_exit(capsys, command, "S3", 2)
     assert code == 4
-    assert "bar matching at level 2: 6 nondegenerate cells enumerated, 7 counted" in err
+    assert (
+        "bar matching at level 2: 6 critical + 0 matched up + 0 matched down of 7 "
+        "nondegenerate cells, against 0 matched up at level 1"
+    ) in err
+
+
+@BOTH_COMMANDS
+@pytest.mark.parametrize(
+    "a, b, step, message",
+    [
+        # (2,) left unsplit: the merge of (1, 1) into it is not undone
+        (0, 2, None, "level 2: entry 1 after 1 steps to (2,)"),
+        # (1, 1) merged into (3,): the split of (2,) into it is not undone
+        (1, 1, (3,), "level 1: entry 2 at the start steps to (1, 1)"),
+    ],
+)
+def test_bar_matching_detects_a_step_its_partner_does_not_undo(
+    capsys, monkeypatch, command, a, b, step, message
+):
+    from commclass import simplicial
+
+    init = simplicial._BarMatching.__init__
+
+    def misrouted(self, G):
+        init(self, G)
+        self.steps[a][b] = step
+
+    monkeypatch.setattr(simplicial._BarMatching, "__init__", misrouted)
+    code, err = _homology_exit(capsys, command, "Z4", 2)
+    assert code == 4
+    assert f"bar matching at {message}, which the partner's scan does not undo" in err
 
 
 @BOTH_COMMANDS
