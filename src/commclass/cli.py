@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .cocycles import clutch
-from .cosetposet import CosetPoset
+from .cosetposet import CosetPoset, closed_abelian_subgroups
 from .errors import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fileio import parse_cocycle, parse_extension, parse_group
 from .groupring import coinvariants, moore_h2, pi2_e2_connected
-from .groups import abelianization
+from .groups import abelianization, continuation_counts
 from .intlinalg import (
     AbelianGroupInvariants,
     IntMatrix,
@@ -35,7 +35,7 @@ from .intlinalg import (
     complement,
     homology_range,
 )
-from .simplicial import morse_complex
+from .simplicial import check_truncation, level_sizes, morse_complex
 from .torus import (
     commutator_lattices,
     psi_star,
@@ -100,38 +100,43 @@ def _row(name: str, value, ref: str) -> dict:
 # subcommand handlers; each returns (rows, inputs, exit_code)
 
 
-def _homology_rows(max_dim: int, M, counts_ref: str, hom_ref: str) -> list:
-    """Level counts and homology rows from a Morse complex M of levels
-    0..max_dim+1, which has the homology of the model it stands for."""
-    h = homology_range(M.boundaries, reduced=True)
+def _homology_rows(nondegenerate: list, h: list, counts_ref: str, hom_ref: str) -> list:
+    """Level counts and homology rows of a model of levels 0..max_dim+1 from
+    its nondegenerate level counts and its reduced homology h[0..max_dim]."""
     # C_0 is never empty here, so H0 is H~0 plus one free summand
     h0 = AbelianGroupInvariants(h[0].free_rank + 1, h[0].torsion)
     rows = [
-        _row("level-sizes", M.level_sizes, counts_ref),
-        _row("nondegenerate-sizes", M.nondegenerate_sizes, counts_ref),
+        _row("level-sizes", level_sizes(nondegenerate), counts_ref),
+        _row("nondegenerate-sizes", nondegenerate, counts_ref),
         _row("H0", h0, hom_ref),
         _row("H~0", h[0], hom_ref),
     ]
-    for k in range(1, max_dim + 1):
-        rows.append(_row(f"H{k}", h[k], hom_ref))
-    return rows
+    return rows + [_row(f"H{k}", h[k], hom_ref) for k in range(1, len(h))]
 
 
 def cmd_homology_b2g(args):
     G = parse_group(args.group, budget=args.budget)
     # the collapsing-scheme Morse complex of build_c(G, max_dim + 1), never the model itself
     M = morse_complex(G, args.max_dim + 1, budget=args.budget)
+    h = homology_range(M.boundaries, reduced=True)
     rows = _homology_rows(
-        args.max_dim, M, "commuting-tuple-level-counts", "commuting-tuple-space-homology"
+        M.nondegenerate_sizes, h, "commuting-tuple-level-counts", "commuting-tuple-space-homology"
     )
     return rows, {"group": args.group, "max_dim": args.max_dim}, 0
 
 
 def cmd_homology_e2g(args):
     G = parse_group(args.group, budget=args.budget)
-    # the same scheme lifted to the free G-cover build_e(G, max_dim + 1), never the model itself
-    M = morse_complex(G, args.max_dim + 1, budget=args.budget, cover=True)
-    rows = _homology_rows(args.max_dim, M, "total-space-level-counts", "total-space-homology")
+    N = args.max_dim + 1
+    # build_e(G, N) is never built, but its refusals stay the command's; the
+    # chains of the closure-reduced coset poset, which has its homology, can
+    # outnumber the |G|^2 tuples admitted at --max-dim 0, so they are charged
+    # against no less than the default budget
+    check_truncation(G, N, args.budget, N + 1, "tuples")
+    poset = CosetPoset(G, closed_abelian_subgroups(G, args.budget))
+    h = poset.homology(args.max_dim, budget=max(args.budget, DEFAULT_BUDGET))
+    nondegenerate = [G.order * n for n in continuation_counts(G, N)[frozenset(range(G.order))]]
+    rows = _homology_rows(nondegenerate, h, "total-space-level-counts", "total-space-homology")
     return rows, {"group": args.group, "max_dim": args.max_dim}, 0
 
 
@@ -254,10 +259,8 @@ def cmd_coset_poset(args):
     G = parse_group(args.group, budget=args.budget)
     poset = CosetPoset(G, budget=args.budget)
     vertices, edges = poset.size()
-    # distinct abelian subgroups never share a coset set, so each keeps a vertex
-    subgroups = len({els for els, _ in poset.vertex_info})
     rows = [
-        _row("abelian-subgroups", subgroups, "abelian-subgroup-count"),
+        _row("abelian-subgroups", len(poset.family), "abelian-subgroup-count"),
         _row("vertices", vertices, "coset-poset-size"),
         _row("edges", edges, "coset-poset-size"),
     ]

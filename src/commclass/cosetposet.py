@@ -1,10 +1,12 @@
-"""Coset poset of abelian subgroups and the homology of its order complex.
+"""Coset posets of abelian subgroups and the homology of their order
+complexes.
 
-Vertices are cosets gA for every abelian subgroup A (the trivial subgroup
-included, the whole group included when abelian), ordered by inclusion of
-the underlying element sets.  The reduced homology of the order complex is
-an independent oracle for the homogeneous simplicial model: the two agree
-degree by degree on the acceptance corpus.
+Over every abelian subgroup, CosetPoset is the coset poset P, whose order
+complex is homotopy equivalent to E(2,G) (Adem–Cohen–Torres-Giese 2012,
+E(2,G) ≃ hocolim_A G/A; Okay 2018).  hB -> h·∩{A maximal abelian : A ⊇ B}
+is a closure operator on P, so P ≃ Q, the poset over the intersections of
+maximal abelian subgroups, closed_abelian_subgroups (Quillen 1978, 1.3).
+homology-e2g reduces Q; coset-poset reports P, an independent check of it.
 """
 
 from __future__ import annotations
@@ -18,60 +20,77 @@ from .simplicial import drop_entry, face_boundary
 def abelian_subgroups(G: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list:
     """All abelian subgroups of G as Subgroup objects, trivial included,
     sorted by (order, elements)."""
-    seen = {(0,)}
-    frontier = [(0,)]
-    count = 1
+    seen, frontier = {(0,)}, [(0,)]
     while frontier:
         nxt = []
         for els in frontier:
             elset = set(els)
             for g in range(1, G.order):
-                if g in elset:
-                    continue
-                if not all(G.commute(g, h) for h in els):
+                if g in elset or not all(G.commute(g, h) for h in els):
                     continue
                 grown = closure(G, els + (g,))
                 if grown not in seen:
                     seen.add(grown)
-                    count += 1
-                    check_budget(count, budget, "abelian subgroup enumeration")
+                    check_budget(len(seen), budget, "abelian subgroup enumeration")
                     nxt.append(grown)
         frontier = nxt
     subs = [Subgroup(G, els, check=False) for els in seen]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    return subs
+    return sorted(subs, key=lambda s: (s.order, s.elements))
+
+
+def closed_abelian_subgroups(G: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list:
+    """The intersections of maximal abelian subgroups of G, sorted as
+    abelian_subgroups sorts, without listing the abelian subgroups: those
+    above an abelian B are the maximal abelian subgroups of C = C_G(B), and
+    they meet in Z(C).  The centralisers C run from G down by
+    C -> C ∩ C_G(x), x in C, each new one charged against the budget."""
+    top = frozenset(range(G.order))
+    lattice, todo = {top}, [top]
+    while todo:
+        C = todo.pop()
+        for x in C:
+            D = C & G.commuting_set(x)
+            if D not in lattice:
+                lattice.add(D)
+                check_budget(len(lattice), budget, "centraliser lattice")
+                todo.append(D)
+    centres = {frozenset(z for z in C if C <= G.commuting_set(z)) for C in lattice}
+    subs = [Subgroup(G, els, check=False) for els in centres]
+    return sorted(subs, key=lambda s: (s.order, s.elements))
 
 
 class CosetPoset:
-    """The poset of cosets of abelian subgroups, with its order complex.
+    """The poset of the cosets hI of a family of subgroups I, every abelian
+    one by default, ordered by inclusion, with its order complex.
 
-    vertices[i] is a frozenset of element indices (the coset as a set);
-    vertex_info[i] is (subgroup elements, representative).  Comparability
-    is proper set inclusion.
+    vertices[i] is a coset as a frozenset of element indices, ordered by
+    (size, elements).  successors[i] lists, ascending, the cosets above it,
+    read off the inclusions of the family: one coset hJ for each J > I.
     """
 
-    __slots__ = ("group", "vertices", "vertex_info", "successors")
+    __slots__ = ("group", "family", "vertices", "successors")
 
-    def __init__(self, G: FiniteGroup, budget: int = DEFAULT_BUDGET):
-        self.group = G
-        cosets = {}
-        for sub in abelian_subgroups(G, budget=budget):
-            done = set()
-            for g in range(G.order):
-                if g in done:
-                    continue
-                cos = frozenset(G.mul(g, a) for a in sub.elements)
-                done |= cos
-                key = cos
-                if key not in cosets:
-                    cosets[key] = (sub.elements, min(cos))
-        order = sorted(cosets, key=lambda c: (len(c), sorted(c)))
-        self.vertices = order
-        self.vertex_info = [cosets[c] for c in order]
-        self.successors = []
-        for i, c in enumerate(order):
-            succ = [j for j, d in enumerate(order) if len(c) < len(d) and c < d]
-            self.successors.append(succ)
+    def __init__(self, G: FiniteGroup, family=None, budget: int = DEFAULT_BUDGET):
+        if family is None:
+            family = abelian_subgroups(G, budget=budget)
+        self.group, self.family = G, family
+        # coset_of[s][h] is the coset h·I of the family's subgroup s = I
+        coset_of, subgroup_of = [[None] * G.order for _ in family], {}
+        for s, (sub, of) in enumerate(zip(family, coset_of)):
+            for h in range(G.order):
+                if of[h] is None:
+                    c = frozenset(G.table[h][a] for a in sub.elements)
+                    subgroup_of[c] = s
+                    for g in c:
+                        of[g] = c
+        sets = [frozenset(sub.elements) for sub in family]
+        above = [[t for t, J in enumerate(sets) if I < J] for I in sets]
+        self.vertices = sorted(subgroup_of, key=lambda c: (len(c), sorted(c)))
+        number = {c: i for i, c in enumerate(self.vertices)}
+        self.successors = [
+            sorted(number[coset_of[t][next(iter(c))]] for t in above[subgroup_of[c]])
+            for c in self.vertices
+        ]
 
     def chains(self, max_dim: int, budget: int = DEFAULT_BUDGET) -> list:
         """Levels of the order complex: chains[d] lists the strictly

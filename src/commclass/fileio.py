@@ -140,7 +140,7 @@ def extension_from_spec(
 def parse_extension(source: str, budget: int = DEFAULT_BUDGET) -> TorusExtension:
     """Accept a catalog extension name or a path to an extension spec file."""
     if source in extension_names():
-        return catalog_extension(source)
+        return catalog_extension(source, budget=budget)
     if os.path.exists(source):
         return extension_from_spec(load_json(source), where=source, budget=budget)
     raise ParseError(f"{source!r} is neither a catalog extension nor a readable file")

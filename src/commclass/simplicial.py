@@ -8,19 +8,20 @@ truncations and the coset poset.
 
 Two models are provided.  build_c stacks the pairwise-commuting k-tuples
 with the bar maps bar_face (multiply adjacent entries, drop at the ends)
-and bar_degeneracy (insert the identity); its
-realization is the commutativity classifying space of the group.  build_e
-stacks the (k+1)-tuples whose successive quotients commute pairwise, with
-homogeneous faces (drop an entry); it models the total space whose homology
-vanishes exactly for abelian groups, and it is the free G-cover of the first
-model.  morse_complex builds the Morse complex, with the same homology, of
-Brown's collapsing scheme on the normal forms x = r(x)·z(x) (a coset letter
-of G/Z(G), then a polycyclic word in the centre) on the first model or,
-lifted G-equivariantly, the second: it lists the critical cells only,
-counts the matched ones, and takes each boundary column from one memoised
-gradient flow.  build_c and build_e stay as the unreduced oracle; one helper
-makes the refusals of all three.  p_map projects the second model onto the
-first, and commutator_map records successive commutators.
+and bar_degeneracy (insert the identity); its realization is the
+commutativity classifying space of the group.  build_e stacks the
+(k+1)-tuples whose successive quotients commute pairwise, with homogeneous
+faces (drop an entry); it models the total space whose homology vanishes
+exactly for abelian groups, and it is the free G-cover of the first model.
+morse_complex builds the Morse complex, with the same homology, of Brown's
+collapsing scheme on the normal forms x = r(x)·z(x) (a coset letter of
+G/Z(G), then a polycyclic word in the centre) on the first model: it lists
+the critical cells only, counts the matched ones, and takes each boundary
+column from one memoised gradient flow; the second model's homology is
+read from the coset poset (cosetposet).  build_c and build_e stay as the
+unreduced oracle, check_truncation makes the refusals of all three, and
+level_sizes counts a model's levels.  p_map projects the second model onto
+the first, and commutator_map records successive commutators.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def reduced_homology_range(S: SimplicialTruncation, top: int) -> list:
 # the two models
 
 
-def _check_truncation(G: FiniteGroup, N: int, budget: int, length: int, what: str) -> None:
+def check_truncation(G: FiniteGroup, N: int, budget: int, length: int, what: str) -> None:
     """The refusals of a depth-N truncation, before anything is enumerated:
     a negative N, then the |G|^length top tuples named `what`, then the
     depth.  Its k+1 maps on each k-simplex copy about k entries each, so
@@ -262,7 +263,7 @@ def build_c(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     """Truncation of the commuting-tuple nerve: level k lists the pairwise
     commuting k-tuples, faces multiply adjacent entries (dropping at the
     ends), degeneracies insert the identity."""
-    _check_truncation(G, N, budget, N, "commuting tuples")
+    check_truncation(G, N, budget, N, "commuting tuples")
     levels = [commuting_tuples(G, k, budget=budget) for k in range(N + 1)]
     label = f"commuting-nerve({G.label or G.order}, N={N})"
     return SimplicialTruncation(levels, lambda t, i: bar_face(G, t, i), bar_degeneracy, label=label)
@@ -284,7 +285,7 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     """Truncation of the homogeneous model: level k lists the (k+1)-tuples
     whose successive quotients commute pairwise, faces drop an entry,
     degeneracies repeat one."""
-    _check_truncation(G, N, budget, N + 1, "tuples")
+    check_truncation(G, N, budget, N + 1, "tuples")
     levels = [
         sorted(
             tuple(accumulate(t, G.mul, initial=g0))
@@ -297,6 +298,14 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     return SimplicialTruncation(levels, drop_entry, lambda e, i: e[: i + 1] + e[i:], label=label)
 
 
+def level_sizes(n: list) -> list:
+    """The level counts of either model from its nondegenerate counts
+    n = N_0..N_N.  A k-simplex whose non-identity steps sit at j chosen
+    places is a nondegenerate j-simplex, so level k has sum_j C(k, j) N_j
+    simplices."""
+    return [sum(comb(k, j) * n[j] for j in range(k + 1)) for k in range(len(n))]
+
+
 class MorseComplex(NamedTuple):
     """The Morse complex of a matching on a normalized model: the
     nondegenerate counts N_0..N_N of the model it stands for, and the Morse
@@ -305,17 +314,9 @@ class MorseComplex(NamedTuple):
     nondegenerate_sizes: list
     boundaries: list
 
-    @property
-    def level_sizes(self) -> list:
-        """The level counts of the model.  A k-simplex whose non-identity
-        steps sit at j chosen places is a nondegenerate j-simplex, so level k
-        has sum_j C(k, j) N_j simplices."""
-        n = self.nondegenerate_sizes
-        return [sum(comb(k, j) * n[j] for j in range(k + 1)) for k in range(len(n))]
-
 
 # ---------------------------------------------------------------------------
-# Brown's collapsing scheme on the commuting-tuple model and its cover
+# Brown's collapsing scheme on the commuting-tuple model
 
 
 def _normal_forms(G: FiniteGroup) -> list:
@@ -451,55 +452,43 @@ def _matched_counts(G: FiniteGroup, steps: list, counts: dict, N: int) -> tuple:
     return up, down
 
 
-def _cover_chain(G: FiniteGroup, act: list, t: tuple) -> dict:
-    """The normalized boundary Σ(-1)^i d_i (1; t) of a nondegenerate
-    commuting tuple t as {(label, face): coefficient}, without degenerate
-    faces or zero coefficients: d_0 is (t_1; t_2..t_k), its label t_1 read
-    through act, and every other face is (1; d_i t)."""
+def _bar_chain(G: FiniteGroup, t: tuple) -> dict:
+    """The normalized boundary Σ(-1)^i d_i t of a nondegenerate commuting
+    tuple t as {face: coefficient}, without degenerate faces or zero
+    coefficients."""
     chain = {}
     sign = 1
     for i in range(len(t) + 1):
         face = bar_face(G, t, i)
         if 0 not in face:
-            key = (act[t[0]][0] if i == 0 else 0, face)
-            chain[key] = chain.get(key, 0) + sign
+            chain[face] = chain.get(face, 0) + sign
         sign = -sign
     return {face: c for face, c in chain.items() if c}
 
 
-def _translate(act: list, g: int, column: dict) -> dict:
-    """A column over the cells (h; c), numbered c·L + h for the L labels of
-    act, translated by g: (h; c) -> (act[g][h]; c)."""
-    if not g:  # the identity acts trivially
-        return column
-    labels, row = len(act[0]), act[g]
-    return {r - r % labels + row[r % labels]: v for r, v in column.items()}
-
-
 def _gradient_flow(
-    G: FiniteGroup, act: list, matching: _BarMatching, chain: dict, critical: dict, memo: dict
+    G: FiniteGroup, matching: _BarMatching, chain: dict, critical: dict, memo: dict
 ) -> dict:
-    """The gradient flow of a chain {(g, y): coefficient} of cells of one
-    level onto its critical cells (h; c) as {critical[c]·L + h: coefficient},
-    for the L labels of act; memo keeps the flow of every tuple met.
+    """The gradient flow of a chain {tuple: coefficient} of one level onto
+    its critical tuples c as {critical[c]: coefficient}; memo keeps the flow
+    of every tuple met.
 
-    A critical cell flows to itself and a matched-down cell to 0.  A cell x
-    matched up with X, of incidence e = ±1 in dX, flows as -e times the
-    flow of dX - e·x (Sköldberg, Trans. AMS 2006), a cell (g; z) as the flow
-    of (1; z) translated by g, on an explicit stack, so no gradient path
-    meets the recursion limit.  A partner not matched back, another
-    incidence, or a cycle (a path meeting a tuple open on it) raises
+    A critical tuple flows to itself and a matched-down tuple to 0.  A tuple
+    x matched up with X, of incidence e = ±1 in dX, flows as -e times the
+    flow of dX - e·x (Sköldberg, Trans. AMS 2006), on an explicit stack, so
+    no gradient path meets the recursion limit.  A partner not matched back,
+    another incidence, or a cycle (a path meeting a tuple open on it) raises
     MathInvariantError.
     """
 
     def flow_of(terms, sign=1):
         flow = {}
-        for (g, z), c in terms.items():
-            for r, v in _translate(act, g, memo[z]).items():
+        for z, c in terms.items():
+            for r, v in memo[z].items():
                 flow[r] = flow.get(r, 0) + sign * c * v
         return {r: v for r, v in flow.items() if v}
 
-    stack = [z for _, z in chain]
+    stack = list(chain)
     path = {}  # the open tuples: -e and the rest of their partner's boundary
     while stack:
         x = stack[-1]
@@ -510,7 +499,7 @@ def _gradient_flow(
             memo[x] = flow_of(rest, sign)
             stack.pop()
         elif x in critical:
-            memo[x] = {critical[x] * len(act[0]): 1}
+            memo[x] = {critical[x]: 1}
             stack.pop()
         else:
             other = matching.partner(x)
@@ -529,15 +518,15 @@ def _gradient_flow(
                 memo[x] = {}
                 stack.pop()
                 continue
-            rest = _cover_chain(G, act, other)
-            e = rest.pop((0, x), 0)
+            rest = _bar_chain(G, other)
+            e = rest.pop(x, 0)
             if e not in (1, -1):
                 raise MathInvariantError(
                     f"bar matching at level {len(other)}: {x} has incidence {e} "
                     f"in the boundary of its partner {other}"
                 )
             path[x] = (-e, rest)
-            for _, z in rest:
+            for z in rest:
                 if z in path:
                     raise MathInvariantError(f"bar matching: a gradient path meets {z} twice")
                 if z not in memo:
@@ -545,22 +534,10 @@ def _gradient_flow(
     return flow_of(chain)
 
 
-def morse_complex(
-    G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET, cover: bool = False
-) -> MorseComplex:
+def morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> MorseComplex:
     """The Morse complex of Brown's collapsing scheme (_BarMatching) on the
-    normalized build_c(G, N), or with cover=True on its free G-cover
-    build_e(G, N), without building the model: same homology and refusals.
-
-    The k-simplex (g, g p1, ..., g pk) of build_e, p_i = x1...xi, is the
-    cell (g; x): its face d_0 is (g x1; x2, ..., xk) and its face d_i is
-    (g; d_i x) for i >= 1.  The scheme pairs x with its partner through a
-    face d_i with 0 < i < k, so (g; x) <-> (g; partner(x)) is a
-    G-equivariant matching on build_e (Brown 1992; algebraic Morse theory
-    over Z[G], Sköldberg 2006): its critical cells are G times those of
-    build_c, and the flow of (g; y) is that of (1; y) translated by g.  The
-    labels g are acted on by act, left multiplication in the cover; build_c
-    is the quotient of build_e by G, the same cells with one label.
+    normalized build_c(G, N), without building the model: same homology
+    and refusals.
 
     Only the critical tuples are listed (_critical_cells).  The matched
     ones are counted, with their partners checked once per scan
@@ -571,13 +548,9 @@ def morse_complex(
     a pair it never uses is never built, and its incidence is (-1)^i all
     the same, as the merge face d_i, 0 < i < k, of a nondegenerate tuple
     equals no other face.  A failure raises MathInvariantError.  The
-    Morse d_k takes each critical cell (1; c) to the gradient flow of its
-    chain, and (g; c) to that column translated by g.
+    Morse d_k takes each critical tuple to the gradient flow of its chain.
     """
-    length, what = (N + 1, "tuples") if cover else (N, "commuting tuples")
-    _check_truncation(G, N, budget, length, what)
-    act = G.table if cover else [[0]] * G.order
-    labels = len(act[0])
+    check_truncation(G, N, budget, N, "commuting tuples")
     counts, top = continuation_counts(G, N), frozenset(range(G.order))
     counted, matching = counts[top], _BarMatching(G)
     up, down = _matched_counts(G, matching.steps, counts, N)
@@ -591,13 +564,11 @@ def morse_complex(
                 f"{down[k]} matched down of {counted[k]} nondegenerate cells, against "
                 f"{up[k - 1]} matched up at level {k - 1}"
             )
-        memo, columns = {}, []
-        for c, _ in cells:
-            flow = _gradient_flow(G, act, matching, _cover_chain(G, act, c), below, memo)
-            columns += [_translate(act, g, flow) for g in range(labels)]
-        boundaries.append(IntMatrix.from_column_dicts(columns, labels * len(below)))
+        memo = {}
+        columns = [_gradient_flow(G, matching, _bar_chain(G, c), below, memo) for c, _ in cells]
+        boundaries.append(IntMatrix.from_column_dicts(columns, len(below)))
         below = {c: r for r, (c, _) in enumerate(cells)}
-    return MorseComplex([labels * n for n in counted], boundaries)
+    return MorseComplex(counted, boundaries)
 
 
 def p_map(G: FiniteGroup, e) -> tuple:

@@ -140,7 +140,7 @@ class TorusExtension:
         is extended, and the central quotient as its closure grows."""
         if rank < 0:
             raise ValidationError("rank must be nonnegative")
-        check_budget(F.order * rank * rank, budget, f"action of {F.order} elements on rank {rank}")
+        _charge_action(F.order, rank, budget)
         self.rank = rank
         self.F = F
         self.label = label
@@ -546,7 +546,12 @@ def extension_names() -> tuple:
     return tuple(CATALOG_SPECS)
 
 
-def catalog_extension(name: str) -> TorusExtension:
+def _charge_action(order: int, rank: int, budget: int) -> None:
+    check_budget(order * rank * rank, budget, f"action of {order} elements on rank {rank}")
+
+
+def catalog_extension(name: str, budget: int = DEFAULT_BUDGET) -> TorusExtension:
+    """A catalog extension, built once; every call pays its action entries."""
     # fileio imports this module, so its reader is imported here
     from .fileio import extension_from_spec
 
@@ -554,7 +559,9 @@ def catalog_extension(name: str) -> TorusExtension:
         raise ValidationError(f"unknown catalog extension {name!r}")
     if name not in _ext_cache:
         _ext_cache[name] = extension_from_spec({**CATALOG_SPECS[name], "label": name}, where=name)
-    return _ext_cache[name]
+    E = _ext_cache[name]
+    _charge_action(E.F.order, E.rank, budget)
+    return E
 
 
 def catalog_extensions():

@@ -232,22 +232,41 @@ def test_validation_error_exit_code(capsys):
 
 @pytest.mark.parametrize("command", ["homology-b2g", "homology-e2g"])
 def test_broken_boundary_exit_code(capsys, monkeypatch, command):
-    from commclass import simplicial
+    from commclass import cosetposet, simplicial
+    from commclass.intlinalg import IntMatrix
 
-    build = simplicial._cover_chain
     flipped = []
+    build = simplicial._bar_chain
 
-    def flip_one_sign(G, act, t):
-        # one coefficient of the top boundary d_3, checked against d_2; S3
-        # keeps every cell critical, so the chain is a column of d_3 itself
-        chain = build(G, act, t)
+    def flip_one_sign(G, t):
+        # one coefficient of the Morse complex's top boundary d_3, checked
+        # against d_2; S3 keeps every cell critical, so the chain is a
+        # column of d_3 itself
+        chain = build(G, t)
         if chain and len(t) == 3 and not flipped:
             face = next(iter(chain))
             chain[face] = -chain[face]
             flipped.append(face)
         return chain
 
-    monkeypatch.setattr(simplicial, "_cover_chain", flip_one_sign)
+    boundary = cosetposet._chain_boundary
+
+    def flip_one_entry(levels, d):
+        # one coefficient of the poset's d_1, the only nonzero boundary of
+        # S3's order complex, checked against the augmentation
+        if d != 1:
+            return boundary(levels, d)
+        columns = boundary(levels, d).column_dicts()
+        col = columns[0]
+        row = next(iter(col))
+        col[row] = -col[row]
+        flipped.append((d, row))
+        return IntMatrix.from_column_dicts(columns, len(levels[d - 1]))
+
+    if command == "homology-b2g":
+        monkeypatch.setattr(simplicial, "_bar_chain", flip_one_sign)
+    else:
+        monkeypatch.setattr(cosetposet, "_chain_boundary", flip_one_entry)
     code, out, err = run(capsys, command, "--group", "S3", "--max-dim", "2")
     assert flipped and code == 4
     assert "is nonzero" in err and out == ""
@@ -414,6 +433,9 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
         # listed and classified every nondegenerate commuting tuple
         ("homology-b2g_Z4_10", ("homology-b2g", "--group", "Z4", "--max-dim", "10")),
         ("homology-b2g_Z2xZ2_10", ("homology-b2g", "--group", "Z2xZ2", "--max-dim", "10")),
+        # a centreless group of order 24, pinned by the Morse cover of
+        # build_e, which kept every nondegenerate cell critical
+        ("homology-e2g_S4_3", ("homology-e2g", "--group", "S4", "--max-dim", "3")),
     ],
 )
 def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv):
@@ -498,17 +520,19 @@ def test_negative_budget_is_a_usage_error_on_every_command(capsys, monkeypatch, 
     ],
 )
 def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, argv, top_degree):
-    from itertools import product
-
-    from commclass import intlinalg, simplicial
-    from commclass.catalog import catalog_group
+    # top_degree is the top level of the model, max_dim + 1
+    from commclass import cosetposet, intlinalg, simplicial
 
     built = {}
     truncations = []
+    morse = []
+    poset = []
     reduced = []
     products = []
     build = simplicial.SimplicialTruncation.boundary_matrix
     init = simplicial.SimplicialTruncation.__init__
+    morse_complex = simplicial.morse_complex
+    chain_boundary = cosetposet._chain_boundary
     snf = intlinalg.snf_diagonal
     matmul = intlinalg.IntMatrix.__matmul__
 
@@ -521,6 +545,15 @@ def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, arg
         truncations.append(S)
         init(S, *args, **kwargs)
 
+    def counting_morse(*args, **kwargs):
+        morse.append(args)
+        return morse_complex(*args, **kwargs)
+
+    def counting_chain_boundary(levels, d):
+        M = chain_boundary(levels, d)
+        poset.append((d, M))
+        return M
+
     def counting_snf(M):
         reduced.append(M)
         return snf(M)
@@ -531,39 +564,38 @@ def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, arg
 
     monkeypatch.setattr(simplicial.SimplicialTruncation, "boundary_matrix", counting_build)
     monkeypatch.setattr(simplicial.SimplicialTruncation, "__init__", counting_init)
+    monkeypatch.setattr(cli, "morse_complex", counting_morse)
+    monkeypatch.setattr(cosetposet, "_chain_boundary", counting_chain_boundary)
     monkeypatch.setattr(intlinalg, "snf_diagonal", counting_snf)
     monkeypatch.setattr(intlinalg.IntMatrix, "__matmul__", recording_matmul)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    # one elimination per degree
-    assert len(reduced) == top_degree
-    # both commands build only the critical cells of a Morse matching: no
-    # truncation, no full boundary, and the Morse boundaries are the ones reduced
+    # neither command builds its model: no truncation, no full boundary
     assert truncations == [] and built == {}
-    G = catalog_group(argv[2])
-    # the critical cells of the collapsing scheme, whose Morse homology
-    # test_simplicial checks: Q8 and Z4 have a centre to match through, S3
-    # has none and keeps every nondegenerate commuting tuple
-    critical = {"Q8": [1, 4, 7, 10, 13], "Z4": [1, 1, 1, 1], "S3": [1, 5, 7, 11]}[argv[2]]
-    if argv[2] == "S3":
-        assert critical == [
-            sum(
-                1
-                for t in product(range(1, G.order), repeat=k)
-                if all(G.commute(a, b) for a in t for b in t)
-            )
-            for k in range(top_degree + 1)
-        ]
-    if argv[0] == "homology-e2g":
-        # the cover keeps |G| cells over each of them
-        critical = [G.order * n for n in critical]
-    for k, M in enumerate(reduced, start=1):
-        assert (M.rows, M.cols) == (critical[k - 1], critical[k])
-    # d_k o d_{k+1} = 0 is checked on the Morse boundaries
-    for k in range(1, top_degree):
+    if argv[0] == "homology-b2g":
+        # the critical cells of the collapsing scheme, whose Morse homology
+        # test_simplicial checks: Q8 has a centre to match through
+        assert len(morse) == 1 and poset == []
+        critical = [1, 4, 7, 10, 13]
+        assert len(reduced) == top_degree
+        for k, M in enumerate(reduced, start=1):
+            assert (M.rows, M.cols) == (critical[k - 1], critical[k])
+    else:
+        # the order complex of the closure-reduced coset poset, up to its
+        # first empty level: Z4 is abelian and its poset a point, S3 has
+        # 17 cosets and 24 inclusions and no chain of three; each boundary
+        # is built once and reduced once, and no Morse complex is built
+        assert morse == []
+        shapes = {"Z4": [(1, 0)], "S3": [(17, 24), (24, 0)]}[argv[2]]
+        assert [d for d, _ in poset] == list(range(1, len(shapes) + 1))
+        assert [(M.rows, M.cols) for _, M in poset] == shapes
+        assert len(reduced) == len(poset) <= top_degree
+        assert all(M is B for M, (_, B) in zip(reduced, poset))
+    # d_k o d_{k+1} = 0 is checked on the boundaries reduced
+    for k in range(1, len(reduced)):
         if reduced[k - 1].rows and reduced[k].cols:
             assert any(A is reduced[k - 1] and B is reduced[k] for A, B in products)
-    # and those checks are the only products: the Morse path multiplies no matrices
+    # and those checks are the only products: neither path multiplies other matrices
     checks = list(zip(reduced, reduced[1:]))
     assert all(any(A is d and B is e for d, e in checks) for A, B in products)
 
@@ -643,6 +675,39 @@ def test_coset_poset_enumerates_subgroups_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "coset-poset", "--group", "S3")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_homology_e2g_never_enumerates_the_abelian_subgroups(capsys, monkeypatch):
+    # the closed family comes from the centraliser lattice, on an abelian
+    # group, groups with a centre and centreless ones
+    from commclass import cosetposet
+
+    calls = []
+    enumerate_subgroups = cosetposet.abelian_subgroups
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_subgroups(*args, **kwargs)
+
+    monkeypatch.setattr(cosetposet, "abelian_subgroups", counting)
+    for name in ("Z4xZ4", "Q8", "Q8oZ4", "S3", "S4"):
+        code, _, _ = run(capsys, "homology-e2g", "--group", name, "--max-dim", "2")
+        assert code == 0
+    assert calls == []
+
+
+def test_torus_analyze_charges_a_catalog_extension(capsys):
+    # a catalog extension pays the |F|·rank^2 action entries a spec file
+    # pays: perm_s3 has 6 elements acting on rank 3
+    code, out, err = run(capsys, "torus-analyze", "--ext", "su2_normalizer", "--budget", "0")
+    assert code == 3 and out == ""
+    assert "action of 4 elements on rank 1" in err
+    code, out, err = run(capsys, "torus-analyze", "--ext", "perm_s3", "--budget", "53")
+    assert code == 3 and "enumeration size 54 exceeds budget 53" in err
+    with open(os.path.join(FIXTURE_DIR, "torus-analyze_perm_s3.json")) as fh:
+        pinned = fh.read()
+    argv = ("torus-analyze", "--ext", "perm_s3", "--budget", "54", "--output", "machine")
+    assert run(capsys, *argv) == (0, pinned, "")
 
 
 def test_torus_analyze_builds_each_lattice_once(capsys, monkeypatch):

@@ -1,5 +1,10 @@
 from commclass.catalog import catalog_group, catalog_groups, cyclic
-from commclass.cosetposet import CosetPoset, abelian_subgroups, coset_poset_homology
+from commclass.cosetposet import (
+    CosetPoset,
+    abelian_subgroups,
+    closed_abelian_subgroups,
+    coset_poset_homology,
+)
 from commclass.intlinalg import AbelianGroupInvariants
 
 Z = AbelianGroupInvariants
@@ -56,3 +61,44 @@ def test_chain_counts_s3():
     # every edge joins comparable cosets
     for a, b in chains[1]:
         assert P.vertices[a] < P.vertices[b]
+
+
+def _intersections_of_maximal_abelian_subgroups(G):
+    """The family by brute force: for every abelian subgroup, the
+    intersection of the maximal abelian subgroups above it."""
+    abelian = [frozenset(s.elements) for s in abelian_subgroups(G)]
+    maximal = [A for A in abelian if not any(A < B for B in abelian)]
+    family = {frozenset.intersection(*[A for A in maximal if B <= A]) for B in abelian}
+    return sorted((len(I), tuple(sorted(I))) for I in family)
+
+
+def test_closed_family_is_the_intersections_of_maximal_abelian_subgroups():
+    for name, G in catalog_groups():
+        family = closed_abelian_subgroups(G)
+        assert [(s.order, s.elements) for s in family] == (
+            _intersections_of_maximal_abelian_subgroups(G)
+        ), name
+        if G.is_abelian:
+            assert [s.elements for s in family] == [tuple(range(G.order))], name
+
+
+def test_closed_coset_poset_has_the_homology_of_the_full_one():
+    # the closure hB -> h·∩{A maximal abelian : A ⊇ B} retracts P onto Q
+    for name, G in catalog_groups():
+        full = CosetPoset(G).homology(3)
+        assert CosetPoset(G, closed_abelian_subgroups(G)).homology(3) == full, name
+
+
+def test_successors_are_the_cosets_above():
+    # read off the inclusions of the family, against a scan of every pair
+    # of cosets; the counts are sum |G|/|I| over I and over pairs I < J
+    for name, G in catalog_groups(12):
+        for family in (abelian_subgroups(G), closed_abelian_subgroups(G)):
+            P = CosetPoset(G, family)
+            for c, succ in zip(P.vertices, P.successors):
+                assert succ == [j for j, d in enumerate(P.vertices) if c < d], name
+            sets = [frozenset(s.elements) for s in family]
+            assert P.size() == (
+                sum(G.order // len(I) for I in sets),
+                sum(G.order // len(I) for I in sets for J in sets if I < J),
+            ), name

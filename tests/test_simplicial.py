@@ -12,15 +12,18 @@ from commclass.errors import (
     ValidationError,
 )
 from commclass.groups import commuting_tuples, direct_product
-from commclass.intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
+from commclass.intlinalg import AbelianGroupInvariants, homology_range
 from commclass.simplicial import (
     SimplicialTruncation,
     bar_degeneracy,
     bar_face,
     build_c,
     build_e,
+    check_truncation,
     commutator_map,
+    drop_entry,
     homology,
+    level_sizes,
     morse_complex,
     is_successively_commuting,
     p_map,
@@ -259,71 +262,99 @@ def test_build_budget():
         build_c(catalog_group("S3"), -1)
 
 
-# The Morse complex of build_e: Brown's scheme lifted to the cover.  These
-# tests keep the names they had under the cone matching it replaced, so that
-# their ids stay comparable across versions.
+# homology-e2g against the full build_e.  The command reads the homology of
+# the closure-reduced coset poset and the level counts of |G|·f(k, G).
+# These tests keep the names they had under the cone matching and the Morse
+# cover that came before it, so that their ids stay comparable across
+# versions.
+
+
+def _e2g(capsys, name, max_dim):
+    """The nondegenerate and level counts and the reduced homology
+    H~0..H~max_dim that homology-e2g reports."""
+    argv = ["homology-e2g", "--group", name, "--max-dim", str(max_dim), "--output", "machine"]
+    assert cli.main(argv) == 0
+    rows = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+    h = [rows["H~0"]] + [rows[f"H{k}"] for k in range(1, max_dim + 1)]
+    h = [Z(v["free_rank"], tuple(v["invariant_factors"])) for v in h]
+    return rows["nondegenerate-sizes"], rows["level-sizes"], h
 
 
 @pytest.mark.parametrize("name", [name for name, _ in catalog_groups(12)])
-def test_cone_morse_complex_is_the_critical_part_of_the_full_model(name):
+def test_cone_morse_complex_is_the_critical_part_of_the_full_model(capsys, name):
     # depth 4 where it is cheap or the group is nonabelian, depth 3 for the
     # larger abelian groups, whose full build_e criterion 5 reduces
     G = catalog_group(name)
     N = 4 if G.order <= 8 or not G.is_abelian else 3
     S = build_e(G, N)
-    M = morse_complex(G, N, cover=True)
-    assert M.level_sizes == [S.level_size(k) for k in range(N + 1)]
-    assert M.nondegenerate_sizes == [len(S.nondegenerate(k)) for k in range(N + 1)]
-    assert homology_range(M.boundaries, reduced=True) == reduced_homology_range(S, N - 1)
+    nondegenerate, levels, h = _e2g(capsys, name, N - 1)
+    assert levels == [S.level_size(k) for k in range(N + 1)]
+    assert nondegenerate == [len(S.nondegenerate(k)) for k in range(N + 1)]
+    assert h == reduced_homology_range(S, N - 1)
 
 
-def test_cone_morse_matches_unreduced_homology():
+def test_cone_morse_matches_unreduced_homology(capsys):
     for name, G in catalog_groups(16):
         if G.order > 12 and not G.is_abelian:
-            morse = morse_complex(G, 3, cover=True).boundaries
-            assert homology_range(morse, reduced=True) == reduced_homology_range(build_e(G, 3), 2)
+            assert _e2g(capsys, name, 2)[2] == reduced_homology_range(build_e(G, 3), 2), name
 
 
-def test_morse_complex_of_build_c_is_the_quotient_of_the_cover():
-    # summing the labels of a column (1; c) of the cover gives the column c
-    # of the quotient
+def test_morse_complex_of_build_c_is_the_quotient_of_the_cover(capsys):
+    # build_c is the quotient of its free G-cover build_e: p_map takes the
+    # faces of build_e to those of build_c, and homology-e2g counts |G|
+    # cells over each cell that homology-b2g counts
     for name, G in catalog_groups(12):
-        cover, quotient = morse_complex(G, 3, cover=True), morse_complex(G, 3)
-        for d, q in zip(cover.boundaries, quotient.boundaries):
-            cols = [{} for _ in range(q.cols)]
-            for j, col in enumerate(d.column_dicts()[:: G.order]):
-                for r, v in col.items():
-                    cols[j][r // G.order] = cols[j].get(r // G.order, 0) + v
-            assert IntMatrix.from_column_dicts(cols, q.rows) == q, name
+        E = build_e(G, 3)
+        for k in range(1, 4):
+            for e in E.levels[k]:
+                for i in range(k + 1):
+                    assert p_map(G, drop_entry(e, i)) == bar_face(G, p_map(G, e), i), (name, e)
+        argv = ["homology-b2g", "--group", name, "--max-dim", "2", "--output", "machine"]
+        assert cli.main(argv) == 0
+        b2g = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+        assert _e2g(capsys, name, 2)[0] == [G.order * n for n in b2g["nondegenerate-sizes"]]
 
 
 def test_cone_morse_critical_cells():
-    # the cover keeps |G| cells over each critical cell of the bar scheme
-    for name, sizes in [("D8", [1, 4, 7, 10]), ("Z4xZ4", [1, 2, 3, 4]), ("S3", [1, 5, 7, 11])]:
+    # the chains of the closure-reduced coset poset per dimension, and
+    # d o d = 0 on the boundaries homology-e2g reduces: Z4xZ4 is abelian and
+    # its poset a point, D8 and Q8 have a centre of order 2 under three
+    # maximal abelian subgroups, S3 and S4 have none
+    from commclass.cosetposet import CosetPoset, _chain_boundary, closed_abelian_subgroups
+
+    for name, sizes in [
+        ("Z4xZ4", [1]),
+        ("D8", [10, 12]),
+        ("Q8", [10, 12]),
+        ("S3", [17, 24]),
+        ("S4", [134, 444, 216]),
+    ]:
         G = catalog_group(name)
-        morse = morse_complex(G, 3, cover=True).boundaries
-        assert [morse[0].rows] + [d.cols for d in morse] == [G.order * n for n in sizes], name
-        for d_out, d_in in zip(morse, morse[1:]):
+        levels = CosetPoset(G, closed_abelian_subgroups(G)).chains(4)
+        assert [len(level) for level in levels if level] == sizes, name
+        d = [_chain_boundary(levels, k) for k in range(1, len(levels))]
+        for d_out, d_in in zip(d, d[1:]):
             assert (d_out @ d_in).is_zero()
     with pytest.raises(ValidationError):
-        morse_complex(catalog_group("S3"), -1, cover=True)
+        check_truncation(catalog_group("S3"), -1, 100, 0, "tuples")
 
 
 @pytest.mark.parametrize("name, N", [("Z2", 10), ("Z3", 6)])
-def test_cone_morse_complex_counts_the_levels_of_the_full_model_past_degree_3(name, N):
+def test_cone_morse_complex_counts_the_levels_of_the_full_model_past_degree_3(capsys, name, N):
     # the level counts come from the nondegenerate ones by the binomial rule
     G = catalog_group(name)
     S = build_e(G, N)
-    M = morse_complex(G, N, cover=True)
-    assert M.level_sizes == [S.level_size(k) for k in range(N + 1)]
-    assert M.nondegenerate_sizes == [len(S.nondegenerate(k)) for k in range(N + 1)]
+    nondegenerate, levels, _ = _e2g(capsys, name, N - 1)
+    assert levels == [S.level_size(k) for k in range(N + 1)]
+    assert nondegenerate == [len(S.nondegenerate(k)) for k in range(N + 1)]
 
 
-def test_cone_morse_complex_enumerates_only_nondegenerate_tuples(monkeypatch):
-    # the builder lists no tuple but the critical ones: the critical search,
-    # asked once per level, lists exactly the nondegenerate tuples the scan
-    # passes, in lexicographic order; S3 keeps every tuple, Q8 few of them
-    from commclass import simplicial
+def test_cone_morse_complex_enumerates_only_nondegenerate_tuples(capsys, monkeypatch):
+    # the Morse builder lists no tuple but the critical ones: the critical
+    # search, asked once per level, lists exactly the nondegenerate tuples
+    # the scan passes, in lexicographic order; S3 keeps every tuple, Q8 few
+    # of them.  homology-e2g lists no tuple at all.
+    from commclass import groups, simplicial
 
     search = simplicial._critical_cells
     listed = []
@@ -335,15 +366,19 @@ def test_cone_morse_complex_enumerates_only_nondegenerate_tuples(monkeypatch):
 
     monkeypatch.setattr(simplicial, "_critical_cells", spy)
     monkeypatch.setattr(simplicial, "commuting_tuples", None)
+    monkeypatch.setattr(groups, "commuting_tuples", None)
     for name in ("S3", "Q8"):
         G = catalog_group(name)
         listed.clear()
-        morse_complex(G, 3, cover=True)
+        morse_complex(G, 3)
         partner = simplicial._BarMatching(G).partner
         assert listed == [
             [t for t in commuting_tuples(G, k, nondegenerate=True) if partner(t) is None]
             for k in (1, 2, 3)
         ], name
+        listed.clear()
+        _e2g(capsys, name, 2)
+        assert listed == []
 
 
 @pytest.mark.parametrize("corrupted", [1, 2, 3])
@@ -351,7 +386,8 @@ def test_cone_matching_count_invariant_detects_a_corrupted_level(capsys, monkeyp
     # the last critical cell missing from a level, the top level too: the
     # level no longer adds up to the count of its nondegenerate tuples.  S3
     # keeps every tuple critical, so the cell is the level's last tuple; Z4
-    # keeps one critical cell per level and counts the matched ones
+    # keeps one critical cell per level and counts the matched ones.
+    # homology-e2g builds no Morse complex, so it still answers.
     from commclass import simplicial
 
     search = simplicial._critical_cells
@@ -362,11 +398,12 @@ def test_cone_matching_count_invariant_detects_a_corrupted_level(capsys, monkeyp
 
     monkeypatch.setattr(simplicial, "_critical_cells", dropping_one_cell)
     for name in ("S3", "Z4"):
-        for command in ("homology-e2g", "homology-b2g"):
-            with pytest.raises(MathInvariantError, match=f"bar matching at level {corrupted}:"):
-                morse_complex(catalog_group(name), 3, cover=command == "homology-e2g")
-            assert cli.main([command, "--group", name, "--max-dim", "2"]) == 4
-            assert f"bar matching at level {corrupted}:" in capsys.readouterr().err
+        with pytest.raises(MathInvariantError, match=f"bar matching at level {corrupted}:"):
+            morse_complex(catalog_group(name), 3)
+        assert cli.main(["homology-b2g", "--group", name, "--max-dim", "2"]) == 4
+        assert f"bar matching at level {corrupted}:" in capsys.readouterr().err
+        assert cli.main(["homology-e2g", "--group", name, "--max-dim", "2"]) == 0
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", [name for name, _ in catalog_groups(12)])
@@ -374,7 +411,7 @@ def test_bar_morse_complex_has_the_homology_of_the_full_model(name):
     G = catalog_group(name)
     S = build_c(G, 4)
     M = morse_complex(G, 4)
-    assert M.level_sizes == [S.level_size(k) for k in range(5)]
+    assert level_sizes(M.nondegenerate_sizes) == [S.level_size(k) for k in range(5)]
     assert M.nondegenerate_sizes == [len(S.nondegenerate(k)) for k in range(5)]
     assert homology_range(M.boundaries, reduced=True) == reduced_homology_range(S, 3)
 
@@ -407,9 +444,9 @@ def test_bar_matching_is_mutual_on_small_groups():
     # every nondegenerate cell, through level 4 for the catalog groups of
     # order <= 16 and through level 5 for those of order <= 8, is critical
     # or matched with a nondegenerate commuting cell one level away that is
-    # matched back, with incidence +-1 in the chain of build_c and in that
-    # of its cover; a matched-down cell's partner was checked a level below
-    from commclass.simplicial import _BarMatching, _cover_chain
+    # matched back, with incidence +-1 in its bar chain; a matched-down
+    # cell's partner was checked a level below
+    from commclass.simplicial import _BarMatching, _bar_chain
 
     for name, G in catalog_groups(16):
         partner = _BarMatching(G).partner
@@ -425,8 +462,7 @@ def test_bar_matching_is_mutual_on_small_groups():
                 assert len(other) == k + 1 and 0 not in other, (name, t)
                 assert all(G.commute(a, b) for a in other for b in other), (name, t)
                 assert partner(other) == t, (name, t, other)
-                for act in (G.table, [[0]] * G.order):
-                    assert _cover_chain(G, act, other).get((0, t)) in (1, -1), (name, t, other)
+                assert _bar_chain(G, other).get(t) in (1, -1), (name, t, other)
 
 
 def test_morse_complex_builds_the_chains_of_the_flow_only():
@@ -435,18 +471,18 @@ def test_morse_complex_builds_the_chains_of_the_flow_only():
     from commclass import simplicial
 
     chains, memos = [], {}
-    build, flow = simplicial._cover_chain, simplicial._gradient_flow
+    build, flow = simplicial._bar_chain, simplicial._gradient_flow
 
-    def counting_chain(G, act, t):
+    def counting_chain(G, t):
         chains.append(t)
-        return build(G, act, t)
+        return build(G, t)
 
-    def recording_flow(G, act, matching, chain, critical, memo):
+    def recording_flow(G, matching, chain, critical, memo):
         memos[id(memo)] = memo
-        return flow(G, act, matching, chain, critical, memo)
+        return flow(G, matching, chain, critical, memo)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simplicial, "_cover_chain", counting_chain)
+        patch.setattr(simplicial, "_bar_chain", counting_chain)
         patch.setattr(simplicial, "_gradient_flow", recording_flow)
         M = morse_complex(catalog_group("Z2xZ2"), 6)
     critical = sum(d.cols for d in M.boundaries)
@@ -465,10 +501,8 @@ def test_bar_gradient_flow_refuses_a_cycle():
         def partner(self, t):
             return {**pairs, **{up: down for down, up in pairs.items()}}.get(t)
 
-    G = cyclic(4)
-    for act in (G.table, [[0]] * G.order):
-        with pytest.raises(MathInvariantError, match="meets"):
-            _gradient_flow(G, act, Cyclic(), {(0, (2,)): 1}, {}, {})
+    with pytest.raises(MathInvariantError, match="meets"):
+        _gradient_flow(cyclic(4), Cyclic(), {(2,): 1}, {}, {})
 
 
 def test_bar_gradient_flow_refuses_a_face_neither_critical_nor_matched():
@@ -478,9 +512,8 @@ def test_bar_gradient_flow_refuses_a_face_neither_critical_nor_matched():
 
     G = catalog_group("S3")
     critical = {t: r for r, t in enumerate(commuting_tuples(G, 1, nondegenerate=True)[1:])}
-    for act in (G.table, [[0]] * G.order):
-        with pytest.raises(MathInvariantError, match="neither critical nor matched"):
-            _gradient_flow(G, act, _BarMatching(G), {(0, (1,)): 1}, critical, {})
+    with pytest.raises(MathInvariantError, match="neither critical nor matched"):
+        _gradient_flow(G, _BarMatching(G), {(1,): 1}, critical, {})
 
 
 def _homology_exit(capsys, command, name, max_dim):
@@ -490,10 +523,11 @@ def _homology_exit(capsys, command, name, max_dim):
     return code, captured.err
 
 
-BOTH_COMMANDS = pytest.mark.parametrize("command", ["homology-b2g", "homology-e2g"])
+# the Morse builder serves homology-b2g alone; the parameter keeps the test ids
+B2G = pytest.mark.parametrize("command", ["homology-b2g"])
 
 
-@BOTH_COMMANDS
+@B2G
 def test_bar_matching_count_detects_a_missing_cell(capsys, monkeypatch, command):
     # Z4's (1, 1) merges into (2,); counted without it, level 2 has one
     # matched-down cell fewer than level 1 has matched-up ones
@@ -512,12 +546,12 @@ def test_bar_matching_count_detects_a_missing_cell(capsys, monkeypatch, command)
         "nondegenerate cells, against 2 matched up at level 1"
     )
     with pytest.raises(MathInvariantError, match=re.escape(message)):
-        morse_complex(cyclic(4), 3, cover=command == "homology-e2g")
+        morse_complex(cyclic(4), 3)
     code, err = _homology_exit(capsys, command, "Z4", 2)
     assert code == 4 and message in err
 
 
-@BOTH_COMMANDS
+@B2G
 def test_bar_matching_detects_a_missing_critical_cell(capsys, monkeypatch, command):
     # every nondegenerate tuple of S3 is critical, so without (3, 4) level 2
     # holds one tuple fewer than it should
@@ -537,7 +571,7 @@ def test_bar_matching_detects_a_missing_critical_cell(capsys, monkeypatch, comma
     ) in err
 
 
-@BOTH_COMMANDS
+@B2G
 @pytest.mark.parametrize(
     "a, b, step, message",
     [
@@ -564,7 +598,7 @@ def test_bar_matching_detects_a_step_its_partner_does_not_undo(
     assert f"bar matching at {message}, which the partner's scan does not undo" in err
 
 
-@BOTH_COMMANDS
+@B2G
 def test_bar_matching_detects_a_partner_that_is_not_mutual(capsys, monkeypatch, command):
     from commclass import simplicial
 
@@ -582,7 +616,7 @@ def test_bar_matching_detects_a_partner_that_is_not_mutual(capsys, monkeypatch, 
     )
 
 
-@BOTH_COMMANDS
+@B2G
 @pytest.mark.parametrize(
     "cell, i, face, incidence",
     [
