@@ -30,7 +30,7 @@ from operator import mul as _times
 
 from .errors import MathInvariantError, ValidationError
 from .intlinalg import Lattice
-from .torus import ExtElement, TorusExtension, psi_star, rational, torus_pi1_lattice
+from .torus import ExtElement, TorusExtension, rational, torus_pi1_lattice
 
 NOT_IDENTITY_COMPONENT = "not in identity-component loop"
 
@@ -297,41 +297,26 @@ def build_qx_cocycle(E: TorusExtension, q: int, x: PLPath) -> QxResult:
     if x.parent is not E:
         raise ValidationError("path belongs to a different extension")
     _require_torus_path(x, "x")
-    ends = x.value_at(0), x.value_at(1)
-    if not ends[0].is_identity():
+    if not x.value_at(0).is_identity():
         raise ValidationError("x must be based at the identity")
-    if not ends[1].is_identity():
+    if not x.value_at(1).is_identity():
         raise ValidationError("x must be a closed loop at the identity")
-    qbar = E.lift_element(q)
-    ident = E.identity()
-
-    # triple-point check: successive quotients of (x(t*), qbar, 1) commute
-    for t, xt in zip((0, 1), ends):
-        u1 = E.mul(E.inv(xt), qbar)
-        u2 = E.inv(qbar)
-        c = E.commutator(u1, u2)
-        if not c.is_identity():
-            raise MathInvariantError(
-                f"patch data is not a homogeneous 2-simplex at parameter {t}: {c!r}"
-            )
-
-    # a12 = -psi_star(q) x = rho(q^-1) x - x on the lift numerators
-    rows = E._rows[E.F.inv(q)]
-    a12_lifts = tuple(
-        tuple(sum(map(_times, row, n)) - v for v, row in zip(n, rows)) for n in x._l
-    )
+    q = E._finite_part(q)
+    # x is the identity at both triple points, so the successive quotients
+    # of (x, q-lift, 1) there, q-lift and its inverse, commute; the only
+    # nonconstant arc is a12 = -psi_star(q) x, on the lift numerators
+    B = E._pair(q, 0)[1]
+    a12_lifts = tuple(tuple(-sum(map(_times, row, n)) for row in B) for n in x._l)
     a12 = PLPath._of(E, x._dt, x._t, x._dl, a12_lifts, 0)
-    a13 = PLPath.constant(E, ident)
-    a23 = PLPath.constant(E, ident)
-    cocycle = PatchCocycle(a12, a13, a23)
+    ident = PLPath.constant(E, E.identity())
+    cocycle = PatchCocycle(a12, ident, ident)
     failures = [d for d in cocycle.validate() if not d["ok"]]
     if failures:
         raise MathInvariantError(f"composite cocycle invalid: {failures[0]}")
     result = clutch(cocycle)
-    L = psi_star(E, q)
     D, pi1 = torus_pi1_lattice(E)
     image = Lattice.from_columns(
-        E.rank, [L.times_vector(col) for col in pi1.basis_rows()]
+        E.rank, [[sum(map(_times, row, v)) for row in B] for v in pi1.basis_rows()]
     )
     if result.winding is not None:
         scaled = [D * w for w in result.winding]

@@ -16,14 +16,17 @@ the central subgroup is checked and closed as numerators over one
 denominator.  Fractions appear only at the input boundary, which reads
 ints, Fractions and "p/q" strings and refuses floats and bools, and in the
 read-only views ExtElement.t, z_generators and z_elements.  A commutator
-is computed on the lifts (s, p), (t, q) as (yx)^-1 (xy) = (rho((qp)^-1)
-((s + rho(p) t) - (t + rho(q) s)), (qp)^-1 pq) and canonicalised once:
-the quotient map from the split group is a homomorphism, and the
-canonical representative depends only on the coset.
+of lifts is one affine map of their torus parts per pair of finite parts
+(TorusExtension._pair), canonicalised once: the quotient map from the
+split group is a homomorphism, and the canonical representative depends
+only on the coset.  The single-commutator search runs the same maps on raw
+numerators over one denominator against the raw keys of the targets'
+cosets, so it builds no element per pair, and stops at the last witness.
 
 On fundamental groups, commutation against a lift of q induces the integer
-matrix I - rho(q^-1) (psi_star); summing its images over all q and
-saturating yields the lattice of the subtorus generated by commutators.
+matrix I - rho(q^-1) (psi_star, the B of the pair (q, identity)); summing
+its images over all q and saturating yields the lattice of the subtorus
+generated by commutators.
 
 The 13 pinned catalog extensions are spec documents in the --ext format
 (CATALOG_SPECS), built by fileio.extension_from_spec like any spec file.
@@ -34,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from operator import mul as _times
+from operator import mul as _times, sub
 
 from .errors import DEFAULT_BUDGET, ValidationError, check_budget
 from .groups import FiniteGroup
@@ -59,6 +62,15 @@ def rational(x) -> Fraction:
         return Fraction(x)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"{x!r} is not a p/q rational") from None
+
+
+def _integer(x, what, low, high=None) -> int:
+    """x if it is an int in [low, high); bools and other types are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    if x < low or high is not None and x >= high:
+        raise ValidationError(f"{what} out of range" if high else f"{what} must be >= {low}")
+    return x
 
 
 def _reduced(n, d, f):
@@ -120,6 +132,7 @@ class TorusExtension:
         "_translates",
         "_zd",
         "_lifts",
+        "_pairs",
     )
 
     def __init__(
@@ -219,6 +232,7 @@ class TorusExtension:
             )
         zero = (0,) * rank
         self._lifts = tuple(ExtElement(self, *self._canonical(zero, 1, f)) for f in range(F.order))
+        self._pairs = {}
 
     @property
     def is_split(self):
@@ -228,16 +242,19 @@ class TorusExtension:
         """Canonical representative of (n/d, f), reduced to lowest terms."""
         if not self._translates:
             return _reduced(n, d, f)
-        zd = self._zd
-        D = lcm(d, zd)
-        a, b = D // d, D // zd
+        D, coset = self._coset(n, d, f)
+        m, g = min(coset)
+        return _reduced(m, D, g)
+
+    def _coset(self, n, d, f):
+        """(D, keys): the Z-coset of (n/d, f) as raw keys (numerators over D
+        = lcm(d, zd), finite part), for a central quotient."""
+        D = lcm(d, self._zd)
+        a, b = D // d, D // self._zd
         n = [x * a for x in n]
-        best = None
-        for tn, fz in self._translates[f]:
-            cand = (tuple((x + b * y) % D for x, y in zip(n, tn)), fz)
-            if best is None or cand < best:
-                best = cand
-        return _reduced(best[0], D, best[1])
+        return D, [
+            (tuple((x + b * y) % D for x, y in zip(n, tn)), fz) for tn, fz in self._translates[f]
+        ]
 
     def _from_numerators(self, n, d, f) -> ExtElement:
         """The element (n/d, f) for integer numerators n over d >= 1 and an
@@ -253,11 +270,7 @@ class TorusExtension:
         return self._from_numerators([x.numerator * (d // x.denominator) for x in t], d, f)
 
     def _finite_part(self, f) -> int:
-        if isinstance(f, bool) or not isinstance(f, int):
-            raise ValidationError(f"finite part must be an integer index, got {f!r}")
-        if not 0 <= f < self.F.order:
-            raise ValidationError("finite part out of range")
-        return f
+        return _integer(f, "finite part", 0, self.F.order)
 
     def identity(self) -> ExtElement:
         return self.lift_element(0)
@@ -292,46 +305,53 @@ class TorusExtension:
         n = tuple(-sum(map(_times, row, xn)) % d for row in self._rows[finv])
         return ExtElement(self, *self._canonical(n, d, finv))
 
-    def commutator(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        """[x, y] = x^-1 y^-1 x y, computed on the lifts.
+    def _pair(self, p, q):
+        """(A, B, c) as row tuples with [(s, p), (t, q)] = (A s + B t, c), built
+        once per pair: xy = (s + rho(p) t, pq) and yx = (t + rho(q) s, qp), so
+        (yx)^-1 (xy) gives A = rho(r)(I - rho(q)), B = rho(r)(rho(p) - I) and
+        c = r pq = [p, q], with r = (qp)^-1."""
+        got = self._pairs.get((p, q))
+        if got is None:
+            F = self.F
+            r = F.inv(F.mul(q, p))
+            R, Rq, Rp = self._rows[r], self._rows[F.mul(r, q)], self._rows[F.mul(r, p)]
+            A = tuple(tuple(map(sub, x, y)) for x, y in zip(R, Rq))
+            B = tuple(tuple(map(sub, y, x)) for x, y in zip(R, Rp))
+            got = self._pairs[p, q] = (A, B, F.commutator(p, q))
+        return got
 
-        With x = (s, p) and y = (t, q) over D = lcm(x.d, y.d), xy = (s +
-        rho(p) t, pq) and yx = (t + rho(q) s, qp), so [x, y] = (yx)^-1 (xy)
-        = (rho(r) ((s + rho(p) t) - (t + rho(q) s)), r pq) with r = (qp)^-1.
-        The quotient map from the split group is a homomorphism and
-        _canonical picks one representative per coset, so one
-        canonicalisation of this split-group result is exact."""
+    def commutator(self, x: ExtElement, y: ExtElement) -> ExtElement:
+        """[x, y] = x^-1 y^-1 x y: the map of the pair (x.f, y.f) applied to
+        the lifts over D = lcm(x.d, y.d), canonicalised once."""
         self._check_parent(x)
         self._check_parent(y)
-        F = self.F
-        p, q = x.f, y.f
+        A, B, c = self._pair(x.f, y.f)
         D = lcm(x.d, y.d)
         a, b = D // x.d, D // y.d
-        s = [v * a for v in x.n]
-        t = [v * b for v in y.n]
-        u = [
-            si - ti + sum(map(_times, rp, t)) - sum(map(_times, rq, s))
-            for si, ti, rp, rq in zip(s, t, self._rows[p], self._rows[q])
-        ]
-        r = F.inv(F.mul(q, p))
-        n = tuple(sum(map(_times, row, u)) % D for row in self._rows[r])
-        return ExtElement(self, *self._canonical(n, D, F.commutator(p, q)))
+        xn, yn = x.n, y.n
+        n = tuple(
+            (a * sum(map(_times, ra, xn)) + b * sum(map(_times, rb, yn))) % D
+            for ra, rb in zip(A, B)
+        )
+        return ExtElement(self, *self._canonical(n, D, c))
+
+    def _pool(self, M, budget):
+        """(L, rows): the elements whose torus lift has denominator dividing
+        M as sorted rows (m, f), the least key of each coset over L = lcm(M,
+        zd).  Every denominator divides L, so the rows sort as the Fractions
+        do."""
+        M = _integer(M, "denominator", 1)
+        check_budget(M**self.rank * self.F.order, budget, "element pool")
+        rows = product(product(range(M), repeat=self.rank), range(self.F.order))
+        if not self._translates:
+            return M, list(rows)
+        return lcm(M, self._zd), sorted({min(self._coset(n, M, f)[1]) for n, f in rows})
 
     def elements_of_denominator(self, M: int, budget: int = DEFAULT_BUDGET) -> list:
         """All group elements whose torus lift has coordinates with
         denominator dividing M, sorted canonically."""
-        if M < 1:
-            raise ValidationError("denominator must be >= 1")
-        check_budget(M**self.rank * self.F.order, budget, "element pool")
-        out = set()
-        for n in product(range(M), repeat=self.rank):
-            for f in range(self.F.order):
-                out.add(self._canonical(n, M, f))
-        # every denominator divides L, so integer numerators over L sort as
-        # the Fraction tuples do
-        L = lcm(M, self._zd)
-        keyed = sorted((tuple(x * (L // d) for x in n), f, n, d) for n, d, f in out)
-        return [ExtElement(self, n, d, f) for _, f, n, d in keyed]
+        L, rows = self._pool(M, budget)
+        return [ExtElement(self, *_reduced(m, L, f)) for m, f in rows]
 
     def __repr__(self):
         tag = self.label or f"rank {self.rank} over {self.F!r}"
@@ -359,14 +379,9 @@ def torus_pi1_lattice(E: TorusExtension):
 
 def psi_star(E: TorusExtension, q: int) -> IntMatrix:
     """The lattice map of commutation against the lift of q: the matrix L
-    with [q-lift, torus point t] = torus point L t.  Equals I - rho(q^-1)
-    under this module's product convention."""
-    if not 0 <= q < E.F.order:
-        raise ValidationError("finite part out of range")
-    rows = E._rows[E.F.inv(q)]
-    return IntMatrix.from_rows(
-        [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    )
+    with [q-lift, torus point t] = torus point L t: the B of the pair (q,
+    identity), I - rho(q^-1) under this module's product convention."""
+    return IntMatrix.from_rows(E._pair(E._finite_part(q), 0)[1])
 
 
 def commutator_lattices(E: TorusExtension):
@@ -424,41 +439,52 @@ def single_commutator_cover(
     x and y range over all elements whose torus parts have denominator
     dividing the search denominator (default N * |F|).  Returns the witness
     table; missing targets are reported, never silently dropped."""
-    if N < 1:
-        raise ValidationError("denominator must be >= 1")
-    M = N * E.F.order if search_denominator is None else int(search_denominator)
-    if M < 1:
-        raise ValidationError("search denominator must be >= 1")
-    _, sub = commutator_lattices(E)
-    r = sub.rank
-    check_budget(N**r, budget, "cover targets")
-    basis = sub.basis_rows()
-    targets = []
-    seen = set()
-    for c in product(range(N), repeat=r):
-        vec = [Fraction(0)] * E.rank
-        for ci, row in zip(c, basis):
-            for j, bj in enumerate(row):
-                vec[j] += Fraction(ci, N) * bj
-        el = E.torus_element(vec)
-        if el not in seen:
-            seen.add(el)
-            targets.append(el)
-    targets.sort(key=lambda e: (e.t, e.f))
+    N = _integer(N, "denominator", 1)
+    M = N * E.F.order if search_denominator is None else search_denominator
+    M = _integer(M, "search denominator", 1)
+    basis = commutator_lattices(E)[1].basis_rows()
+    check_budget(N ** len(basis), budget, "cover targets")
+    span = IntMatrix.from_columns(basis, E.rank)
+    points = product(range(N), repeat=len(basis))
+    targets = sorted(
+        {E._from_numerators(span.times_vector(c), N, 0) for c in points}, key=lambda e: (e.t, e.f)
+    )
 
-    pool = E.elements_of_denominator(M, budget=budget)
+    L, pool = E._pool(M, budget)
     check_budget(len(pool) * len(pool), budget, "commutator pairs")
-    wanted = set(targets)
+    # each target's coset as raw keys (numerators over L, f): a raw
+    # commutator lies in it exactly when its canonical form is the target.
+    # Pool elements live over L, so a target whose denominator does not
+    # divide L is never hit.
+    cosets = {}
+    for t in targets:
+        if L % t.d == 0:
+            n = tuple(x * (L // t.d) for x in t.n)
+            cosets[t] = E._coset(n, L, t.f)[1] if E._translates else [(n, t.f)]
+    keys = {k: t for t, coset in cosets.items() for k in coset}
+    # row-major over the pool: each x = (s, p) fixes A s and B per finite
+    # part q of y; a witnessed target's keys are dropped, so each target
+    # keeps its first witness, and the scan stops at the last witness
     witnesses = {}
     for x in pool:
-        for y in pool:
-            c = E.commutator(x, y)
-            if c in wanted and c not in witnesses:
-                witnesses[c] = (x, y)
-        if len(witnesses) == len(targets):
+        if not keys:
             break
+        s, p = x
+        by_q = [
+            (tuple(sum(map(_times, row, s)) for row in A), B, c)
+            for A, B, c in (E._pair(p, q) for q in range(E.F.order))
+        ]
+        for t, q in pool:
+            As, B, c = by_q[q]
+            hit = keys.get((tuple((u + sum(map(_times, row, t))) % L for u, row in zip(As, B)), c))
+            if hit is not None:
+                witnesses[hit] = [ExtElement(E, *_reduced(m, L, f)) for m, f in (x, (t, q))]
+                for k in cosets[hit]:
+                    del keys[k]
+                if not keys:
+                    break
     missing = [t for t in targets if t not in witnesses]
-    ordered = [(t, witnesses[t][0], witnesses[t][1]) for t in targets if t in witnesses]
+    ordered = [(t, *witnesses[t]) for t in targets if t in witnesses]
     return CoverReport(not missing, N, M, targets, ordered, missing)
 
 

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from commclass.catalog import catalog_group, cyclic
-from commclass.errors import ValidationError
+from commclass.errors import BudgetExceededError, ValidationError
 from commclass.intlinalg import IntMatrix, Lattice
 from commclass.torus import (
     TorusExtension,
@@ -372,6 +372,105 @@ def test_single_commutator_cover_can_fail_honestly():
     assert not report.covered
     assert report.missing
     assert len(report.witnesses) + len(report.missing) == len(report.targets)
+
+
+def brute_force_cover(E, N, M):
+    """The cover by definition: targets from Fractions through torus_element,
+    then a row-major scan of E.commutator over the pool that keeps the
+    first (x, y) per target."""
+    basis = commutator_lattices(E)[1].basis_rows()
+    targets = set()
+    for c in product(range(N), repeat=len(basis)):
+        vec = [sum(Fraction(ci, N) * row[j] for ci, row in zip(c, basis)) for j in range(E.rank)]
+        targets.add(E.torus_element(vec))
+    targets = sorted(targets, key=lambda e: (e.t, e.f))
+    pool = E.elements_of_denominator(M)
+    witnesses = {}
+    for x in pool:
+        for y in pool:
+            c = E.commutator(x, y)
+            if c in targets and c not in witnesses:
+                witnesses[c] = (x, y)
+        if len(witnesses) == len(targets):
+            break
+    missing = [t for t in targets if t not in witnesses]
+    return targets, [(t, *witnesses[t]) for t in targets if t in witnesses], missing
+
+
+def test_single_commutator_cover_matches_brute_force():
+    runs = set()
+    for name, E in catalog_extensions():
+        # the default search denominator N |F|; search denominator 3, where
+        # L = lcm(3, zd) is even only for a central quotient; and the
+        # honest failure at 1
+        for N, M in ((1, None), (2, None), (2, 3), (2, 1)):
+            try:
+                report = single_commutator_cover(E, N, search_denominator=M)
+            except BudgetExceededError:
+                assert (name, N, M) == ("perm_s3", 2, None)
+                continue
+            want = brute_force_cover(E, N, report.search_denominator)
+            got = (report.targets, report.witnesses, report.missing)
+            assert got == want, (name, N, M)
+            assert report.covered == (not report.missing)
+            assert report.search_denominator == (N * E.F.order if M is None else M)
+            runs.add((N, M, report.covered))
+    # the oracle saw covered and uncovered reports
+    assert {(2, 3, False), (2, 3, True), (2, 1, False), (2, None, True)} <= runs
+
+
+def test_single_commutator_cover_builds_no_element_per_pair(monkeypatch):
+    calls = {"commutator": 0, "canonical": 0}
+
+    def counting(method, key):
+        def wrapped(*args):
+            calls[key] += 1
+            return method(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(TorusExtension, "commutator", counting(TorusExtension.commutator, "commutator"))
+    monkeypatch.setattr(TorusExtension, "_canonical", counting(TorusExtension._canonical, "canonical"))
+    for name, N in (("d8_square", 2), ("su2_normalizer", 12), ("rot4", 3)):
+        E = catalog_extension(name)
+        calls.update(commutator=0, canonical=0)
+        report = single_commutator_cover(E, N)
+        made = dict(calls)
+        M = report.search_denominator
+        pairs = len(E.elements_of_denominator(M)) ** 2
+        # a central quotient's pool canonicalises each of its M^rank |F|
+        # lifts once, and the targets each of their N^rank points once
+        assert made["commutator"] == 0, name
+        assert made["canonical"] <= (not E.is_split) * M**E.rank * E.F.order + N**E.rank, name
+        assert made["canonical"] < pairs // 8, name
+
+
+def test_denominators_must_be_positive_integers():
+    E = catalog_extension("su2_normalizer")
+    for N, M in ((2.0, None), (True, None), ("2", None), (0, None), (2, 2.9), (2, True), (2, 0)):
+        with pytest.raises(ValidationError):
+            single_commutator_cover(E, N, search_denominator=M)
+    for M in (2.0, True, Fraction(2), 0, -1):
+        with pytest.raises(ValidationError):
+            E.elements_of_denominator(M)
+
+
+def test_psi_star_is_one_minus_rho_of_the_inverse():
+    for name, E in catalog_extensions():
+        ident = IntMatrix.identity(E.rank)
+        for q in range(E.F.order):
+            inverse = E.rho[E.F.inv(q)]
+            assert E.rho[q] @ inverse == ident
+            want = IntMatrix.from_rows(
+                [[a - b for a, b in zip(*rows)] for rows in zip(ident.to_rows(), inverse.to_rows())]
+            )
+            assert psi_star(E, q) == want, (name, q)
+            # rho(q) (I - rho(q^-1)) = rho(q) - I
+            assert E.rho[q] @ psi_star(E, q) == IntMatrix.from_rows(
+                [[a - b for a, b in zip(*rows)] for rows in zip(E.rho[q].to_rows(), ident.to_rows())]
+            )
+        with pytest.raises(ValidationError):
+            psi_star(E, E.F.order)
 
 
 def test_catalog_actions_are_homomorphisms_into_gl_z():
