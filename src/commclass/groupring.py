@@ -12,7 +12,7 @@ finite abelian fundamental group.
 from __future__ import annotations
 
 from .errors import DEFAULT_BUDGET, MathInvariantError, check_budget
-from .groups import FiniteGroup
+from .groups import FiniteGroup, generators
 from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
 
 
@@ -20,23 +20,22 @@ def coinvariants(A: FiniteGroup, budget: int = DEFAULT_BUDGET) -> AbelianGroupIn
     """Invariants of W / <w - aw>, where W is the augmentation ideal of the
     integral group ring of A and a ranges over A.
 
-    W has basis {a - 1 : a != 1}.  For basis elements w = b - 1 the relation
-    w - aw reads (b-1) - (ab-1) + (a-1), so the relation matrix has one
-    column per pair (a, b) with those three signed entries; the |A|^2
-    columns are charged against the budget before they are built.
+    W has basis {b - 1 : b != 1}.  For w = b - 1 the relation w - aw reads
+    (b-1) - (ab-1) + (a-1), one column per pair (a, b).  Only a in a
+    generating set S is kept: with phi(a) = a - 1 these columns give
+    phi(sb) = phi(s) + phi(b), and every a is a positive word in S, so
+    induction on its length gives phi(ab) = phi(a) + phi(b) and the image is
+    unchanged.  The |A|^2 pairs are still charged against the budget.
     """
     n = A.order
     check_budget(n * n, budget, "coinvariants: relation columns over G x G")
-    basis = list(range(1, n))
-    pos = {a: i for i, a in enumerate(basis)}
     cols = []
-    for a in range(n):
-        for b in basis:
+    for a in generators(A):
+        for b in range(1, n):
             col = {}
             for el, s in ((b, 1), (A.mul(a, b), -1), (a, 1)):
                 if el != 0:
-                    i = pos[el]
-                    col[i] = col.get(i, 0) + s
+                    col[el - 1] = col.get(el - 1, 0) + s
             cols.append(col)
     return homology_range([IntMatrix.from_column_dicts(cols, n - 1)])[0]
 
@@ -46,16 +45,17 @@ def moore_h2(A: FiniteGroup, budget: int = DEFAULT_BUDGET) -> AbelianGroupInvari
 
     The right map is the augmentation, so this is the reduced H_0 of the
     one-boundary complex Z[A x A] -> Z[A].  The left map sends the generator
-    (h1, h2) to [h1] - [h2*h1] + [h2] - [1]; every pair of elements is a
-    generator, and the |A|^2 generators are charged against the budget
-    before they are built.  The middle homology equals the coinvariants of
-    the augmentation ideal, hence the abelianization of A.
+    (h1, h2) to phi(h1) + phi(h2) - phi(h2*h1) with phi(h) = [h] - [1]; as
+    in coinvariants, the columns with h2 in a generating set span the same
+    image, and the |A|^2 generators are still charged against the budget.
+    The middle homology equals the coinvariants of the augmentation ideal,
+    hence the abelianization of A.
     """
     n = A.order
     check_budget(n * n, budget, "moore-h2: relation columns over G x G")
     cols = []
-    for h1 in range(n):
-        for h2 in range(n):
+    for h2 in generators(A):
+        for h1 in range(n):
             col = {}
             for el, s in ((h1, 1), (A.mul(h2, h1), -1), (h2, 1), (0, -1)):
                 col[el] = col.get(el, 0) + s

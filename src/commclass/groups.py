@@ -15,6 +15,7 @@ import random
 from .errors import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    MathInvariantError,
     ValidationError,
     check_budget,
     check_power_budget,
@@ -234,6 +235,17 @@ def generated_subgroup(G: FiniteGroup, generators) -> Subgroup:
     return Subgroup(G, closure(G, generators), check=False)
 
 
+def generators(G: FiniteGroup) -> list:
+    """A generating set of G, picked greedily: each element, in index order,
+    that is not in the subgroup generated by those picked before it."""
+    gens, span = [], {0}
+    for a in range(G.order):
+        if a not in span:
+            gens.append(a)
+            span = set(closure(G, gens))
+    return gens
+
+
 def center(G: FiniteGroup) -> Subgroup:
     n = G.order
     els = [a for a in range(n) if all(G.commute(a, b) for b in range(n))]
@@ -283,24 +295,28 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None) -> FiniteGroup:
 
 
 def invariant_factors_of_abelian(G: FiniteGroup) -> list:
-    """Invariant factor list of an abelian group (empty list for trivial)."""
+    """Invariant factor list of an abelian group (empty list for trivial).
+
+    G is presented on e_a, one per element, by e_a + e_b - e_ab for a in {1}
+    and a generating set S: with phi(a) the class of e_a, a = 1 gives
+    phi(1) = 0 and a = s gives phi(sb) = phi(s) + phi(b); every a is a
+    positive word in S, so phi(ab) = phi(a) + phi(b) by induction on length.
+    """
     if not G.is_abelian:
         raise ValidationError("invariant factors require an abelian group")
     n = G.order
     if n == 1:
         return []
-    # presentation of G on one generator per element: e_a + e_b - e_{ab}
     cols = []
-    for a in range(n):
+    for a in [0] + generators(G):
         for b in range(n):
             col = {}
             for idx, s in ((a, 1), (b, 1), (G.table[a][b], -1)):
                 col[idx] = col.get(idx, 0) + s
-            cols.append([col.get(i, 0) for i in range(n)])
-    M = IntMatrix.from_columns(cols, n)
-    divs = snf_diagonal(M)
-    if len(divs) != n:  # pragma: no cover - the presentation always has full rank
-        raise ValidationError("abelian presentation has unexpected rank")
+            cols.append(col)
+    divs = snf_diagonal(IntMatrix.from_column_dicts(cols, n))
+    if len(divs) != n:
+        raise MathInvariantError("abelian presentation has unexpected rank")
     return [d for d in divs if d > 1]
 
 

@@ -173,7 +173,8 @@ def test_budget_exit_code(capsys):
     assert "160000" in err and out == ""
     code, out, err = run(capsys, "pi2-e2", "--pi1", "2,4", "--budget", "64")
     assert code == 0
-    # the group-ring relation matrices have a column per pair of G x G: 576 for S4
+    # the group-ring commands charge a column per pair of G x G, 576 for S4,
+    # although they build only the columns of a generating set
     for command in ("coinvariants", "moore-h2"):
         code, out, err = run(capsys, command, "--group", "S4", "--budget", "100")
         assert code == 3
@@ -436,6 +437,11 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
         # a centreless group of order 24, pinned by the Morse cover of
         # build_e, which kept every nondegenerate cell critical
         ("homology-e2g_S4_3", ("homology-e2g", "--group", "S4", "--max-dim", "3")),
+        # the group-ring commands on two groups of three generators each and
+        # on Z2xZ4, pinned by the builds with a column per pair of G x G
+        ("coinvariants_S4", ("coinvariants", "--group", "S4")),
+        ("moore-h2_Q8oZ4", ("moore-h2", "--group", "Q8oZ4")),
+        ("pi2-e2_2_4", ("pi2-e2", "--pi1", "2,4")),
     ],
 )
 def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv):

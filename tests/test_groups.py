@@ -16,7 +16,8 @@ from commclass.catalog import (
     quaternion,
     symmetric,
 )
-from commclass.errors import BudgetExceededError, ValidationError
+from commclass import groups
+from commclass.errors import BudgetExceededError, MathInvariantError, ValidationError
 from commclass.groups import (
     FiniteGroup,
     Subgroup,
@@ -29,6 +30,7 @@ from commclass.groups import (
     continuation_counts,
     direct_product,
     generated_subgroup,
+    generators,
     invariant_factors_of_abelian,
     quotient_group,
     realize_triple,
@@ -180,6 +182,23 @@ def test_direct_product_and_invariant_factors():
     assert invariant_factors_of_abelian(direct_product(cyclic(2), cyclic(3))) == [6]
     with pytest.raises(ValidationError):
         invariant_factors_of_abelian(catalog_group("S3"))
+
+
+def test_short_abelian_presentation_is_an_internal_fault(monkeypatch):
+    # the presentation has full rank by construction; a short diagonal is a bug, not a usage error
+    monkeypatch.setattr(groups, "snf_diagonal", lambda M: [1] * (M.rows - 1))
+    with pytest.raises(MathInvariantError, match="unexpected rank"):
+        invariant_factors_of_abelian(cyclic(4))
+
+
+def test_generators_are_greedy_and_generate():
+    for name, G in [*catalog_groups(), ("A5", alternating(5))]:
+        gens = generators(G)
+        assert closure(G, gens) == tuple(range(G.order)), name
+        for k, g in enumerate(gens):
+            assert g not in closure(G, gens[:k]), name
+    assert generators(cyclic(1)) == []
+    assert generators(catalog_group("S4")) == [1, 2, 6]
 
 
 def test_abelianization():
