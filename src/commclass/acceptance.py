@@ -270,24 +270,25 @@ def criterion_11(budget: int = DEFAULT_BUDGET):
     groups = 0
     for name, G in catalog_groups(12):
         S = build_e(G, 3, budget=budget)
-        p_images = [[p_map(G, e) for e in S.levels[k]] for k in range(4)]
-        c_images = [[commutator_map(G, e) for e in S.levels[k]] for k in range(4)]
+        image = {e: (p_map(G, e), commutator_map(G, e)) for level in S.levels for e in level}
         for k in range(1, 4):
-            for idx in range(S.level_size(k)):
+            for e in S.levels[k]:
+                p, c = image[e]
                 for i in range(k + 1):
-                    fidx = S.face(k, idx, i)
-                    if p_images[k - 1][fidx] != bar_face(G, p_images[k][idx], i):
+                    p_face, c_face = image[S.face(k, e, i)]
+                    if p_face != bar_face(G, p, i):
                         return False, f"{name}: projection breaks face {i} at level {k}"
-                    if c_images[k - 1][fidx] != bar_face(G, c_images[k][idx], i):
+                    if c_face != bar_face(G, c, i):
                         return False, f"{name}: commutator map breaks face {i} at level {k}"
                     checked += 2
         for k in range(3):
-            for idx in range(S.level_size(k)):
+            for e in S.levels[k]:
+                p, c = image[e]
                 for i in range(k + 1):
-                    didx = S.degeneracy(k, idx, i)
-                    if p_images[k + 1][didx] != bar_degeneracy(p_images[k][idx], i):
+                    p_degenerate, c_degenerate = image[S.degeneracy(k, e, i)]
+                    if p_degenerate != bar_degeneracy(p, i):
                         return False, f"{name}: projection breaks degeneracy {i} at level {k}"
-                    if c_images[k + 1][didx] != bar_degeneracy(c_images[k][idx], i):
+                    if c_degenerate != bar_degeneracy(c, i):
                         return False, f"{name}: commutator map breaks degeneracy {i} at level {k}"
                     checked += 2
         for g0, g1, g2 in S.levels[2]:

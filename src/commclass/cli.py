@@ -129,12 +129,10 @@ def cmd_homology_e2g(args):
     G = parse_group(args.group, budget=args.budget)
     N = args.max_dim + 1
     # build_e(G, N) is never built, but its refusals stay the command's; the
-    # chains of the closure-reduced coset poset, which has its homology, can
-    # outnumber the |G|^2 tuples admitted at --max-dim 0, so they are charged
-    # against no less than the default budget
+    # closure-reduced coset poset has its homology
     check_truncation(G, N, args.budget, N + 1, "tuples")
     poset = CosetPoset(G, closed_abelian_subgroups(G, args.budget))
-    h = poset.homology(args.max_dim, budget=max(args.budget, DEFAULT_BUDGET))
+    h = poset.homology(args.max_dim, budget=args.budget)
     nondegenerate = [G.order * n for n in continuation_counts(G, N)[frozenset(range(G.order))]]
     rows = _homology_rows(nondegenerate, h, "total-space-level-counts", "total-space-homology")
     return rows, {"group": args.group, "max_dim": args.max_dim}, 0

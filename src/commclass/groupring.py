@@ -25,12 +25,12 @@ def coinvariants(A: FiniteGroup, budget: int = DEFAULT_BUDGET) -> AbelianGroupIn
     generating set S is kept: with phi(a) = a - 1 these columns give
     phi(sb) = phi(s) + phi(b), and every a is a positive word in S, so
     induction on its length gives phi(ab) = phi(a) + phi(b) and the image is
-    unchanged.  The |A|^2 pairs are still charged against the budget.
+    unchanged.  The |S|·(|A|-1) columns are charged before any is built.
     """
-    n = A.order
-    check_budget(n * n, budget, "coinvariants: relation columns over G x G")
+    n, S = A.order, generators(A)
+    check_budget(len(S) * (n - 1), budget, "coinvariants: relation columns over S x G")
     cols = []
-    for a in generators(A):
+    for a in S:
         for b in range(1, n):
             col = {}
             for el, s in ((b, 1), (A.mul(a, b), -1), (a, 1)):
@@ -46,15 +46,15 @@ def moore_h2(A: FiniteGroup, budget: int = DEFAULT_BUDGET) -> AbelianGroupInvari
     The right map is the augmentation, so this is the reduced H_0 of the
     one-boundary complex Z[A x A] -> Z[A].  The left map sends the generator
     (h1, h2) to phi(h1) + phi(h2) - phi(h2*h1) with phi(h) = [h] - [1]; as
-    in coinvariants, the columns with h2 in a generating set span the same
-    image, and the |A|^2 generators are still charged against the budget.
-    The middle homology equals the coinvariants of the augmentation ideal,
-    hence the abelianization of A.
+    in coinvariants, the columns with h2 in a generating set S span the same
+    image, and the |S|·|A| columns are charged before any is built.  The
+    middle homology equals the coinvariants of the augmentation ideal, hence
+    the abelianization of A.
     """
-    n = A.order
-    check_budget(n * n, budget, "moore-h2: relation columns over G x G")
+    n, S = A.order, generators(A)
+    check_budget(len(S) * n, budget, "moore-h2: relation columns over S x G")
     cols = []
-    for h2 in generators(A):
+    for h2 in S:
         for h1 in range(n):
             col = {}
             for el, s in ((h1, 1), (A.mul(h2, h1), -1), (h2, 1), (0, -1)):
@@ -69,15 +69,16 @@ def pi2_e2_connected(invariant_factors, budget: int = DEFAULT_BUDGET) -> Abelian
 
     Builds the abelian group with the given invariant factors, runs moore_h2
     on it, and checks the result equals the input group; a mismatch means an
-    implementation bug, not a property of the input.
+    implementation bug, not a property of the input.  The |A|^2 entries of
+    the Cayley table direct_product builds for A are charged first.
     """
     # validates the factors: each >= 2, each dividing the next
     expected = AbelianGroupInvariants(0, tuple(invariant_factors))
-    # Z[A x A] has |A|^2 generators; charge them before building any group
+    # charge each product's Cayley table before building any group
     order = 1
     for d in expected.torsion:
         order *= d
-        check_budget(order * order, budget, "pi2-e2: generators of Z[A x A]")
+        check_budget(order * order, budget, "pi2-e2: Cayley table of A")
     from .catalog import cyclic
     from .groups import direct_product
 

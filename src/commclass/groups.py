@@ -20,7 +20,7 @@ from .errors import (
     check_budget,
     check_power_budget,
 )
-from .intlinalg import IntMatrix, snf_diagonal
+from .intlinalg import IntMatrix, homology_range
 
 _ASSOC_FULL_CHECK_MAX = 64
 _ASSOC_SAMPLES = 4096
@@ -301,6 +301,7 @@ def invariant_factors_of_abelian(G: FiniteGroup) -> list:
     and a generating set S: with phi(a) the class of e_a, a = 1 gives
     phi(1) = 0 and a = s gives phi(sb) = phi(s) + phi(b); every a is a
     positive word in S, so phi(ab) = phi(a) + phi(b) by induction on length.
+    The group is H_0 of that presentation, with free rank 0.
     """
     if not G.is_abelian:
         raise ValidationError("invariant factors require an abelian group")
@@ -314,10 +315,10 @@ def invariant_factors_of_abelian(G: FiniteGroup) -> list:
             for idx, s in ((a, 1), (b, 1), (G.table[a][b], -1)):
                 col[idx] = col.get(idx, 0) + s
             cols.append(col)
-    divs = snf_diagonal(IntMatrix.from_column_dicts(cols, n))
-    if len(divs) != n:
+    h = homology_range([IntMatrix.from_column_dicts(cols, n)])[0]
+    if h.free_rank:
         raise MathInvariantError("abelian presentation has unexpected rank")
-    return [d for d in divs if d > 1]
+    return list(h.torsion)
 
 
 def abelianization(G: FiniteGroup) -> list:
@@ -331,32 +332,28 @@ def abelianization(G: FiniteGroup) -> list:
 # tuple enumerations
 
 
-def commuting_tuples(
-    G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET, nondegenerate: bool = False
-) -> list:
-    """All n-tuples of pairwise commuting elements, in lexicographic order;
-    with nondegenerate=True only those without an identity entry.  The
-    budget is charged |G|^n either way."""
+def commuting_levels(G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> list:
+    """The pairwise commuting k-tuples for k = 0..n, each level in
+    lexicographic order, from one walk: level k+1 extends each k-tuple by
+    every element, in increasing order, of the set commuting with its
+    entries.  The budget is charged |G|^n."""
     if n < 0:
         raise ValidationError("tuple length must be nonnegative")
     check_power_budget(G.order, n, budget, f"commuting tuples of length {n}")
-    if n == 0:
-        return [()]
-    out = []
-    order = G.order
-    # depth first on an explicit stack, so no length meets the recursion
-    # limit: the least entry is pushed last and popped first, and a prefix
-    # one entry short takes its last entries straight from `allowed`
-    stack = [((), frozenset(range(1 if nondegenerate else 0, order)))]
-    while stack:
-        prefix, allowed = stack.pop()
-        if len(prefix) == n - 1:
-            out.extend([prefix + (g,) for g in range(order) if g in allowed])
-            continue
-        for g in range(order - 1, -1, -1):
-            if g in allowed:
-                stack.append((prefix + (g,), allowed & G.commuting_set(g)))
-    return out
+    # walk pairs each tuple of the last level with the set commuting with its
+    # entries; the top level needs no sets
+    walk, levels = [((), frozenset(range(G.order)))], [[()]]
+    for k in range(1, n + 1):
+        levels.append([t + (g,) for t, S in walk for g in sorted(S)])
+        if k < n:
+            walk = [(t + (g,), S & G.commuting_set(g)) for t, S in walk for g in sorted(S)]
+    return levels
+
+
+def commuting_tuples(G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> list:
+    """All n-tuples of pairwise commuting elements, in lexicographic order:
+    the top level of commuting_levels."""
+    return commuting_levels(G, n, budget=budget)[n]
 
 
 def continuation_counts(G: FiniteGroup, n: int) -> dict:

@@ -629,12 +629,20 @@ class AbelianGroupInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def check_chain_complex(boundaries, reduced: bool = False) -> None:
-    """Check that [d_1, ..., d_{top+1}] is a chain complex: adjacent
-    boundaries compose, d_k o d_{k+1} = 0, and with reduced=True the
-    augmentation C_0 -> Z vanishes on im(d_1) (every column of d_1 sums to
-    zero).  Raises ValidationError for non-composable shapes and
-    MathInvariantError for a nonzero composite or augmentation."""
+def homology_range(boundaries, reduced: bool = False) -> list:
+    """Homology H_0..H_top of the complex with boundaries [d_1, ..., d_{top+1}],
+    d_k: C_k -> C_{k-1}, reducing each boundary once.
+
+    ker(d_k) is a saturated summand of C_k, so the torsion of H_k is that of
+    C_k / im(d_{k+1}) (the invariant factors of d_{k+1} above 1) and its free
+    rank is rank C_k - rank(d_k) - rank(d_{k+1}), with d_0 = 0.  With
+    reduced=True, d_0 is the augmentation C_0 -> Z instead.
+
+    The complex is checked first: adjacent boundaries compose, with
+    d_k o d_{k+1} = 0, and with reduced=True the augmentation vanishes on
+    im(d_1) (every column of d_1 sums to zero).  Non-composable shapes raise
+    ValidationError, a nonzero composite or augmentation MathInvariantError.
+    """
     for k, (d_out, d_in) in enumerate(zip(boundaries, boundaries[1:]), start=1):
         if d_out.cols != d_in.rows:
             raise ValidationError(
@@ -646,19 +654,6 @@ def check_chain_complex(boundaries, reduced: bool = False) -> None:
     if reduced and boundaries:
         if any(sum(col.values()) for col in boundaries[0].column_dicts()):
             raise MathInvariantError("augmentation o d_1 is nonzero")
-
-
-def homology_range(boundaries, reduced: bool = False) -> list:
-    """Homology H_0..H_top of the complex with boundaries [d_1, ..., d_{top+1}],
-    d_k: C_k -> C_{k-1}, reducing each boundary once.
-
-    ker(d_k) is a saturated summand of C_k, so the torsion of H_k is that of
-    C_k / im(d_{k+1}) (the invariant factors of d_{k+1} above 1) and its free
-    rank is rank C_k - rank(d_k) - rank(d_{k+1}), with d_0 = 0.  With
-    reduced=True, d_0 is the augmentation C_0 -> Z instead, which must vanish
-    on im(d_1): every column of d_1 sums to zero.
-    """
-    check_chain_complex(boundaries, reduced)
     rank_out = 1 if reduced and boundaries and boundaries[0].rows else 0
     out = []
     for d_in in boundaries:

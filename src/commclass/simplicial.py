@@ -1,12 +1,14 @@
 """Truncated simplicial sets built from commuting tuples in a finite group,
 their normalized chain complexes, and integral homology.
 
-A truncation stores its simplices and the face and degeneracy maps it is
-given, and applies the maps on demand.  face_boundary is the one
-alternating-face loop that assembles boundary matrices, shared by the
-truncations and the coset poset.
+A truncation stores its simplices, one membership set per level, and the
+face and degeneracy maps it is given, and applies the maps to simplices on
+demand.  face_boundary is the one alternating-face loop that assembles
+boundary matrices from a face map and a row map keyed by simplex, shared
+by the truncations and the coset poset.
 
-Two models are provided.  build_c stacks the pairwise-commuting k-tuples
+Two models are provided, each built from one walk of the commuting tuples
+(groups.commuting_levels).  build_c stacks the pairwise-commuting k-tuples
 with the bar maps bar_face (multiply adjacent entries, drop at the ends)
 and bar_degeneracy (insert the identity); its realization is the
 commutativity classifying space of the group.  build_e stacks the
@@ -26,6 +28,7 @@ the first, and commutator_map records successive commutators.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import accumulate
 from math import comb
 from typing import NamedTuple
@@ -38,7 +41,7 @@ from .errors import (
     check_budget,
     check_power_budget,
 )
-from .groups import FiniteGroup, center, commuting_tuples, continuation_counts
+from .groups import FiniteGroup, center, commuting_levels, continuation_counts
 from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_at, homology_range
 
 
@@ -46,77 +49,59 @@ class SimplicialTruncation:
     """A simplicial set stored up to a degree bound.
 
     levels[k] lists the k-simplices (arbitrary hashable objects, here
-    tuples of group-element indices) and index[k] numbers them.  The face
-    and degeneracy maps, face(x, i) -> d_i x and degeneracy(x, i) -> s_i x
-    on simplices, are kept as given and applied on demand, faces at
-    degrees 1..max_degree and degeneracies at 0..max_degree-1; another
-    degree raises TruncationError, and a face or degeneracy that leaves the
-    stored levels raises MathInvariantError.
+    tuples of group-element indices).  The face and degeneracy maps,
+    face(x, i) -> d_i x and degeneracy(x, i) -> s_i x on simplices, are kept
+    as given and applied on demand, faces at degrees 1..max_degree and
+    degeneracies at 0..max_degree-1; another degree raises TruncationError,
+    and a face or degeneracy that leaves the stored levels raises
+    MathInvariantError.
     """
 
-    __slots__ = ("max_degree", "levels", "index", "degenerate", "label",
-                 "_faces", "_degeneracies", "_nondegen")
+    __slots__ = ("max_degree", "levels", "label", "_members", "_face", "_degeneracy", "_nondegen")
 
     def __init__(self, levels, face, degeneracy, label=None):
         levels = [list(level) for level in levels]
         if not levels:
             raise ValidationError("need at least level 0")
         self.max_degree = len(levels) - 1
-        self.levels = levels
-        self.label = label
-        self.index = []
-        for k, level in enumerate(levels):
-            idx = {sx: i for i, sx in enumerate(level)}
-            if len(idx) != len(level):
+        self.levels, self.label = levels, label
+        self._face, self._degeneracy = face, degeneracy
+        self._members = [set(level) for level in levels]
+        for k, (level, members) in enumerate(zip(levels, self._members)):
+            if len(members) != len(level):
                 raise ValidationError(f"duplicate simplices at level {k}")
-            self.index.append(idx)
-        # the maps on indices, without the degree check; no faces out of degree 0
-        N = self.max_degree
-        self._faces = [None] + [self._indexed(k, k - 1, face, "face d") for k in range(1, N + 1)]
-        self._degeneracies = [self._indexed(k, k + 1, degeneracy, "degeneracy s") for k in range(N)]
-
-        self.degenerate = [[False] * len(level) for level in levels]
-        for k, degeneracy_k in enumerate(self._degeneracies):
-            flags = self.degenerate[k + 1]
-            for idx in range(len(levels[k])):
-                for i in range(k + 1):
-                    flags[degeneracy_k(idx, i)] = True
-        self._nondegen = [[i for i, d in enumerate(flags) if not d] for flags in self.degenerate]
+        self._nondegen = [levels[0]]
+        for k, level in enumerate(levels[:-1]):
+            degenerate = {self.degeneracy(k, x, i) for x in level for i in range(k + 1)}
+            self._nondegen.append([x for x in levels[k + 1] if x not in degenerate])
 
     def level_size(self, k):
         return len(self.levels[k])
 
     def nondegenerate(self, k):
-        """Indices of the nondegenerate k-simplices."""
+        """The nondegenerate k-simplices."""
         return self._nondegen[k]
 
     def _check_degree(self, k, low, high, what):
         if not low <= k <= high:
             raise TruncationError(f"no {what} at degree {k} in a depth-{self.max_degree} truncation")
 
-    def face(self, k, idx, i):
-        """The index of d_i of the k-simplex idx at level k-1."""
+    def _map(self, k, x, i, fn, target, name):
+        """fn(x, i) for the k-simplex x, refused unless level target holds it."""
+        y = fn(x, i)
+        if y not in self._members[target]:
+            raise MathInvariantError(f"{name}_{i} leaves the stored levels at degree {k}: {x!r}")
+        return y
+
+    def face(self, k, x, i):
+        """d_i of the k-simplex x, a (k-1)-simplex."""
         self._check_degree(k, 1, self.max_degree, "face")
-        return self._faces[k](idx, i)
+        return self._map(k, x, i, self._face, k - 1, "face d")
 
-    def degeneracy(self, k, idx, i):
-        """The index of s_i of the k-simplex idx at level k+1."""
+    def degeneracy(self, k, x, i):
+        """s_i of the k-simplex x, a (k+1)-simplex."""
         self._check_degree(k, 0, self.max_degree - 1, "degeneracy")
-        return self._degeneracies[k](idx, i)
-
-    def _indexed(self, k, target, fn, name):
-        """fn on the k-simplices as a map (idx, i) -> index at level target."""
-        level, index = self.levels[k], self.index[target]
-
-        def apply(idx, i):
-            j = index.get(fn(level[idx], i))
-            if j is None:
-                raise MathInvariantError(
-                    f"{name}_{i} leaves the stored levels at degree {k}: {level[idx]!r}"
-                )
-            return j
-
-        return apply
+        return self._map(k, x, i, self._degeneracy, k + 1, "degeneracy s")
 
     def verify_identities(self):
         """Exhaustively check the simplicial identities on all stored levels.
@@ -130,8 +115,8 @@ class SimplicialTruncation:
         def fail(identity, k, x):
             raise MathInvariantError(f"{identity} at level {k}, simplex {x}")
 
-        for k in range(N + 1):
-            for x in range(len(self.levels[k])):
+        for k, level in enumerate(self.levels):
+            for x in level:
                 for j in range(1, k + 1 if k >= 2 else 1):
                     for i in range(j):
                         if d(k - 1, d(k, x, j), i) != d(k - 1, d(k, x, i), j - 1):
@@ -156,19 +141,15 @@ class SimplicialTruncation:
     def boundary_matrix(self, k, normalized=True):
         """The degree-k boundary Σ(-1)^i d_i as an IntMatrix.
 
-        Columns index k-simplices, rows index (k-1)-simplices.  With
-        normalized=True both sides use only nondegenerate simplices and
-        degenerate faces are dropped (the normalized chain complex): face()
-        refuses every face outside the stored levels, so a face outside the
-        rows is degenerate.
+        Columns are k-simplices, rows (k-1)-simplices.  With normalized=True
+        both sides hold only nondegenerate simplices and degenerate faces
+        are dropped (the normalized chain complex): every face outside the
+        stored levels is refused, so a face outside the rows is degenerate.
         """
         self._check_degree(k, 1, self.max_degree, "boundary")
-        if normalized:
-            columns, rows = self._nondegen[k], self._nondegen[k - 1]
-        else:
-            columns, rows = range(len(self.levels[k])), range(len(self.levels[k - 1]))
-        row_of = {idx: r for r, idx in enumerate(rows)}
-        return face_boundary(columns, k, self._faces[k], row_of)
+        levels = self._nondegen if normalized else self.levels
+        row_of = {x: r for r, x in enumerate(levels[k - 1])}
+        return face_boundary(levels[k], k, partial(self.face, k), row_of)
 
     def __repr__(self):
         tag = f"{self.label}, " if self.label else ""
@@ -264,7 +245,7 @@ def build_c(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     commuting k-tuples, faces multiply adjacent entries (dropping at the
     ends), degeneracies insert the identity."""
     check_truncation(G, N, budget, N, "commuting tuples")
-    levels = [commuting_tuples(G, k, budget=budget) for k in range(N + 1)]
+    levels = commuting_levels(G, N, budget=budget)
     label = f"commuting-nerve({G.label or G.order}, N={N})"
     return SimplicialTruncation(levels, lambda t, i: bar_face(G, t, i), bar_degeneracy, label=label)
 
@@ -287,12 +268,8 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     degeneracies repeat one."""
     check_truncation(G, N, budget, N + 1, "tuples")
     levels = [
-        sorted(
-            tuple(accumulate(t, G.mul, initial=g0))
-            for t in commuting_tuples(G, k, budget=budget)
-            for g0 in range(G.order)
-        )
-        for k in range(N + 1)
+        sorted(tuple(accumulate(t, G.mul, initial=g0)) for t in level for g0 in range(G.order))
+        for level in commuting_levels(G, N, budget=budget)
     ]
     label = f"homogeneous-model({G.label or G.order}, N={N})"
     return SimplicialTruncation(levels, drop_entry, lambda e, i: e[: i + 1] + e[i:], label=label)

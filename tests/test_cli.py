@@ -167,19 +167,26 @@ def test_budget_exit_code(capsys):
     code, out, err = run(capsys, "homology-e2g", "--group", "S4", "--budget", "100")
     assert code == 3
     assert "budget" in err.lower()
-    # pi2-e2 charges the |A|^2 generators of Z[A x A] before building A
+    # the 578 chains of S4's closure-reduced coset poset through dimension 1
+    # are charged against the budget given
+    e2g = ("homology-e2g", "--group", "S4", "--max-dim", "0")
+    code, out, err = run(capsys, *e2g, "--budget", "577")
+    assert code == 3
+    assert "578 exceeds budget 577" in err and out == ""
+    assert run(capsys, *e2g, "--budget", "578")[0] == 0
+    # pi2-e2 charges the |A|^2 entries of A's Cayley table before building A
     code, out, err = run(capsys, "pi2-e2", "--pi1", "400", "--budget", "1000")
     assert code == 3
     assert "160000" in err and out == ""
     code, out, err = run(capsys, "pi2-e2", "--pi1", "2,4", "--budget", "64")
     assert code == 0
-    # the group-ring commands charge a column per pair of G x G, 576 for S4,
-    # although they build only the columns of a generating set
-    for command in ("coinvariants", "moore-h2"):
-        code, out, err = run(capsys, command, "--group", "S4", "--budget", "100")
+    # the group-ring commands charge the columns they build, one per element
+    # and generator: 3·23 for coinvariants of S4, 3·24 for moore-h2
+    for command, columns in (("coinvariants", 69), ("moore-h2", 72)):
+        code, out, err = run(capsys, command, "--group", "S4", "--budget", str(columns - 1))
         assert code == 3
-        assert "576" in err and out == ""
-        code, out, err = run(capsys, command, "--group", "S4", "--budget", "576")
+        assert str(columns) in err and out == ""
+        code, out, err = run(capsys, command, "--group", "S4", "--budget", str(columns))
         assert code == 0
 
 

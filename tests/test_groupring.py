@@ -62,12 +62,23 @@ def test_pi2_input_validation():
 
 
 def test_group_ring_work_is_charged_before_it_is_built(monkeypatch):
+    # S4 has a generating set of 3: 3·23 columns of coinvariants, 3·24 of moore_h2
     S4 = catalog_group("S4")
-    for fn in (coinvariants, moore_h2):
-        with pytest.raises(BudgetExceededError, match="576"):
-            fn(S4, budget=575)
-        assert fn(S4, budget=576) == Z(0, (2,))
     built = []
+    from_column_dicts = IntMatrix.from_column_dicts
+    monkeypatch.setattr(
+        IntMatrix,
+        "from_column_dicts",
+        lambda cols, nrows: built.append(len(cols)) or from_column_dicts(cols, nrows),
+    )
+    for fn, columns in ((coinvariants, 69), (moore_h2, 72)):
+        with pytest.raises(BudgetExceededError, match=str(columns)):
+            fn(S4, budget=columns - 1)
+        assert built == []
+        assert fn(S4, budget=columns) == Z(0, (2,))
+        assert built == [columns]
+        built.clear()
+    monkeypatch.undo()
     monkeypatch.setattr(catalog, "cyclic", lambda n: built.append(n))
     with pytest.raises(BudgetExceededError, match="160000"):
         pi2_e2_connected([400], budget=159999)

@@ -16,7 +16,7 @@ from commclass.catalog import (
     quaternion,
     symmetric,
 )
-from commclass import groups
+from commclass import intlinalg
 from commclass.errors import BudgetExceededError, MathInvariantError, ValidationError
 from commclass.groups import (
     FiniteGroup,
@@ -26,6 +26,7 @@ from commclass.groups import (
     central_product,
     closure,
     commutator_subgroup,
+    commuting_levels,
     commuting_tuples,
     continuation_counts,
     direct_product,
@@ -186,7 +187,7 @@ def test_direct_product_and_invariant_factors():
 
 def test_short_abelian_presentation_is_an_internal_fault(monkeypatch):
     # the presentation has full rank by construction; a short diagonal is a bug, not a usage error
-    monkeypatch.setattr(groups, "snf_diagonal", lambda M: [1] * (M.rows - 1))
+    monkeypatch.setattr(intlinalg, "snf_diagonal", lambda M: [1] * (M.rows - 1))
     with pytest.raises(MathInvariantError, match="unexpected rank"):
         invariant_factors_of_abelian(cyclic(4))
 
@@ -242,14 +243,15 @@ def test_commuting_tuples_are_the_lexicographic_filter_of_all_tuples():
 
     for name in ("Z1", "Z4", "S3", "Q8", "Z2xZ4"):
         G = catalog_group(name)
+        levels = commuting_levels(G, 3)
+        assert len(levels) == 4, name
         for n in range(4):
             every = [
                 t
                 for t in product(range(G.order), repeat=n)
                 if all(G.commute(a, b) for a in t for b in t)
             ]
-            assert commuting_tuples(G, n) == every, (name, n)
-            assert commuting_tuples(G, n, nondegenerate=True) == [t for t in every if 0 not in t]
+            assert commuting_tuples(G, n) == levels[n] == every, (name, n)
 
 
 def test_count_of_nondegenerate_commuting_tuples_matches_the_enumeration():
@@ -257,7 +259,7 @@ def test_count_of_nondegenerate_commuting_tuples_matches_the_enumeration():
     # for G itself and every intersection of centralisers reached from it
     for name, G in catalog_groups(16):
         top = 4 if G.order <= 8 else 3
-        tuples = [commuting_tuples(G, k, nondegenerate=True) for k in range(top + 1)]
+        tuples = [[t for t in level if 0 not in t] for level in commuting_levels(G, top)]
         counts = continuation_counts(G, top)
         assert frozenset(range(G.order)) in counts, name
         for S, f in counts.items():
@@ -270,7 +272,6 @@ def test_count_of_nondegenerate_commuting_tuples_matches_the_enumeration():
 def test_commuting_tuples_need_no_recursion():
     # a raised budget admits lengths far past the interpreter's recursion limit
     n = 3 * sys.getrecursionlimit()
-    assert commuting_tuples(cyclic(2), n, budget=2**n, nondegenerate=True) == [(1,) * n]
     assert commuting_tuples(cyclic(1), n, budget=1) == [(0,) * n]
 
 

@@ -11,7 +11,7 @@ from commclass.errors import (
     TruncationError,
     ValidationError,
 )
-from commclass.groups import commuting_tuples, direct_product
+from commclass.groups import commuting_levels, commuting_tuples, direct_product
 from commclass.intlinalg import AbelianGroupInvariants, homology_range
 from commclass.simplicial import (
     SimplicialTruncation,
@@ -54,23 +54,24 @@ def test_nondegenerate_counts_s3():
 
 
 def test_simplicial_identities_hold():
-    for G in (catalog_group("S3"), catalog_group("Z4"), catalog_group("Q8")):
-        assert build_c(G, 3).verify_identities() > 0
-        assert build_e(G, 3).verify_identities() > 0
+    # the number of identities checked at depth 3, build_c then build_e
+    for name, counts in [("S3", (615, 3690)), ("Z4", (663, 2652)), ("Q8", (1731, 13848))]:
+        G = catalog_group(name)
+        assert (build_c(G, 3).verify_identities(), build_e(G, 3).verify_identities()) == counts
 
 
 def test_face_degeneracy_tables_in_range():
     S3 = catalog_group("S3")
     C = build_c(S3, 3)
     for k in (1, 2, 3):
-        for idx in range(len(C.levels[k])):
+        for x in C.levels[k]:
             for i in range(k + 1):
-                assert 0 <= C.face(k, idx, i) < len(C.levels[k - 1])
+                assert C.face(k, x, i) in C.levels[k - 1]
     for k in (0, 1, 2):
-        for idx in range(len(C.levels[k])):
+        for x in C.levels[k]:
             for i in range(k + 1):
-                s = C.degeneracy(k, idx, i)
-                assert C.degenerate[k + 1][s]
+                s = C.degeneracy(k, x, i)
+                assert s in C.levels[k + 1] and s not in C.nondegenerate(k + 1)
 
 
 def test_classifying_space_cyclic_homology():
@@ -139,7 +140,7 @@ def test_p_map_and_commutator_map():
     C = build_c(S3, 3)
     for k in range(4):
         for tup in E.levels[k]:
-            assert p_map(S3, tup) in C.index[k]
+            assert p_map(S3, tup) in C.levels[k]
             assert len(commutator_map(S3, tup)) == k
     # a simplex of the total space is determined by its start and projection
     for tup in E.levels[2]:
@@ -177,14 +178,14 @@ def test_truncation_guard():
 
 def test_maps_refuse_degrees_outside_the_truncation():
     C = build_c(cyclic(2), 2)
-    assert C.degeneracy(1, 1, 0) == C.index[2][(0, 1)]
+    assert C.degeneracy(1, (1,), 0) == (0, 1)
     # no level 3 to land in, no level 3 to start from, no level -1 to land in
     with pytest.raises(TruncationError, match="no degeneracy at degree 2"):
-        C.degeneracy(2, 0, 0)
+        C.degeneracy(2, (0, 0), 0)
     with pytest.raises(TruncationError, match="no face at degree 3"):
-        C.face(3, 0, 0)
+        C.face(3, (0, 0, 0), 0)
     with pytest.raises(TruncationError, match="no face at degree 0"):
-        C.face(0, 0, 0)
+        C.face(0, (), 0)
 
 
 def test_verify_identities_detects_corruption():
@@ -195,7 +196,7 @@ def test_verify_identities_detects_corruption():
     def corrupted(t, i):
         # d_0 of the first 2-simplex moves to the next edge, inside the levels
         fx = bar_face(G, t, i)
-        return edges[(C.index[1][fx] + 1) % len(edges)] if (t, i) == (first, 0) else fx
+        return edges[(edges.index(fx) + 1) % len(edges)] if (t, i) == (first, 0) else fx
 
     with pytest.raises(MathInvariantError):
         SimplicialTruncation(C.levels, corrupted, bar_degeneracy).verify_identities()
@@ -205,13 +206,13 @@ def test_verify_identities_detects_corruption():
 def test_face_leaving_the_levels_is_refused_on_use():
     G = cyclic(2)
     C = build_c(G, 2)
-    top = C.index[2][(1, 1)]  # nondegenerate
+    top = (1, 1)  # nondegenerate
 
     def face(t, i):
         return ("missing",) if (t, i) == ((1, 1), 0) else bar_face(G, t, i)
 
     S = SimplicialTruncation(C.levels, face, bar_degeneracy)
-    assert S.face(2, top, 1) == C.face(2, top, 1)
+    assert S.face(2, top, 1) == C.face(2, top, 1) == (0,)
     with pytest.raises(MathInvariantError, match="face d_0 leaves the stored levels"):
         S.face(2, top, 0)
     for normalized in (True, False):
@@ -238,7 +239,7 @@ def test_budget_refuses_deep_truncations_before_enumerating(monkeypatch):
 
     enumerated = []
     monkeypatch.setattr(
-        simplicial, "commuting_tuples", lambda G, k, budget: enumerated.append(k) or [()]
+        simplicial, "commuting_levels", lambda G, n, budget: enumerated.append(n) or [[()]]
     )
     for build, G, N in [
         (build_c, cyclic(2), 40),
@@ -253,6 +254,25 @@ def test_budget_refuses_deep_truncations_before_enumerating(monkeypatch):
     with pytest.raises(BudgetExceededError):
         commuting_tuples(cyclic(2), 10**9)
     assert len(build_c(cyclic(1), 300).levels) == 301
+
+
+def test_each_build_walks_the_commuting_tuples_once(monkeypatch):
+    # every level of either model comes from one walk to the top length
+    from commclass import groups, simplicial
+
+    walks = []
+    walk = groups.commuting_levels
+
+    def counting(G, n, budget):
+        walks.append(n)
+        return walk(G, n, budget=budget)
+
+    monkeypatch.setattr(simplicial, "commuting_levels", counting)
+    G = catalog_group("Q8")
+    C, E = build_c(G, 3), build_e(G, 3)
+    assert walks == [3, 3]
+    assert C.levels == [commuting_tuples(G, k) for k in range(4)]
+    assert [len(level) for level in E.levels] == [8 * len(level) for level in C.levels]
 
 
 def test_build_budget():
@@ -364,18 +384,20 @@ def test_cone_morse_complex_enumerates_only_nondegenerate_tuples(capsys, monkeyp
         listed.append([c for c, _ in found])
         return found
 
-    monkeypatch.setattr(simplicial, "_critical_cells", spy)
-    monkeypatch.setattr(simplicial, "commuting_tuples", None)
-    monkeypatch.setattr(groups, "commuting_tuples", None)
+    # the nondegenerate tuples the scan passes, listed before the walk is taken away
+    passed = {}
     for name in ("S3", "Q8"):
         G = catalog_group(name)
-        listed.clear()
-        morse_complex(G, 3)
         partner = simplicial._BarMatching(G).partner
-        assert listed == [
-            [t for t in commuting_tuples(G, k, nondegenerate=True) if partner(t) is None]
-            for k in (1, 2, 3)
-        ], name
+        levels = groups.commuting_levels(G, 3)
+        passed[name] = [[t for t in levels[k] if 0 not in t and partner(t) is None] for k in (1, 2, 3)]
+    monkeypatch.setattr(simplicial, "_critical_cells", spy)
+    monkeypatch.setattr(simplicial, "commuting_levels", None)
+    monkeypatch.setattr(groups, "commuting_levels", None)
+    for name, want in passed.items():
+        listed.clear()
+        morse_complex(catalog_group(name), 3)
+        assert listed == want, name
         listed.clear()
         _e2g(capsys, name, 2)
         assert listed == []
@@ -451,8 +473,9 @@ def test_bar_matching_is_mutual_on_small_groups():
     for name, G in catalog_groups(16):
         partner = _BarMatching(G).partner
         top = 5 if G.order <= 8 else 4
+        levels = commuting_levels(G, top)
         for k in range(1, top + 1):
-            for t in commuting_tuples(G, k, nondegenerate=True):
+            for t in [t for t in levels[k] if 0 not in t]:
                 other = partner(t)
                 if other is None:
                     continue
@@ -511,7 +534,8 @@ def test_bar_gradient_flow_refuses_a_face_neither_critical_nor_matched():
     from commclass.simplicial import _BarMatching, _gradient_flow
 
     G = catalog_group("S3")
-    critical = {t: r for r, t in enumerate(commuting_tuples(G, 1, nondegenerate=True)[1:])}
+    nondegenerate = [t for t in commuting_tuples(G, 1) if 0 not in t]
+    critical = {t: r for r, t in enumerate(nondegenerate[1:])}
     with pytest.raises(MathInvariantError, match="neither critical nor matched"):
         _gradient_flow(G, _BarMatching(G), {(1,): 1}, critical, {})
 
