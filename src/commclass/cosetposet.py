@@ -5,14 +5,15 @@ Over every abelian subgroup, CosetPoset is the coset poset P, whose order
 complex is homotopy equivalent to E(2,G) (Adem–Cohen–Torres-Giese 2012,
 E(2,G) ≃ hocolim_A G/A; Okay 2018).  hB -> h·∩{A maximal abelian : A ⊇ B}
 is a closure operator on P, so P ≃ Q, the poset over the intersections of
-maximal abelian subgroups, closed_abelian_subgroups (Quillen 1978, 1.3).
+maximal abelian subgroups, closed_abelian_subgroups (Quillen 1978, 1.3),
+read off the centraliser lattice of groups.continuation_counts.
 homology-e2g reduces Q; coset-poset reports P, an independent check of it.
 """
 
 from __future__ import annotations
 
 from .errors import DEFAULT_BUDGET, ValidationError, check_budget
-from .groups import FiniteGroup, Subgroup, closure
+from .groups import FiniteGroup, Subgroup, closure, continuation_counts
 from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
 from .simplicial import drop_entry, face_boundary
 
@@ -42,18 +43,9 @@ def closed_abelian_subgroups(G: FiniteGroup, budget: int = DEFAULT_BUDGET) -> li
     """The intersections of maximal abelian subgroups of G, sorted as
     abelian_subgroups sorts, without listing the abelian subgroups: those
     above an abelian B are the maximal abelian subgroups of C = C_G(B), and
-    they meet in Z(C).  The centralisers C run from G down by
-    C -> C ∩ C_G(x), x in C, each new one charged against the budget."""
-    top = frozenset(range(G.order))
-    lattice, todo = {top}, [top]
-    while todo:
-        C = todo.pop()
-        for x in C:
-            D = C & G.commuting_set(x)
-            if D not in lattice:
-                lattice.add(D)
-                check_budget(len(lattice), budget, "centraliser lattice")
-                todo.append(D)
+    they meet in Z(C).  The centralisers C are the centraliser lattice of
+    groups.continuation_counts, which charges them against the budget."""
+    lattice = continuation_counts(G, 0, budget)
     centres = {frozenset(z for z in C if C <= G.commuting_set(z)) for C in lattice}
     subs = [Subgroup(G, els, check=False) for els in centres]
     return sorted(subs, key=lambda s: (s.order, s.elements))

@@ -1,7 +1,8 @@
 """Finite groups as explicit multiplication tables, subgroups, the
 commuting-tuple enumeration the simplicial models are built from, and the
-counts of those tuples, in G and in each intersection of centralisers, that
-their Morse complexes are counted and checked with.
+one walk of the centraliser lattice S -> S ∩ C_G(x): it counts those
+tuples in each of its sets, which the Morse complex is counted and checked
+with, and its sets' centres are the closed family of the coset poset.
 
 Conventions: elements are indices 0..order-1 with the identity at index 0;
 the commutator is [x, y] = x^-1 y^-1 x y; commuting tuples are tuples whose
@@ -356,22 +357,28 @@ def commuting_tuples(G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> li
     return commuting_levels(G, n, budget=budget)[n]
 
 
-def continuation_counts(G: FiniteGroup, n: int) -> dict:
+def continuation_counts(G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> dict:
     """The numbers f(0, S), ..., f(n, S) of pairwise commuting k-tuples
     without an identity entry and with every entry in S, as a list for each
-    set S ∩ C(x) reachable from G, counted without listing them:
-    f(k, S) = sum over x in S, x != 1, of f(k - 1, S ∩ C(x)), f(0, S) = 1."""
-    # each reachable allowed set with its next sets and their multiplicities
-    children, todo = {}, [frozenset(range(G.order))]
+    set S of the centraliser lattice, the sets S ∩ C_G(x) reachable from G,
+    counted without listing them:
+    f(k, S) = sum over x in S, x != 1, of f(k - 1, S ∩ C(x)), f(0, S) = 1.
+    Each set of the lattice after G is charged against the budget as it is
+    found."""
+    # each set of the lattice with its next sets and their multiplicities
+    top = frozenset(range(G.order))
+    children, todo = {top: {}}, [top]
     while todo:
         S = todo.pop()
-        if S not in children:
-            nxt = children[S] = {}
-            for x in S:
-                if x:
-                    T = S & G.commuting_set(x)
-                    nxt[T] = nxt.get(T, 0) + 1
-            todo.extend(nxt)
+        nxt = children[S]
+        for x in S:
+            if x:
+                T = S & G.commuting_set(x)
+                nxt[T] = nxt.get(T, 0) + 1
+                if T not in children:
+                    children[T] = {}
+                    check_budget(len(children), budget, "centraliser lattice")
+                    todo.append(T)
     f = {S: [1] for S in children}
     for k in range(n):
         level = [sum(m * f[T][k] for T, m in nxt.items()) for nxt in children.values()]

@@ -17,13 +17,14 @@ faces (drop an entry); it models the total space whose homology vanishes
 exactly for abelian groups, and it is the free G-cover of the first model.
 morse_complex builds the Morse complex, with the same homology, of Brown's
 collapsing scheme on the normal forms x = r(x)·z(x) (a coset letter of
-G/Z(G), then a polycyclic word in the centre) on the first model: it lists
-the critical cells only, counts the matched ones, and takes each boundary
-column from one memoised gradient flow; the second model's homology is
-read from the coset poset (cosetposet).  build_c and build_e stay as the
-unreduced oracle, check_truncation makes the refusals of all three, and
-level_sizes counts a model's levels.  p_map projects the second model onto
-the first, and commutator_map records successive commutators.
+G/Z(G), then a polycyclic word in the centre) on the first model: one
+level-by-level scan lists the critical cells only and counts the matched
+ones, each level is checked and built as soon as it is scanned, and each
+boundary column comes from one memoised gradient flow; the second model's
+homology is read from the coset poset (cosetposet).  build_c and build_e
+stay as the unreduced oracle, check_truncation makes the refusals of all
+three, and level_sizes counts a model's levels.  p_map projects the second
+model onto the first, and commutator_map records successive commutators.
 """
 
 from __future__ import annotations
@@ -376,41 +377,33 @@ class _BarMatching:
         return None
 
 
-def _critical_cells(G: FiniteGroup, steps: list, cells: list) -> list:
-    """The critical cells of the next level from those of one level, each
-    with the set S of elements commuting with its entries, in lexicographic
-    order: a critical cell's prefix is critical, so they are the cells
-    extended by each b ≠ 1 in S at which the scan goes on."""
-    return [
-        (c + (b,), S & G.commuting_set(b))
-        for c, S in cells
-        for b in sorted(S)[1:]
-        if steps[c[-1] if c else 0][b] is None
-    ]
+def _scan_levels(G: FiniteGroup, steps: list, counts: dict, N: int):
+    """Scan the nondegenerate commuting tuples level by level and yield, for
+    k = 1..N, the critical k-tuples in lexicographic order with the numbers
+    of k-tuples matched up and down, the matched ones counted without
+    listing them.
 
-
-def _matched_counts(G: FiniteGroup, steps: list, counts: dict, N: int) -> tuple:
-    """The numbers up[k] and down[k] of nondegenerate commuting k-tuples,
-    k = 0..N, that the scan matches up and down, counted without listing
-    them.  A scan stops at the first entry b whose step after the entry a
-    before it is not None, behind a critical prefix whose entries commute
-    with S; any f(j, T) tuples (counts, groups.continuation_counts) of
-    T = S ∩ C(b) may follow b.  A dynamic program over the configurations
-    (p, a, S), p the entry before a, counts the prefixes reaching each.  A
-    partner differs from its tuple only from a on, so a check per
-    configuration covers every tuple: a split (u, v) of b needs u to go on
-    after a and v to merge back into b after u, a merge (a·b,) needs a·b to
-    split back into (a, b) after p.
+    The scan runs over the configurations (p, a, S): a, the last entry of a
+    critical prefix (the identity at the start), p the entry before it, S
+    the set commuting with its entries.  Every prefix reaching a configuration is
+    critical, so each configuration keeps the list of its prefixes.  An
+    entry b ≠ 1 in S at which the scan goes on extends them.  An entry b at
+    which it stops ends them in a tuple matched up or down, followed by any
+    f(j, T) tuples (counts, groups.continuation_counts) of T = S ∩ C(b),
+    which are tallied at levels k..N.  A partner differs from its tuple only
+    from a on, so a check per configuration covers every tuple: a split
+    (u, v) of b needs u to go on after a and v to merge back into b after
+    u, a merge (a·b,) needs a·b to split back into (a, b) after p.
     """
     up, down = [0] * (N + 1), [0] * (N + 1)
-    reached = {(0, 0, frozenset(range(G.order))): 1}
-    for i in range(1, N + 1):
+    reached = {(0, 0, frozenset(range(G.order))): [()]}
+    for k in range(1, N + 1):
         nxt = {}
-        for (p, a, S), m in reached.items():
+        for (p, a, S), cells in reached.items():
             for b in sorted(S)[1:]:  # every S holds the identity, index 0
                 s, T = steps[a][b], S & G.commuting_set(b)
                 if s is None:
-                    nxt[a, b, T] = nxt.get((a, b, T), 0) + m
+                    nxt.setdefault((a, b, T), []).extend(c + (b,) for c in cells)
                     continue
                 u = s[0]
                 if len(s) == 2:
@@ -419,14 +412,14 @@ def _matched_counts(G: FiniteGroup, steps: list, counts: dict, N: int) -> tuple:
                     back, tally = steps[p].get(u) == (a, b), down
                 if not back:
                     raise MathInvariantError(
-                        f"bar matching at level {i}: entry {b} "
+                        f"bar matching at level {k}: entry {b} "
                         f"{f'after {a}' if a else 'at the start'} steps to {s}, "
                         f"which the partner's scan does not undo"
                     )
-                for k in range(i, N + 1):
-                    tally[k] += m * counts[T][k - i]
+                for j in range(k, N + 1):
+                    tally[j] += len(cells) * counts[T][j - k]
         reached = nxt
-    return up, down
+        yield sorted(c for cells in reached.values() for c in cells), up[k], down[k]
 
 
 def _bar_chain(G: FiniteGroup, t: tuple) -> dict:
@@ -516,35 +509,34 @@ def morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> Morse
     normalized build_c(G, N), without building the model: same homology
     and refusals.
 
-    Only the critical tuples are listed (_critical_cells).  The matched
-    ones are counted, with their partners checked once per scan
-    configuration (_matched_counts); at every level the critical,
-    matched-up and matched-down tuples must add up to the nondegenerate
-    count, and the matched-down ones to the matched-up ones a level below.
-    The flow checks the partner and the incidence ±1 of every pair it uses;
-    a pair it never uses is never built, and its incidence is (-1)^i all
-    the same, as the merge face d_i, 0 < i < k, of a nondegenerate tuple
-    equals no other face.  A failure raises MathInvariantError.  The
-    Morse d_k takes each critical tuple to the gradient flow of its chain.
+    One scan (_scan_levels) lists the critical tuples of each level and
+    counts the matched ones, with their partners checked once per scan
+    configuration.  Each level is checked and built as soon as it is
+    scanned: the critical, matched-up and matched-down tuples must add up
+    to the nondegenerate count, and the matched-down ones to the matched-up
+    ones a level below.  The flow checks the partner and the incidence ±1
+    of every pair it uses; a pair it never uses is never built, and its
+    incidence is (-1)^i all the same, as the merge face d_i, 0 < i < k, of a
+    nondegenerate tuple equals no other face.  A failure raises
+    MathInvariantError.  The Morse d_k takes each critical tuple to the
+    gradient flow of its chain.
     """
     check_truncation(G, N, budget, N, "commuting tuples")
-    counts, top = continuation_counts(G, N), frozenset(range(G.order))
-    counted, matching = counts[top], _BarMatching(G)
-    up, down = _matched_counts(G, matching.steps, counts, N)
-    # the critical tuples of the level below with their allowed sets, and numbered
-    boundaries, cells, below = [], [((), top)], {(): 0}
-    for k in range(1, N + 1):
-        cells = _critical_cells(G, matching.steps, cells)
-        if len(cells) + up[k] + down[k] != counted[k] or down[k] != up[k - 1]:
+    counts = continuation_counts(G, N, budget)
+    counted, matching = counts[frozenset(range(G.order))], _BarMatching(G)
+    # the critical tuples of the level below, numbered, and their matched-up count
+    boundaries, below, up_below = [], {(): 0}, 0
+    for k, (cells, up, down) in enumerate(_scan_levels(G, matching.steps, counts, N), 1):
+        if len(cells) + up + down != counted[k] or down != up_below:
             raise MathInvariantError(
-                f"bar matching at level {k}: {len(cells)} critical + {up[k]} matched up + "
-                f"{down[k]} matched down of {counted[k]} nondegenerate cells, against "
-                f"{up[k - 1]} matched up at level {k - 1}"
+                f"bar matching at level {k}: {len(cells)} critical + {up} matched up + "
+                f"{down} matched down of {counted[k]} nondegenerate cells, against "
+                f"{up_below} matched up at level {k - 1}"
             )
         memo = {}
-        columns = [_gradient_flow(G, matching, _bar_chain(G, c), below, memo) for c, _ in cells]
+        columns = [_gradient_flow(G, matching, _bar_chain(G, c), below, memo) for c in cells]
         boundaries.append(IntMatrix.from_column_dicts(columns, len(below)))
-        below = {c: r for r, (c, _) in enumerate(cells)}
+        below, up_below = {c: r for r, c in enumerate(cells)}, up
     return MorseComplex(counted, boundaries)
 
 

@@ -451,7 +451,6 @@ def single_commutator_cover(
     )
 
     L, pool = E._pool(M, budget)
-    check_budget(len(pool) * len(pool), budget, "commutator pairs")
     # each target's coset as raw keys (numerators over L, f): a raw
     # commutator lies in it exactly when its canonical form is the target.
     # Pool elements live over L, so a target whose denominator does not
@@ -464,11 +463,13 @@ def single_commutator_cover(
     keys = {k: t for t, coset in cosets.items() for k in coset}
     # row-major over the pool: each x = (s, p) fixes A s and B per finite
     # part q of y; a witnessed target's keys are dropped, so each target
-    # keeps its first witness, and the scan stops at the last witness
+    # keeps its first witness, and the scan stops at the last witness.  The
+    # pairs of each row are charged as its scan starts.
     witnesses = {}
-    for x in pool:
+    for rows, x in enumerate(pool, 1):
         if not keys:
             break
+        check_budget(rows * len(pool), budget, "commutator pairs")
         s, p = x
         by_q = [
             (tuple(sum(map(_times, row, s)) for row in A), B, c)

@@ -449,6 +449,9 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
         ("coinvariants_S4", ("coinvariants", "--group", "S4")),
         ("moore-h2_Q8oZ4", ("moore-h2", "--group", "Q8oZ4")),
         ("pi2-e2_2_4", ("pi2-e2", "--pi1", "2,4")),
+        # the cover charged by the rows it scans, vouched for by the
+        # brute-force scan of test_torus
+        ("single-comm_perm_s3_2", ("single-comm", "--ext", "perm_s3", "--denominator", "2")),
     ],
 )
 def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv):

@@ -1,3 +1,5 @@
+import pytest
+
 from commclass.catalog import catalog_group, catalog_groups, cyclic
 from commclass.cosetposet import (
     CosetPoset,
@@ -5,6 +7,8 @@ from commclass.cosetposet import (
     closed_abelian_subgroups,
     coset_poset_homology,
 )
+from commclass.errors import BudgetExceededError
+from commclass.groups import continuation_counts
 from commclass.intlinalg import AbelianGroupInvariants
 
 Z = AbelianGroupInvariants
@@ -80,6 +84,32 @@ def test_closed_family_is_the_intersections_of_maximal_abelian_subgroups():
         ), name
         if G.is_abelian:
             assert [s.elements for s in family] == [tuple(range(G.order))], name
+
+
+def test_closed_family_is_the_centres_of_the_centraliser_lattice():
+    # closed_abelian_subgroups reads the lattice S -> S ∩ C_G(x) that
+    # continuation_counts walks, and keeps the centre of each set
+    groups = list(catalog_groups())
+    assert len(groups) == 38
+    for name, G in groups:
+        centres = {
+            tuple(z for z in sorted(C) if all(G.commute(z, c) for c in C))
+            for C in continuation_counts(G, 0)
+        }
+        want = sorted(centres, key=lambda els: (len(els), els))
+        assert [s.elements for s in closed_abelian_subgroups(G)] == want, name
+
+
+def test_centraliser_lattice_is_charged_once_per_set():
+    # S4's lattice holds 15 sets; both of its readers refuse budget 14 alike
+    S4 = catalog_group("S4")
+    message = "centraliser lattice: enumeration size 15 exceeds budget 14"
+    with pytest.raises(BudgetExceededError, match=message):
+        continuation_counts(S4, 3, budget=14)
+    with pytest.raises(BudgetExceededError, match=message):
+        closed_abelian_subgroups(S4, 14)
+    assert len(closed_abelian_subgroups(S4, 15)) == len(closed_abelian_subgroups(S4))
+    assert len(continuation_counts(S4, 3, budget=15)) == 15
 
 
 def test_closed_coset_poset_has_the_homology_of_the_full_one():

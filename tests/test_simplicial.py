@@ -370,19 +370,19 @@ def test_cone_morse_complex_counts_the_levels_of_the_full_model_past_degree_3(ca
 
 
 def test_cone_morse_complex_enumerates_only_nondegenerate_tuples(capsys, monkeypatch):
-    # the Morse builder lists no tuple but the critical ones: the critical
-    # search, asked once per level, lists exactly the nondegenerate tuples
-    # the scan passes, in lexicographic order; S3 keeps every tuple, Q8 few
-    # of them.  homology-e2g lists no tuple at all.
+    # the Morse builder lists no tuple but the critical ones: the scan, one
+    # step per level, lists exactly the nondegenerate tuples it passes, in
+    # lexicographic order; S3 keeps every tuple, Q8 few of them.
+    # homology-e2g lists no tuple at all.
     from commclass import groups, simplicial
 
-    search = simplicial._critical_cells
+    scan = simplicial._scan_levels
     listed = []
 
-    def spy(G, steps, cells):
-        found = search(G, steps, cells)
-        listed.append([c for c, _ in found])
-        return found
+    def spy(*args):
+        for cells, up, down in scan(*args):
+            listed.append(cells)
+            yield cells, up, down
 
     # the nondegenerate tuples the scan passes, listed before the walk is taken away
     passed = {}
@@ -391,7 +391,7 @@ def test_cone_morse_complex_enumerates_only_nondegenerate_tuples(capsys, monkeyp
         partner = simplicial._BarMatching(G).partner
         levels = groups.commuting_levels(G, 3)
         passed[name] = [[t for t in levels[k] if 0 not in t and partner(t) is None] for k in (1, 2, 3)]
-    monkeypatch.setattr(simplicial, "_critical_cells", spy)
+    monkeypatch.setattr(simplicial, "_scan_levels", spy)
     monkeypatch.setattr(simplicial, "commuting_levels", None)
     monkeypatch.setattr(groups, "commuting_levels", None)
     for name, want in passed.items():
@@ -403,6 +403,27 @@ def test_cone_morse_complex_enumerates_only_nondegenerate_tuples(capsys, monkeyp
         assert listed == []
 
 
+def test_morse_complex_steps_the_scan_once_per_level(monkeypatch):
+    # each level is checked and built right after its scan step, and
+    # morse_complex(G, N) asks for levels 1..N and no more
+    from commclass import simplicial
+
+    scan = simplicial._scan_levels
+    stepped = []
+
+    def spy(*args):
+        for cells, up, down in scan(*args):
+            stepped.append(len(cells[0]))
+            yield cells, up, down
+
+    monkeypatch.setattr(simplicial, "_scan_levels", spy)
+    for name in ("Z4", "Q8", "S3"):
+        for N in (0, 1, 4):
+            stepped.clear()
+            M = morse_complex(catalog_group(name), N)
+            assert stepped == list(range(1, N + 1)) and len(M.boundaries) == N, (name, N)
+
+
 @pytest.mark.parametrize("corrupted", [1, 2, 3])
 def test_cone_matching_count_invariant_detects_a_corrupted_level(capsys, monkeypatch, corrupted):
     # the last critical cell missing from a level, the top level too: the
@@ -412,13 +433,13 @@ def test_cone_matching_count_invariant_detects_a_corrupted_level(capsys, monkeyp
     # homology-e2g builds no Morse complex, so it still answers.
     from commclass import simplicial
 
-    search = simplicial._critical_cells
+    scan = simplicial._scan_levels
 
-    def dropping_one_cell(G, steps, cells):
-        found = search(G, steps, cells)
-        return found[:-1] if found and len(found[-1][0]) == corrupted else found
+    def dropping_one_cell(*args):
+        for k, (cells, up, down) in enumerate(scan(*args), 1):
+            yield (cells[:-1] if k == corrupted else cells), up, down
 
-    monkeypatch.setattr(simplicial, "_critical_cells", dropping_one_cell)
+    monkeypatch.setattr(simplicial, "_scan_levels", dropping_one_cell)
     for name in ("S3", "Z4"):
         with pytest.raises(MathInvariantError, match=f"bar matching at level {corrupted}:"):
             morse_complex(catalog_group(name), 3)
@@ -557,14 +578,13 @@ def test_bar_matching_count_detects_a_missing_cell(capsys, monkeypatch, command)
     # matched-down cell fewer than level 1 has matched-up ones
     from commclass import simplicial
 
-    count = simplicial._matched_counts
+    scan = simplicial._scan_levels
 
-    def dropping(G, steps, counts, N):
-        up, down = count(G, steps, counts, N)
-        down[2] -= 1
-        return up, down
+    def dropping(*args):
+        for k, (cells, up, down) in enumerate(scan(*args), 1):
+            yield cells, up, down - (k == 2)
 
-    monkeypatch.setattr(simplicial, "_matched_counts", dropping)
+    monkeypatch.setattr(simplicial, "_scan_levels", dropping)
     message = (
         "bar matching at level 2: 1 critical + 6 matched up + 1 matched down of 9 "
         "nondegenerate cells, against 2 matched up at level 1"
@@ -581,12 +601,13 @@ def test_bar_matching_detects_a_missing_critical_cell(capsys, monkeypatch, comma
     # holds one tuple fewer than it should
     from commclass import simplicial
 
-    search = simplicial._critical_cells
+    scan = simplicial._scan_levels
 
-    def dropping(G, steps, cells):
-        return [(c, S) for c, S in search(G, steps, cells) if c != (3, 4)]
+    def dropping(*args):
+        for cells, up, down in scan(*args):
+            yield [c for c in cells if c != (3, 4)], up, down
 
-    monkeypatch.setattr(simplicial, "_critical_cells", dropping)
+    monkeypatch.setattr(simplicial, "_scan_levels", dropping)
     code, err = _homology_exit(capsys, command, "S3", 2)
     assert code == 4
     assert (

@@ -404,11 +404,7 @@ def test_single_commutator_cover_matches_brute_force():
         # L = lcm(3, zd) is even only for a central quotient; and the
         # honest failure at 1
         for N, M in ((1, None), (2, None), (2, 3), (2, 1)):
-            try:
-                report = single_commutator_cover(E, N, search_denominator=M)
-            except BudgetExceededError:
-                assert (name, N, M) == ("perm_s3", 2, None)
-                continue
+            report = single_commutator_cover(E, N, search_denominator=M)
             want = brute_force_cover(E, N, report.search_denominator)
             got = (report.targets, report.witnesses, report.missing)
             assert got == want, (name, N, M)
@@ -417,6 +413,16 @@ def test_single_commutator_cover_matches_brute_force():
             runs.add((N, M, report.covered))
     # the oracle saw covered and uncovered reports
     assert {(2, 3, False), (2, 3, True), (2, 1, False), (2, None, True)} <= runs
+
+
+def test_single_commutator_cover_charges_the_rows_it_scans():
+    # perm_s3 at denominator 2 finds its last witness in row 4 of a pool of
+    # 10,368: 4 rows of pairs are charged, not the 107,495,424 of the square
+    E = catalog_extension("perm_s3")
+    message = "commutator pairs: enumeration size 41472 exceeds budget 41471"
+    with pytest.raises(BudgetExceededError, match=message):
+        single_commutator_cover(E, 2, budget=41471)
+    assert single_commutator_cover(E, 2, budget=41472).covered
 
 
 def test_single_commutator_cover_builds_no_element_per_pair(monkeypatch):
