@@ -95,7 +95,7 @@ def criterion_4(budget: int = DEFAULT_BUDGET):
 
     for name in _ORACLE_GROUPS:
         G = catalog_group(name)
-        model = reduced_homology_range(build_e(G, 3, budget=budget), 2)
+        model = reduced_homology_range(build_e(G, 3, budget=budget), 2, budget)
         poset = coset_poset_homology(G, top=2, budget=budget)
         if model != poset:
             return False, f"{name}: model {model} != poset {poset}"
@@ -109,7 +109,7 @@ def criterion_5(budget: int = DEFAULT_BUDGET):
     (degrees 0..2, both the total-space model and the coset poset)."""
     checked = 0
     for name, G in catalog_groups(16):
-        model = reduced_homology_range(build_e(G, 3, budget=budget), 2)
+        model = reduced_homology_range(build_e(G, 3, budget=budget), 2, budget)
         poset = coset_poset_homology(G, top=2, budget=budget)
         model_trivial = all(h.is_trivial for h in model)
         poset_trivial = all(h.is_trivial for h in poset)

@@ -8,7 +8,7 @@ and the central products Z4oZ4 and Q8oZ4.
 
 from __future__ import annotations
 
-from .errors import DEFAULT_BUDGET, ValidationError, check_budget
+from .errors import DEFAULT_BUDGET, ValidationError, meter
 from .groups import FiniteGroup, central_product, direct_product
 
 
@@ -96,8 +96,7 @@ def _cycle_name(p):
 def permutation_group(generators, label=None, budget: int = DEFAULT_BUDGET) -> FiniteGroup:
     """Group generated by permutations (tuples mapping i to p[i]), with
     elements sorted lexicographically so the identity sits at index 0.  The
-    |G|^2 entries of the Cayley table are charged against budget as the
-    closure grows, before the table is built."""
+    n-th element found is charged its 2n - 1 new Cayley-table entries."""
     gens = [tuple(p) for p in generators]
     if not gens:
         raise ValidationError("need at least one generator")
@@ -106,7 +105,7 @@ def permutation_group(generators, label=None, budget: int = DEFAULT_BUDGET) -> F
     for p in gens:
         if sorted(p) != list(ident):
             raise ValidationError(f"{p} is not a permutation of 0..{deg - 1}")
-    elements = {ident}
+    elements, budget = {ident}, meter(budget)
     frontier = [ident]
     while frontier:
         nxt = []
@@ -115,7 +114,7 @@ def permutation_group(generators, label=None, budget: int = DEFAULT_BUDGET) -> F
                 q = _perm_mul(p, g)
                 if q not in elements:
                     elements.add(q)
-                    check_budget(len(elements) ** 2, budget, "Cayley table of a permutation group")
+                    budget.charge(2 * len(elements) - 1, "Cayley table of a permutation group")
                     nxt.append(q)
         frontier = nxt
     elems = sorted(elements)

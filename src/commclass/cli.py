@@ -20,6 +20,7 @@ from .cocycles import clutch
 from .cosetposet import CosetPoset, closed_abelian_subgroups
 from .errors import (
     DEFAULT_BUDGET,
+    Budget,
     BudgetExceededError,
     MathInvariantError,
     ParseError,
@@ -35,7 +36,7 @@ from .intlinalg import (
     complement,
     homology_range,
 )
-from .simplicial import check_truncation, level_sizes, morse_complex
+from .simplicial import level_sizes, morse_complex
 from .torus import (
     commutator_lattices,
     psi_star,
@@ -100,42 +101,38 @@ def _row(name: str, value, ref: str) -> dict:
 # subcommand handlers; each returns (rows, inputs, exit_code)
 
 
-def _homology_rows(nondegenerate: list, h: list, counts_ref: str, hom_ref: str) -> list:
-    """Level counts and homology rows of a model of levels 0..max_dim+1 from
-    its nondegenerate level counts and its reduced homology h[0..max_dim]."""
+def _homology_rows(args, nondegenerate: list, h: list, counts_ref: str, hom_ref: str) -> tuple:
+    """The rows, inputs and exit code of a homology command from its model's
+    nondegenerate level counts (0..max_dim+1) and reduced homology h[0..max_dim]."""
     # C_0 is never empty here, so H0 is H~0 plus one free summand
     h0 = AbelianGroupInvariants(h[0].free_rank + 1, h[0].torsion)
     rows = [
-        _row("level-sizes", level_sizes(nondegenerate), counts_ref),
+        _row("level-sizes", level_sizes(nondegenerate, args.budget), counts_ref),
         _row("nondegenerate-sizes", nondegenerate, counts_ref),
         _row("H0", h0, hom_ref),
         _row("H~0", h[0], hom_ref),
     ]
-    return rows + [_row(f"H{k}", h[k], hom_ref) for k in range(1, len(h))]
+    rows += [_row(f"H{k}", h[k], hom_ref) for k in range(1, len(h))]
+    return rows, {"group": args.group, "max_dim": args.max_dim}, 0
 
 
 def cmd_homology_b2g(args):
     G = parse_group(args.group, budget=args.budget)
     # the collapsing-scheme Morse complex of build_c(G, max_dim + 1), never the model itself
     M = morse_complex(G, args.max_dim + 1, budget=args.budget)
-    h = homology_range(M.boundaries, reduced=True)
-    rows = _homology_rows(
-        M.nondegenerate_sizes, h, "commuting-tuple-level-counts", "commuting-tuple-space-homology"
-    )
-    return rows, {"group": args.group, "max_dim": args.max_dim}, 0
+    h = homology_range(M.boundaries, reduced=True, budget=args.budget)
+    refs = "commuting-tuple-level-counts", "commuting-tuple-space-homology"
+    return _homology_rows(args, M.nondegenerate_sizes, h, *refs)
 
 
 def cmd_homology_e2g(args):
     G = parse_group(args.group, budget=args.budget)
-    N = args.max_dim + 1
-    # build_e(G, N) is never built, but its refusals stay the command's; the
-    # closure-reduced coset poset has its homology
-    check_truncation(G, N, args.budget, N + 1, "tuples")
-    poset = CosetPoset(G, closed_abelian_subgroups(G, args.budget))
+    # one lattice walk: its sets' centres give Q, its counts build_e's levels
+    counts = continuation_counts(G, args.max_dim + 1, args.budget)
+    poset = CosetPoset(G, closed_abelian_subgroups(G, counts))
     h = poset.homology(args.max_dim, budget=args.budget)
-    nondegenerate = [G.order * n for n in continuation_counts(G, N)[frozenset(range(G.order))]]
-    rows = _homology_rows(nondegenerate, h, "total-space-level-counts", "total-space-homology")
-    return rows, {"group": args.group, "max_dim": args.max_dim}, 0
+    nondegenerate = [G.order * n for n in counts[frozenset(range(G.order))]]
+    return _homology_rows(args, nondegenerate, h, "total-space-level-counts", "total-space-homology")
 
 
 def cmd_coinvariants(args):
@@ -270,7 +267,8 @@ def cmd_coset_poset(args):
 def cmd_verify_all(args):
     from .acceptance import run_all
 
-    results = run_all(budget=args.budget)
+    # each library call gets a meter of its own: no one meter covers the suite
+    results = run_all(budget=args.budget.limit)
     rows = []
     failed = 0
     for number, name, passed, detail in results:
@@ -434,6 +432,7 @@ def main(argv=None) -> int:
         for flag, value in (("--budget", args.budget), ("--max-dim", getattr(args, "max_dim", 0))):
             if value < 0:
                 raise ValidationError(f"{flag} must be nonnegative")
+        args.budget = Budget(args.budget)
         rows, inputs, code = args.handler(args)
         machine_text = _machine_doc(args.command, inputs, rows)
         if args.output == "machine":

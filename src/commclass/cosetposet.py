@@ -12,15 +12,16 @@ homology-e2g reduces Q; coset-poset reports P, an independent check of it.
 
 from __future__ import annotations
 
-from .errors import DEFAULT_BUDGET, ValidationError, check_budget
-from .groups import FiniteGroup, Subgroup, closure, continuation_counts
+from .errors import DEFAULT_BUDGET, ValidationError, meter
+from .groups import FiniteGroup, Subgroup, closure
 from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
 from .simplicial import drop_entry, face_boundary
 
 
 def abelian_subgroups(G: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list:
     """All abelian subgroups of G as Subgroup objects, trivial included,
-    sorted by (order, elements)."""
+    sorted by (order, elements).  Each subgroup found is charged."""
+    budget = meter(budget)
     seen, frontier = {(0,)}, [(0,)]
     while frontier:
         nxt = []
@@ -32,20 +33,19 @@ def abelian_subgroups(G: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list:
                 grown = closure(G, els + (g,))
                 if grown not in seen:
                     seen.add(grown)
-                    check_budget(len(seen), budget, "abelian subgroup enumeration")
+                    budget.charge(1, "abelian subgroup enumeration")
                     nxt.append(grown)
         frontier = nxt
     subs = [Subgroup(G, els, check=False) for els in seen]
     return sorted(subs, key=lambda s: (s.order, s.elements))
 
 
-def closed_abelian_subgroups(G: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list:
+def closed_abelian_subgroups(G: FiniteGroup, lattice) -> list:
     """The intersections of maximal abelian subgroups of G, sorted as
     abelian_subgroups sorts, without listing the abelian subgroups: those
     above an abelian B are the maximal abelian subgroups of C = C_G(B), and
-    they meet in Z(C).  The centralisers C are the centraliser lattice of
-    groups.continuation_counts, which charges them against the budget."""
-    lattice = continuation_counts(G, 0, budget)
+    they meet in Z(C).  The centralisers C are the sets of the centraliser
+    lattice, the keys of groups.continuation_counts."""
     centres = {frozenset(z for z in C if C <= G.commuting_set(z)) for C in lattice}
     subs = [Subgroup(G, els, check=False) for els in centres]
     return sorted(subs, key=lambda s: (s.order, s.elements))
@@ -87,15 +87,13 @@ class CosetPoset:
     def chains(self, max_dim: int, budget: int = DEFAULT_BUDGET) -> list:
         """Levels of the order complex: chains[d] lists the strictly
         increasing (d+1)-vertex chains, for d = 0..max_dim or up to the
-        first empty level, whichever comes first."""
-        levels = [[(i,) for i in range(len(self.vertices))]]
-        total = len(levels[0])
-        check_budget(total, budget, "order complex chains")
+        first empty level, whichever comes first, each charged before it is built."""
+        budget, succ = meter(budget), self.successors
+        budget.charge(len(succ), "order complex chains")
+        levels = [[(i,) for i in range(len(succ))]]
         while len(levels) <= max_dim and levels[-1]:
-            nxt = [chain + (j,) for chain in levels[-1] for j in self.successors[chain[-1]]]
-            total += len(nxt)
-            check_budget(total, budget, "order complex chains")
-            levels.append(nxt)
+            budget.charge(sum(len(succ[c[-1]]) for c in levels[-1]), "order complex chains")
+            levels.append([c + (j,) for c in levels[-1] for j in succ[c[-1]]])
         return levels
 
     def size(self):
@@ -109,11 +107,11 @@ class CosetPoset:
         empty level are 0 and build no boundary."""
         if top < 0:
             raise ValidationError("top degree must be nonnegative")
-        check_budget(top + 1, budget, "coset poset homology degrees")
+        budget = meter(budget)
+        budget.charge(top + 1, "coset poset homology degrees")
         levels = self.chains(top + 1, budget=budget)
-        out = homology_range(
-            [_chain_boundary(levels, d) for d in range(1, len(levels))], reduced=True
-        )
+        boundaries = [_chain_boundary(levels, d) for d in range(1, len(levels))]
+        out = homology_range(boundaries, reduced=True, budget=budget)
         return out + [AbelianGroupInvariants(0, ())] * (top + 1 - len(out))
 
 
@@ -125,4 +123,5 @@ def _chain_boundary(levels, d) -> IntMatrix:
 
 def coset_poset_homology(G: FiniteGroup, top: int = 2, budget: int = DEFAULT_BUDGET) -> list:
     """Reduced homology of the coset-poset order complex in degrees 0..top."""
+    budget = meter(budget)
     return CosetPoset(G, budget=budget).homology(top, budget=budget)

@@ -1,4 +1,4 @@
-"""Shared exception types and the enumeration budget guard."""
+"""Shared exception types and the work meter behind --budget."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ class ParseError(ValidationError):
 
 
 class BudgetExceededError(CommClassError, RuntimeError):
-    """An enumeration would exceed the configured tuple budget."""
+    """The work charged to a Budget went past its limit."""
 
 
 class MathInvariantError(CommClassError, RuntimeError):
@@ -29,19 +29,24 @@ class TruncationError(ValidationError):
     """A simplicial truncation is too shallow for the requested degree."""
 
 
-def check_budget(size: int, budget: int, what: str) -> None:
-    """Raise BudgetExceededError when an enumeration of `size` items exceeds `budget`."""
-    if size > budget:
-        raise BudgetExceededError(
-            f"{what}: enumeration size {size} exceeds budget {budget}"
-        )
+class Budget:
+    """One meter of work against a limit: each stage charges the work it is
+    about to do, and the first charge past the limit raises BudgetExceededError."""
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: int = DEFAULT_BUDGET):
+        self.limit, self.spent = limit, 0
+
+    def charge(self, n: int, what: str) -> None:
+        self.spent += n
+        if self.spent > self.limit:
+            raise BudgetExceededError(
+                f"{what}: charging {n} brings the total to {self.spent}, "
+                f"which exceeds budget {self.limit}"
+            )
 
 
-def check_power_budget(base: int, exponent: int, budget: int, what: str) -> None:
-    """check_budget for base**exponent items.  The power is not formed when
-    it must exceed the budget, so a huge exponent is refused at once."""
-    if base > 1 and exponent > max(budget, 1).bit_length():
-        raise BudgetExceededError(
-            f"{what}: enumeration size {base}^{exponent} exceeds budget {budget}"
-        )
-    check_budget(base**exponent, budget, what)
+def meter(budget) -> Budget:
+    """budget itself when it is a Budget, else a fresh Budget of that limit."""
+    return budget if isinstance(budget, Budget) else Budget(budget)

@@ -1,9 +1,9 @@
 """Parsing of the JSON spec files the CLI consumes: groups (catalog name,
 explicit table, or permutation generators), torus extensions, and patch
 cocycles.  All rationals are exact "p/q" strings; parse errors carry the
-file and field that failed.  Every reader takes a budget, which the
-permutation-group closure and the torus-extension constructor charge; a
-catalog name is returned from its cache without a charge.
+file and field that failed.  Every reader takes a budget, a limit or a
+shared errors.Budget, which permutation groups and torus extensions are
+charged to; a catalog group comes from its cache without a charge.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .catalog import catalog_group, catalog_names, permutation_group
 from .cocycles import PatchCocycle, PLPath
-from .errors import DEFAULT_BUDGET, ParseError, ValidationError
+from .errors import DEFAULT_BUDGET, ParseError, ValidationError, meter
 from .groups import FiniteGroup
 from .intlinalg import IntMatrix
 from .torus import TorusExtension, catalog_extension, extension_names, rational
@@ -107,7 +107,7 @@ def _element_index(F: FiniteGroup, name, where: str) -> int:
 def extension_from_spec(
     doc, where: str = "extension", budget: int = DEFAULT_BUDGET
 ) -> TorusExtension:
-    rank = _require(doc, "rank", where, int)
+    rank, budget = _require(doc, "rank", where, int), meter(budget)
     F = group_from_spec(_require(doc, "finite", where), where=f"{where}.finite", budget=budget)
     action = _require(doc, "action", where, dict)
     images = {}

@@ -11,7 +11,7 @@ finite abelian fundamental group.
 
 from __future__ import annotations
 
-from .errors import DEFAULT_BUDGET, MathInvariantError, check_budget
+from .errors import DEFAULT_BUDGET, MathInvariantError, meter
 from .groups import FiniteGroup, generators
 from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
 
@@ -27,8 +27,8 @@ def coinvariants(A: FiniteGroup, budget: int = DEFAULT_BUDGET) -> AbelianGroupIn
     induction on its length gives phi(ab) = phi(a) + phi(b) and the image is
     unchanged.  The |S|·(|A|-1) columns are charged before any is built.
     """
-    n, S = A.order, generators(A)
-    check_budget(len(S) * (n - 1), budget, "coinvariants: relation columns over S x G")
+    n, S, budget = A.order, generators(A), meter(budget)
+    budget.charge(len(S) * (n - 1), "coinvariants: relation columns over S x G")
     cols = []
     for a in S:
         for b in range(1, n):
@@ -37,7 +37,7 @@ def coinvariants(A: FiniteGroup, budget: int = DEFAULT_BUDGET) -> AbelianGroupIn
                 if el != 0:
                     col[el - 1] = col.get(el - 1, 0) + s
             cols.append(col)
-    return homology_range([IntMatrix.from_column_dicts(cols, n - 1)])[0]
+    return homology_range([IntMatrix.from_column_dicts(cols, n - 1)], budget=budget)[0]
 
 
 def moore_h2(A: FiniteGroup, budget: int = DEFAULT_BUDGET) -> AbelianGroupInvariants:
@@ -51,8 +51,8 @@ def moore_h2(A: FiniteGroup, budget: int = DEFAULT_BUDGET) -> AbelianGroupInvari
     middle homology equals the coinvariants of the augmentation ideal, hence
     the abelianization of A.
     """
-    n, S = A.order, generators(A)
-    check_budget(len(S) * n, budget, "moore-h2: relation columns over S x G")
+    n, S, budget = A.order, generators(A), meter(budget)
+    budget.charge(len(S) * n, "moore-h2: relation columns over S x G")
     cols = []
     for h2 in S:
         for h1 in range(n):
@@ -60,7 +60,7 @@ def moore_h2(A: FiniteGroup, budget: int = DEFAULT_BUDGET) -> AbelianGroupInvari
             for el, s in ((h1, 1), (A.mul(h2, h1), -1), (h2, 1), (0, -1)):
                 col[el] = col.get(el, 0) + s
             cols.append(col)
-    return homology_range([IntMatrix.from_column_dicts(cols, n)], reduced=True)[0]
+    return homology_range([IntMatrix.from_column_dicts(cols, n)], reduced=True, budget=budget)[0]
 
 
 def pi2_e2_connected(invariant_factors, budget: int = DEFAULT_BUDGET) -> AbelianGroupInvariants:
@@ -69,16 +69,15 @@ def pi2_e2_connected(invariant_factors, budget: int = DEFAULT_BUDGET) -> Abelian
 
     Builds the abelian group with the given invariant factors, runs moore_h2
     on it, and checks the result equals the input group; a mismatch means an
-    implementation bug, not a property of the input.  The |A|^2 entries of
-    the Cayley table direct_product builds for A are charged first.
+    implementation bug, not a property of the input.  The Cayley table of
+    each product direct_product builds on the way to A is charged first.
     """
     # validates the factors: each >= 2, each dividing the next
     expected = AbelianGroupInvariants(0, tuple(invariant_factors))
-    # charge each product's Cayley table before building any group
-    order = 1
+    order, budget = 1, meter(budget)
     for d in expected.torsion:
         order *= d
-        check_budget(order * order, budget, "pi2-e2: Cayley table of A")
+        budget.charge(order * order, "pi2-e2: Cayley table of A")
     from .catalog import cyclic
     from .groups import direct_product
 

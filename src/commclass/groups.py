@@ -13,14 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    MathInvariantError,
-    ValidationError,
-    check_budget,
-    check_power_budget,
-)
+from .errors import DEFAULT_BUDGET, MathInvariantError, ValidationError, meter
 from .intlinalg import IntMatrix, homology_range
 
 _ASSOC_FULL_CHECK_MAX = 64
@@ -337,17 +330,19 @@ def commuting_levels(G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> li
     """The pairwise commuting k-tuples for k = 0..n, each level in
     lexicographic order, from one walk: level k+1 extends each k-tuple by
     every element, in increasing order, of the set commuting with its
-    entries.  The budget is charged |G|^n."""
+    entries, and is charged its (k+1)·len(level) entries first."""
     if n < 0:
         raise ValidationError("tuple length must be nonnegative")
-    check_power_budget(G.order, n, budget, f"commuting tuples of length {n}")
-    # walk pairs each tuple of the last level with the set commuting with its
-    # entries; the top level needs no sets
-    walk, levels = [((), frozenset(range(G.order)))], [[()]]
+    budget = meter(budget)
+    # sets[i] is the set commuting with the entries of levels[-1][i], and
+    # steps[S] pairs each g in S, in increasing order, with S ∩ C(g)
+    sets, levels, steps = [frozenset(range(G.order))], [[()]], {}
     for k in range(1, n + 1):
-        levels.append([t + (g,) for t, S in walk for g in sorted(S)])
-        if k < n:
-            walk = [(t + (g,), S & G.commuting_set(g)) for t, S in walk for g in sorted(S)]
+        for S in set(sets) - steps.keys():
+            steps[S] = [(g, S & G.commuting_set(g)) for g in sorted(S)]
+        budget.charge(k * sum(len(S) for S in sets), f"commuting tuples of length {k}")
+        levels.append([t + (g,) for t, S in zip(levels[-1], sets) for g, _ in steps[S]])
+        sets = [T for S in sets for _, T in steps[S]]
     return levels
 
 
@@ -363,8 +358,11 @@ def continuation_counts(G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) ->
     set S of the centraliser lattice, the sets S ∩ C_G(x) reachable from G,
     counted without listing them:
     f(k, S) = sum over x in S, x != 1, of f(k - 1, S ∩ C(x)), f(0, S) = 1.
-    Each set of the lattice after G is charged against the budget as it is
-    found."""
+    Each set of the lattice after G is charged as it is found, and the n
+    counts each set gains before they are counted."""
+    if n < 0:
+        raise ValidationError("tuple length must be nonnegative")
+    budget = meter(budget)
     # each set of the lattice with its next sets and their multiplicities
     top = frozenset(range(G.order))
     children, todo = {top: {}}, [top]
@@ -377,8 +375,9 @@ def continuation_counts(G: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) ->
                 nxt[T] = nxt.get(T, 0) + 1
                 if T not in children:
                     children[T] = {}
-                    check_budget(len(children), budget, "centraliser lattice")
+                    budget.charge(1, "centraliser lattice")
                     todo.append(T)
+    budget.charge(len(children) * n, f"centraliser lattice counts through length {n}")
     f = {S: [1] for S in children}
     for k in range(n):
         level = [sum(m * f[T][k] for T, m in nxt.items()) for nxt in children.values()]
@@ -437,7 +436,7 @@ def realize_triple(G: FiniteGroup, K: Subgroup, c1, c2, budget: int = DEFAULT_BU
         raise ValidationError("realize_triple requires K central in G")
     if c1 not in K or c2 not in K:
         raise ValidationError("target commutators must lie in K")
-    check_budget(G.order**3, budget, "triple search")
+    meter(budget).charge(G.order**3, "triple search")
     n = G.order
     for g1 in range(n):
         for g2 in range(n):

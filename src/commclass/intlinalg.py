@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import MathInvariantError, ValidationError
+from .errors import DEFAULT_BUDGET, MathInvariantError, ValidationError, meter
 
 
 class IntMatrix:
@@ -307,7 +307,7 @@ def _dense_smith(rows, m, n):
 # sparse elimination for invariant factors
 
 
-def snf_diagonal(M: IntMatrix):
+def snf_diagonal(M: IntMatrix, budget=DEFAULT_BUDGET):
     """Nonzero invariant factors of M (the nonzero diagonal of its SNF).
 
     Greedy unit-pivot elimination (Dumas-Saunders-Villard): sweep the lines
@@ -321,7 +321,10 @@ def snf_diagonal(M: IntMatrix):
     than tall, in which case they are its columns.  M and its transpose
     have the same invariant factors, and sweeping the short lines fills
     in far less; the dense tail then has at most min(rows, cols) columns.
+    Each pivot is charged the (len(row) - 1)(len(col) - 1) entries it
+    updates, and the m x n dense tail m·n·min(m, n), before the work.
     """
+    budget = meter(budget)
     # rows: swept line -> {cross index: entry}; cols: cross index -> lines
     if M.cols > M.rows:
         lines = [dict() for _ in range(M.cols)]
@@ -353,6 +356,7 @@ def snf_diagonal(M: IntMatrix):
             if not units:
                 continue
             j = min(units, key=lambda j: len(cols[j]))
+            budget.charge((len(prow) - 1) * (len(cols[j]) - 1), "elimination: unit pivot")
             v = prow[j]
             del rows[i]
             for j2 in prow:
@@ -381,13 +385,15 @@ def snf_diagonal(M: IntMatrix):
         # no +-1 entries remain; finish densely on the remaining block
         live_cols = dict.fromkeys(j for r in rows.values() for j in r)
         colpos = {j: a for a, j in enumerate(live_cols)}
+        m, n = len(rows), len(colpos)
+        budget.charge(m * n * min(m, n), f"elimination: dense tail of {m}x{n}")
         block = []
         for r in rows.values():
-            row = [0] * len(colpos)
+            row = [0] * n
             for j, v in r.items():
                 row[colpos[j]] = v
             block.append(row)
-        divisors.extend(d for d in _dense_smith(block, len(block), len(colpos)) if d)
+        divisors.extend(d for d in _dense_smith(block, m, n) if d)
     return divisors
 
 
@@ -629,7 +635,7 @@ class AbelianGroupInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def homology_range(boundaries, reduced: bool = False) -> list:
+def homology_range(boundaries, reduced: bool = False, budget=DEFAULT_BUDGET) -> list:
     """Homology H_0..H_top of the complex with boundaries [d_1, ..., d_{top+1}],
     d_k: C_k -> C_{k-1}, reducing each boundary once.
 
@@ -643,6 +649,7 @@ def homology_range(boundaries, reduced: bool = False) -> list:
     im(d_1) (every column of d_1 sums to zero).  Non-composable shapes raise
     ValidationError, a nonzero composite or augmentation MathInvariantError.
     """
+    budget = meter(budget)
     for k, (d_out, d_in) in enumerate(zip(boundaries, boundaries[1:]), start=1):
         if d_out.cols != d_in.rows:
             raise ValidationError(
@@ -657,7 +664,7 @@ def homology_range(boundaries, reduced: bool = False) -> list:
     rank_out = 1 if reduced and boundaries and boundaries[0].rows else 0
     out = []
     for d_in in boundaries:
-        div_in = snf_diagonal(d_in)
+        div_in = snf_diagonal(d_in, budget)
         free = d_in.rows - rank_out - len(div_in)
         if free < 0:
             raise MathInvariantError("negative free rank; matrices are inconsistent")
@@ -666,7 +673,7 @@ def homology_range(boundaries, reduced: bool = False) -> list:
     return out
 
 
-def homology_at(d_out: IntMatrix, d_in: IntMatrix) -> AbelianGroupInvariants:
+def homology_at(d_out: IntMatrix, d_in: IntMatrix, budget=DEFAULT_BUDGET) -> AbelianGroupInvariants:
     """Homology ker(d_out)/im(d_in) at the middle slot of
     Z^m --d_in--> Z^n --d_out--> Z^p, with d_out o d_in = 0."""
-    return homology_range([d_out, d_in])[1]
+    return homology_range([d_out, d_in], budget=budget)[1]

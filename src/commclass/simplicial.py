@@ -22,26 +22,19 @@ level-by-level scan lists the critical cells only and counts the matched
 ones, each level is checked and built as soon as it is scanned, and each
 boundary column comes from one memoised gradient flow; the second model's
 homology is read from the coset poset (cosetposet).  build_c and build_e
-stay as the unreduced oracle, check_truncation makes the refusals of all
-three, and level_sizes counts a model's levels.  p_map projects the second
-model onto the first, and commutator_map records successive commutators.
+stay as the unreduced oracle, and level_sizes counts a model's levels.
+p_map projects the second model onto the first, and commutator_map records
+successive commutators.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import accumulate
-from math import comb
+from operator import add, mul
 from typing import NamedTuple
 
-from .errors import (
-    DEFAULT_BUDGET,
-    MathInvariantError,
-    TruncationError,
-    ValidationError,
-    check_budget,
-    check_power_budget,
-)
+from .errors import DEFAULT_BUDGET, MathInvariantError, TruncationError, ValidationError, meter
 from .groups import FiniteGroup, center, commuting_levels, continuation_counts
 from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_at, homology_range
 
@@ -190,7 +183,7 @@ def _boundaries(S: SimplicialTruncation, top: int, bottom: int = 1) -> list:
     return [S.boundary_matrix(k) for k in range(bottom, top + 2)]
 
 
-def homology(S: SimplicialTruncation, k: int) -> AbelianGroupInvariants:
+def homology(S: SimplicialTruncation, k: int, budget=DEFAULT_BUDGET) -> AbelianGroupInvariants:
     """Integral homology H_k of the normalized chain complex of S.
 
     Needs the boundary out of degree k+1, so the truncation must extend at
@@ -199,29 +192,27 @@ def homology(S: SimplicialTruncation, k: int) -> AbelianGroupInvariants:
     if k < 0:
         raise ValidationError("homology degree must be nonnegative")
     if k == 0:
-        return homology_range(_boundaries(S, 0))[0]
-    return homology_at(*_boundaries(S, k, bottom=k))
+        return homology_range(_boundaries(S, 0), budget=budget)[0]
+    return homology_at(*_boundaries(S, k, bottom=k), budget=budget)
 
 
-def reduced_homology_range(S: SimplicialTruncation, top: int) -> list:
+def reduced_homology_range(S: SimplicialTruncation, top: int, budget=DEFAULT_BUDGET) -> list:
     """Reduced homology in degrees 0..top as a list."""
-    return homology_range(_boundaries(S, top), reduced=True)
+    return homology_range(_boundaries(S, top), reduced=True, budget=budget)
 
 
 # ---------------------------------------------------------------------------
 # the two models
 
 
-def check_truncation(G: FiniteGroup, N: int, budget: int, length: int, what: str) -> None:
-    """The refusals of a depth-N truncation, before anything is enumerated:
-    a negative N, then the |G|^length top tuples named `what`, then the
-    depth.  Its k+1 maps on each k-simplex copy about k entries each, so
-    even the trivial group's truncation copies on the order of
-    sum_{k=1..N} k(k+1) = N(N+1)(N+2)/3 entries: the depth is charged too."""
+def _truncation_levels(G: FiniteGroup, N: int, budget) -> list:
+    """commuting_levels(G, N) for a depth-N truncation, whose k+1 maps copy
+    about k entries of each k-simplex: N(N+1)(N+2)/3 in all, charged first."""
     if N < 0:
         raise ValidationError("degree bound must be nonnegative")
-    check_power_budget(G.order, length, budget, f"{what} of length {length}")
-    check_budget(N * (N + 1) * (N + 2) // 3, budget, f"faces and degeneracies of depth {N}")
+    budget = meter(budget)
+    budget.charge(N * (N + 1) * (N + 2) // 3, f"faces and degeneracies of depth {N}")
+    return commuting_levels(G, N, budget=budget)
 
 
 def bar_face(G: FiniteGroup, t: tuple, i: int) -> tuple:
@@ -245,8 +236,7 @@ def build_c(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     """Truncation of the commuting-tuple nerve: level k lists the pairwise
     commuting k-tuples, faces multiply adjacent entries (dropping at the
     ends), degeneracies insert the identity."""
-    check_truncation(G, N, budget, N, "commuting tuples")
-    levels = commuting_levels(G, N, budget=budget)
+    levels = _truncation_levels(G, N, budget)
     label = f"commuting-nerve({G.label or G.order}, N={N})"
     return SimplicialTruncation(levels, lambda t, i: bar_face(G, t, i), bar_degeneracy, label=label)
 
@@ -267,21 +257,26 @@ def build_e(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> SimplicialT
     """Truncation of the homogeneous model: level k lists the (k+1)-tuples
     whose successive quotients commute pairwise, faces drop an entry,
     degeneracies repeat one."""
-    check_truncation(G, N, budget, N + 1, "tuples")
+    budget = meter(budget)
+    walk = _truncation_levels(G, N, budget)
+    # each commuting k-tuple stands for |G| translates of k+1 entries each
+    budget.charge(G.order * sum(e * len(lv) for e, lv in enumerate(walk, 1)), "G-translates")
     levels = [
         sorted(tuple(accumulate(t, G.mul, initial=g0)) for t in level for g0 in range(G.order))
-        for level in commuting_levels(G, N, budget=budget)
+        for level in walk
     ]
     label = f"homogeneous-model({G.label or G.order}, N={N})"
     return SimplicialTruncation(levels, drop_entry, lambda e, i: e[: i + 1] + e[i:], label=label)
 
 
-def level_sizes(n: list) -> list:
+def level_sizes(n: list, budget=DEFAULT_BUDGET) -> list:
     """The level counts of either model from its nondegenerate counts
     n = N_0..N_N.  A k-simplex whose non-identity steps sit at j chosen
     places is a nondegenerate j-simplex, so level k has sum_j C(k, j) N_j
-    simplices."""
-    return [sum(comb(k, j) * n[j] for j in range(k + 1)) for k in range(len(n))]
+    simplices, C(k, j) by Pascal's rule; the (N+1)(N+2)/2 terms are charged."""
+    meter(budget).charge(len(n) * (len(n) + 1) // 2, "level-size terms")
+    rows = accumulate(n, lambda row, _: [1, *map(add, row, row[1:]), 1], initial=[1])
+    return [sum(map(mul, row, n)) for row, _ in zip(rows, n)]
 
 
 class MorseComplex(NamedTuple):
@@ -437,11 +432,11 @@ def _bar_chain(G: FiniteGroup, t: tuple) -> dict:
 
 
 def _gradient_flow(
-    G: FiniteGroup, matching: _BarMatching, chain: dict, critical: dict, memo: dict
+    G: FiniteGroup, matching: _BarMatching, chain: dict, critical: dict, memo: dict, budget
 ) -> dict:
     """The gradient flow of a chain {tuple: coefficient} of one level onto
     its critical tuples c as {critical[c]: coefficient}; memo keeps the flow
-    of every tuple met.
+    of every tuple met, and the Budget is charged each matched tuple met.
 
     A critical tuple flows to itself and a matched-down tuple to 0.  A tuple
     x matched up with X, of incidence e = ±1 in dX, flows as -e times the
@@ -472,6 +467,7 @@ def _gradient_flow(
             memo[x] = {critical[x]: 1}
             stack.pop()
         else:
+            budget.charge(1, "gradient flow")
             other = matching.partner(x)
             if other is None:
                 raise MathInvariantError(
@@ -519,9 +515,9 @@ def morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> Morse
     incidence is (-1)^i all the same, as the merge face d_i, 0 < i < k, of a
     nondegenerate tuple equals no other face.  A failure raises
     MathInvariantError.  The Morse d_k takes each critical tuple to the
-    gradient flow of its chain.
+    gradient flow of its chain; each level's critical tuples are charged first.
     """
-    check_truncation(G, N, budget, N, "commuting tuples")
+    budget = meter(budget)
     counts = continuation_counts(G, N, budget)
     counted, matching = counts[frozenset(range(G.order))], _BarMatching(G)
     # the critical tuples of the level below, numbered, and their matched-up count
@@ -533,8 +529,9 @@ def morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> Morse
                 f"{down} matched down of {counted[k]} nondegenerate cells, against "
                 f"{up_below} matched up at level {k - 1}"
             )
+        budget.charge(len(cells), f"critical cells of level {k}")
         memo = {}
-        columns = [_gradient_flow(G, matching, _bar_chain(G, c), below, memo) for c in cells]
+        columns = [_gradient_flow(G, matching, _bar_chain(G, c), below, memo, budget) for c in cells]
         boundaries.append(IntMatrix.from_column_dicts(columns, len(below)))
         below, up_below = {c: r for r, c in enumerate(cells)}, up
     return MorseComplex(counted, boundaries)

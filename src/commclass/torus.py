@@ -39,7 +39,7 @@ from itertools import product
 from math import gcd, lcm
 from operator import mul as _times, sub
 
-from .errors import DEFAULT_BUDGET, ValidationError, check_budget
+from .errors import DEFAULT_BUDGET, ValidationError, meter
 from .groups import FiniteGroup
 from .intlinalg import (
     IntMatrix,
@@ -149,11 +149,12 @@ class TorusExtension:
         products, and checking rho(x g) = rho(x) rho(g) for every element x
         and every generator g proves rho a homomorphism; rho(f) rho(f^-1) =
         rho(1) = I then makes every image invertible over Z.  The |F|·rank^2
-        entries of the images are charged against budget before the action
-        is extended, and the central quotient as its closure grows."""
+        entries of the images are charged before the action is extended,
+        and each element of the central quotient as its closure finds it."""
         if rank < 0:
             raise ValidationError("rank must be nonnegative")
-        _charge_action(F.order, rank, budget)
+        budget = meter(budget)
+        budget.charge(F.order * rank * rank, f"action of {F.order} elements on rank {rank}")
         self.rank = rank
         self.F = F
         self.label = label
@@ -217,7 +218,7 @@ class TorusExtension:
                     z = (tuple((a + b) % zd for a, b in zip(n, ng)), F.mul(f, fg))
                     if z not in elements:
                         elements.add(z)
-                        check_budget(len(elements), budget, "central quotient elements")
+                        budget.charge(1, "central quotient elements")
                         nxt.append(z)
             frontier = nxt
         elements = sorted(elements)
@@ -341,7 +342,7 @@ class TorusExtension:
         zd).  Every denominator divides L, so the rows sort as the Fractions
         do."""
         M = _integer(M, "denominator", 1)
-        check_budget(M**self.rank * self.F.order, budget, "element pool")
+        meter(budget).charge(M**self.rank * self.F.order, "element pool")
         rows = product(product(range(M), repeat=self.rank), range(self.F.order))
         if not self._translates:
             return M, list(rows)
@@ -441,9 +442,9 @@ def single_commutator_cover(
     table; missing targets are reported, never silently dropped."""
     N = _integer(N, "denominator", 1)
     M = N * E.F.order if search_denominator is None else search_denominator
-    M = _integer(M, "search denominator", 1)
+    M, budget = _integer(M, "search denominator", 1), meter(budget)
     basis = commutator_lattices(E)[1].basis_rows()
-    check_budget(N ** len(basis), budget, "cover targets")
+    budget.charge(N ** len(basis), "cover targets")
     span = IntMatrix.from_columns(basis, E.rank)
     points = product(range(N), repeat=len(basis))
     targets = sorted(
@@ -466,11 +467,10 @@ def single_commutator_cover(
     # keeps its first witness, and the scan stops at the last witness.  The
     # pairs of each row are charged as its scan starts.
     witnesses = {}
-    for rows, x in enumerate(pool, 1):
+    for s, p in pool:
         if not keys:
             break
-        check_budget(rows * len(pool), budget, "commutator pairs")
-        s, p = x
+        budget.charge(len(pool), "commutator pairs")
         by_q = [
             (tuple(sum(map(_times, row, s)) for row in A), B, c)
             for A, B, c in (E._pair(p, q) for q in range(E.F.order))
@@ -479,7 +479,7 @@ def single_commutator_cover(
             As, B, c = by_q[q]
             hit = keys.get((tuple((u + sum(map(_times, row, t))) % L for u, row in zip(As, B)), c))
             if hit is not None:
-                witnesses[hit] = [ExtElement(E, *_reduced(m, L, f)) for m, f in (x, (t, q))]
+                witnesses[hit] = [ExtElement(E, *_reduced(m, L, f)) for m, f in ((s, p), (t, q))]
                 for k in cosets[hit]:
                     del keys[k]
                 if not keys:
@@ -573,10 +573,6 @@ def extension_names() -> tuple:
     return tuple(CATALOG_SPECS)
 
 
-def _charge_action(order: int, rank: int, budget: int) -> None:
-    check_budget(order * rank * rank, budget, f"action of {order} elements on rank {rank}")
-
-
 def catalog_extension(name: str, budget: int = DEFAULT_BUDGET) -> TorusExtension:
     """A catalog extension, built once; every call pays its action entries."""
     # fileio imports this module, so its reader is imported here
@@ -587,7 +583,7 @@ def catalog_extension(name: str, budget: int = DEFAULT_BUDGET) -> TorusExtension
     if name not in _ext_cache:
         _ext_cache[name] = extension_from_spec({**CATALOG_SPECS[name], "label": name}, where=name)
     E = _ext_cache[name]
-    _charge_action(E.F.order, E.rank, budget)
+    meter(budget).charge(E.F.order * E.rank**2, f"action of {E.F.order} elements on rank {E.rank}")
     return E
 
 

@@ -10,7 +10,9 @@ import time
 import pytest
 
 from commclass import acceptance, cli
-from commclass.catalog import catalog_groups
+from commclass.catalog import catalog_group, catalog_groups
+from commclass.errors import Budget
+from commclass.groupring import coinvariants, moore_h2
 
 
 def run(capsys, *argv):
@@ -167,27 +169,100 @@ def test_budget_exit_code(capsys):
     code, out, err = run(capsys, "homology-e2g", "--group", "S4", "--budget", "100")
     assert code == 3
     assert "budget" in err.lower()
-    # the 578 chains of S4's closure-reduced coset poset through dimension 1
-    # are charged against the budget given
+    # one meter for the run: S4's 14 lattice sets and 14 counts, the 578
+    # chains of its closure-reduced coset poset through dimension 1, the
+    # degree, the elimination's pivots and the 3 level-size terms, 1401 in all
     e2g = ("homology-e2g", "--group", "S4", "--max-dim", "0")
-    code, out, err = run(capsys, *e2g, "--budget", "577")
+    code, out, err = run(capsys, *e2g, "--budget", "1400")
     assert code == 3
-    assert "578 exceeds budget 577" in err and out == ""
-    assert run(capsys, *e2g, "--budget", "578")[0] == 0
+    assert "brings the total to 1401, which exceeds budget 1400" in err and out == ""
+    assert run(capsys, *e2g, "--budget", "1401")[0] == 0
     # pi2-e2 charges the |A|^2 entries of A's Cayley table before building A
     code, out, err = run(capsys, "pi2-e2", "--pi1", "400", "--budget", "1000")
     assert code == 3
     assert "160000" in err and out == ""
-    code, out, err = run(capsys, "pi2-e2", "--pi1", "2,4", "--budget", "64")
-    assert code == 0
+    assert run(capsys, "pi2-e2", "--pi1", "2,4", "--budget", "185")[0] == 3
+    assert run(capsys, "pi2-e2", "--pi1", "2,4", "--budget", "186")[0] == 0
     # the group-ring commands charge the columns they build, one per element
-    # and generator: 3·23 for coinvariants of S4, 3·24 for moore-h2
-    for command, columns in (("coinvariants", 69), ("moore-h2", 72)):
-        code, out, err = run(capsys, command, "--group", "S4", "--budget", str(columns - 1))
-        assert code == 3
-        assert str(columns) in err and out == ""
-        code, out, err = run(capsys, command, "--group", "S4", "--budget", str(columns))
-        assert code == 0
+    # and generator, 3·23 for coinvariants of S4, before building them
+    code, out, err = run(capsys, "coinvariants", "--group", "S4", "--budget", "68")
+    assert code == 3
+    assert "charging 69 brings the total to 69" in err and out == ""
+    for command, total in (("coinvariants", 403), ("moore-h2", 1043)):
+        code, out, err = run(capsys, command, "--group", "S4", "--budget", str(total - 1))
+        assert code == 3 and out == ""
+        assert run(capsys, command, "--group", "S4", "--budget", str(total))[0] == 0
+
+
+def test_one_run_spends_one_budget(capsys):
+    # moore-h2 runs moore_h2 and coinvariants on one meter: a budget that
+    # covers either call alone refuses the command, one that covers both runs it
+    S4 = catalog_group("S4")
+    spent = []
+    for fn in (moore_h2, coinvariants):
+        meter = Budget()
+        fn(S4, meter)
+        spent.append(meter.spent)
+    assert spent == [640, 403]
+    code, out, err = run(capsys, "moore-h2", "--group", "S4", "--budget", str(max(spent)))
+    assert code == 3 and out == "" and "exceeds budget 640" in err
+    assert run(capsys, "moore-h2", "--group", "S4", "--budget", str(sum(spent)))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("homology-e2g", "--group", "Z4xZ4", "--max-dim", "4"),
+            "98a8cdf181f75065681b53c003806d8f8be8dcfbbf82417ac366b4dcc6c664f3",
+        ),
+        (
+            ("homology-e2g", "--group", "S3", "--max-dim", "1000"),
+            "3fe37b7629243ee75e57fab743bdca6e2d2d283ca25c37bdd305d7e6bb3e8395",
+        ),
+    ],
+)
+def test_homology_answers_what_it_builds_under_the_default_budget(capsys, argv, digest):
+    # neither command builds the |G|^(N+1) tuples of its model, so neither is
+    # charged them; the documents are those of the build that charged them,
+    # run under a budget raised past them
+    code, out, err = run(capsys, *argv, "--output", "machine")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["homology-b2g", "homology-e2g"])
+def test_huge_max_dim_is_refused_at_once(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--group", "Q8", "--max-dim", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and "exceeds budget 10000000" in err
+
+
+def test_homology_e2g_walks_the_centraliser_lattice_once(capsys, monkeypatch):
+    calls = []
+    walk = cli.continuation_counts
+
+    def counting(G, n, budget):
+        calls.append(n)
+        return walk(G, n, budget)
+
+    monkeypatch.setattr(cli, "continuation_counts", counting)
+    code, _, _ = run(capsys, "homology-e2g", "--group", "S4", "--max-dim", "2")
+    assert code == 0 and calls == [3]
+
+
+def test_elimination_is_charged_to_the_budget(capsys, tmp_path):
+    # A6's closure-reduced coset poset has 84,060 chains of dimension 1: the
+    # unit pivots of its elimination run past the default budget, which
+    # refuses them long before the dense tail
+    path = tmp_path / "a6.json"
+    generators = [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]
+    path.write_text(json.dumps({"format": "perm", "degree": 6, "generators": generators}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homology-e2g", "--group", str(path), "--max-dim", "1")
+    assert time.perf_counter() - start < 30
+    assert code == 3 and out == "" and "elimination: unit pivot" in err
 
 
 def _symmetric_spec(degree):
@@ -319,7 +394,9 @@ def test_verify_all_refused_by_the_budget_exits_3(capsys):
     code, out, err = run(capsys, "verify-all", "--budget", "1000")
     assert code == 3
     assert out == ""
-    assert err == "error: tuples of length 4: enumeration size 1296 exceeds budget 1000\n"
+    # criterion 4 builds S3's homogeneous model, 1,554 translate entries on
+    # top of the depth and the walk
+    assert err == "error: G-translates: charging 1554 brings the total to 1760, which exceeds budget 1000\n"
 
 
 @pytest.mark.parametrize("invert", [False, True])
@@ -452,6 +529,9 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
         # the cover charged by the rows it scans, vouched for by the
         # brute-force scan of test_torus
         ("single-comm_perm_s3_2", ("single-comm", "--ext", "perm_s3", "--denominator", "2")),
+        # pinned under a budget raised past the |G|^9 tuples the build was
+        # charged for, none of which it lists
+        ("homology-b2g_Q8_8", ("homology-b2g", "--group", "Q8", "--max-dim", "8")),
     ],
 )
 def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv):
@@ -570,9 +650,9 @@ def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, arg
         poset.append((d, M))
         return M
 
-    def counting_snf(M):
+    def counting_snf(M, budget):
         reduced.append(M)
-        return snf(M)
+        return snf(M, budget)
 
     def recording_matmul(A, B):
         products.append((A, B))
@@ -650,8 +730,6 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
 
 def test_single_degree_homology_builds_and_reduces_two_boundaries(monkeypatch):
     from commclass import intlinalg, simplicial
-    from commclass.catalog import catalog_group
-
     S = simplicial.build_c(catalog_group("Q8"), 4)
     built = []
     reduced = []
@@ -662,9 +740,9 @@ def test_single_degree_homology_builds_and_reduces_two_boundaries(monkeypatch):
         built.append(k)
         return build(S, k, normalized=normalized)
 
-    def counting_snf(M):
+    def counting_snf(M, budget):
         reduced.append(M)
-        return snf(M)
+        return snf(M, budget)
 
     monkeypatch.setattr(simplicial.SimplicialTruncation, "boundary_matrix", counting_build)
     monkeypatch.setattr(intlinalg, "snf_diagonal", counting_snf)
@@ -719,7 +797,7 @@ def test_torus_analyze_charges_a_catalog_extension(capsys):
     assert code == 3 and out == ""
     assert "action of 4 elements on rank 1" in err
     code, out, err = run(capsys, "torus-analyze", "--ext", "perm_s3", "--budget", "53")
-    assert code == 3 and "enumeration size 54 exceeds budget 53" in err
+    assert code == 3 and "charging 54 brings the total to 54, which exceeds budget 53" in err
     with open(os.path.join(FIXTURE_DIR, "torus-analyze_perm_s3.json")) as fh:
         pinned = fh.read()
     argv = ("torus-analyze", "--ext", "perm_s3", "--budget", "54", "--output", "machine")

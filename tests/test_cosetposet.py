@@ -78,7 +78,7 @@ def _intersections_of_maximal_abelian_subgroups(G):
 
 def test_closed_family_is_the_intersections_of_maximal_abelian_subgroups():
     for name, G in catalog_groups():
-        family = closed_abelian_subgroups(G)
+        family = closed_abelian_subgroups(G, continuation_counts(G, 0))
         assert [(s.order, s.elements) for s in family] == (
             _intersections_of_maximal_abelian_subgroups(G)
         ), name
@@ -97,33 +97,38 @@ def test_closed_family_is_the_centres_of_the_centraliser_lattice():
             for C in continuation_counts(G, 0)
         }
         want = sorted(centres, key=lambda els: (len(els), els))
-        assert [s.elements for s in closed_abelian_subgroups(G)] == want, name
+        assert [s.elements for s in closed_abelian_subgroups(G, continuation_counts(G, 0))] == want, name
 
 
 def test_centraliser_lattice_is_charged_once_per_set():
-    # S4's lattice holds 15 sets; both of its readers refuse budget 14 alike
+    # S4's lattice holds 15 sets, 14 found after S4 itself, and through
+    # length 3 each set gains 3 counts: 14 + 45 = 59 in all
     S4 = catalog_group("S4")
-    message = "centraliser lattice: enumeration size 15 exceeds budget 14"
+    message = "centraliser lattice: charging 1 brings the total to 14, which exceeds budget 13"
     with pytest.raises(BudgetExceededError, match=message):
-        continuation_counts(S4, 3, budget=14)
+        continuation_counts(S4, 0, budget=13)
+    assert len(continuation_counts(S4, 0, budget=14)) == 15
+    message = "counts through length 3: charging 45 brings the total to 59, which exceeds budget 58"
     with pytest.raises(BudgetExceededError, match=message):
-        closed_abelian_subgroups(S4, 14)
-    assert len(closed_abelian_subgroups(S4, 15)) == len(closed_abelian_subgroups(S4))
-    assert len(continuation_counts(S4, 3, budget=15)) == 15
+        continuation_counts(S4, 3, budget=58)
+    # the closed family is read off the sets, whatever the length counted
+    closed = [closed_abelian_subgroups(S4, continuation_counts(S4, n, budget=59)) for n in (0, 3)]
+    assert len(closed[0]) == 15
+    assert [s.elements for s in closed[0]] == [s.elements for s in closed[1]]
 
 
 def test_closed_coset_poset_has_the_homology_of_the_full_one():
     # the closure hB -> h·∩{A maximal abelian : A ⊇ B} retracts P onto Q
     for name, G in catalog_groups():
         full = CosetPoset(G).homology(3)
-        assert CosetPoset(G, closed_abelian_subgroups(G)).homology(3) == full, name
+        assert CosetPoset(G, closed_abelian_subgroups(G, continuation_counts(G, 0))).homology(3) == full, name
 
 
 def test_successors_are_the_cosets_above():
     # read off the inclusions of the family, against a scan of every pair
     # of cosets; the counts are sum |G|/|I| over I and over pairs I < J
     for name, G in catalog_groups(12):
-        for family in (abelian_subgroups(G), closed_abelian_subgroups(G)):
+        for family in (abelian_subgroups(G), closed_abelian_subgroups(G, continuation_counts(G, 0))):
             P = CosetPoset(G, family)
             for c, succ in zip(P.vertices, P.successors):
                 assert succ == [j for j, d in enumerate(P.vertices) if c < d], name

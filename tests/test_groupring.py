@@ -62,7 +62,9 @@ def test_pi2_input_validation():
 
 
 def test_group_ring_work_is_charged_before_it_is_built(monkeypatch):
-    # S4 has a generating set of 3: 3·23 columns of coinvariants, 3·24 of moore_h2
+    # S4 has a generating set of 3: 3·23 columns of coinvariants, 3·24 of
+    # moore_h2, charged before they are built; the elimination's pivots are
+    # charged to the same meter, 403 and 640 in all
     S4 = catalog_group("S4")
     built = []
     from_column_dicts = IntMatrix.from_column_dicts
@@ -71,12 +73,14 @@ def test_group_ring_work_is_charged_before_it_is_built(monkeypatch):
         "from_column_dicts",
         lambda cols, nrows: built.append(len(cols)) or from_column_dicts(cols, nrows),
     )
-    for fn, columns in ((coinvariants, 69), (moore_h2, 72)):
-        with pytest.raises(BudgetExceededError, match=str(columns)):
+    for fn, columns, total in ((coinvariants, 69, 403), (moore_h2, 72, 640)):
+        with pytest.raises(BudgetExceededError, match=f"charging {columns} brings"):
             fn(S4, budget=columns - 1)
         assert built == []
-        assert fn(S4, budget=columns) == Z(0, (2,))
-        assert built == [columns]
+        with pytest.raises(BudgetExceededError, match=f"elimination: .* to {total},"):
+            fn(S4, budget=total - 1)
+        assert fn(S4, budget=total) == Z(0, (2,))
+        assert built == [columns, columns]
         built.clear()
     monkeypatch.undo()
     monkeypatch.setattr(catalog, "cyclic", lambda n: built.append(n))
@@ -84,7 +88,9 @@ def test_group_ring_work_is_charged_before_it_is_built(monkeypatch):
         pi2_e2_connected([400], budget=159999)
     assert built == []
     monkeypatch.undo()
-    assert pi2_e2_connected([2, 4], budget=64) == Z(0, (2, 4))
+    with pytest.raises(BudgetExceededError):
+        pi2_e2_connected([2, 4], budget=185)
+    assert pi2_e2_connected([2, 4], budget=186) == Z(0, (2, 4))
 
 
 # The presentations on every pair of G x G: the builds the generating-set

@@ -187,7 +187,7 @@ def test_direct_product_and_invariant_factors():
 
 def test_short_abelian_presentation_is_an_internal_fault(monkeypatch):
     # the presentation has full rank by construction; a short diagonal is a bug, not a usage error
-    monkeypatch.setattr(intlinalg, "snf_diagonal", lambda M: [1] * (M.rows - 1))
+    monkeypatch.setattr(intlinalg, "snf_diagonal", lambda M, budget: [1] * (M.rows - 1))
     with pytest.raises(MathInvariantError, match="unexpected rank"):
         invariant_factors_of_abelian(cyclic(4))
 
@@ -270,9 +270,10 @@ def test_count_of_nondegenerate_commuting_tuples_matches_the_enumeration():
 
 
 def test_commuting_tuples_need_no_recursion():
-    # a raised budget admits lengths far past the interpreter's recursion limit
+    # a budget of the n(n+1)/2 entries of the levels admits lengths far past
+    # the interpreter's recursion limit
     n = 3 * sys.getrecursionlimit()
-    assert commuting_tuples(cyclic(1), n, budget=1) == [(0,) * n]
+    assert commuting_tuples(cyclic(1), n, budget=n * (n + 1) // 2) == [(0,) * n]
 
 
 def test_central_product():

@@ -1,17 +1,19 @@
 import json
 import re
+import time
 
 import pytest
 
 from commclass import cli
 from commclass.catalog import catalog_group, catalog_groups, cyclic, dihedral
 from commclass.errors import (
+    Budget,
     BudgetExceededError,
     MathInvariantError,
     TruncationError,
     ValidationError,
 )
-from commclass.groups import commuting_levels, commuting_tuples, direct_product
+from commclass.groups import commuting_levels, commuting_tuples, continuation_counts, direct_product
 from commclass.intlinalg import AbelianGroupInvariants, homology_range
 from commclass.simplicial import (
     SimplicialTruncation,
@@ -19,7 +21,6 @@ from commclass.simplicial import (
     bar_face,
     build_c,
     build_e,
-    check_truncation,
     commutator_map,
     drop_entry,
     homology,
@@ -234,7 +235,7 @@ def test_degeneracy_leaving_the_levels_is_refused_at_construction():
 
 
 def test_budget_refuses_deep_truncations_before_enumerating(monkeypatch):
-    # the top level and the depth are checked first, and no huge power is formed
+    # the depth is charged before the walk, and no huge power is formed
     from commclass import simplicial
 
     enumerated = []
@@ -242,7 +243,6 @@ def test_budget_refuses_deep_truncations_before_enumerating(monkeypatch):
         simplicial, "commuting_levels", lambda G, n, budget: enumerated.append(n) or [[()]]
     )
     for build, G, N in [
-        (build_c, cyclic(2), 40),
         (build_e, cyclic(3), 10**6),
         (build_c, cyclic(1), 10**6),
         (build_e, cyclic(1), 10**20),
@@ -251,6 +251,12 @@ def test_budget_refuses_deep_truncations_before_enumerating(monkeypatch):
             build(G, N)
     assert enumerated == []
     monkeypatch.undo()
+    # a shallow depth on a group with many tuples is refused by the level
+    # charges of the walk, long before its 2^40 top tuples
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="commuting tuples of length"):
+        build_c(cyclic(2), 40)
+    assert time.perf_counter() - start < 1
     with pytest.raises(BudgetExceededError):
         commuting_tuples(cyclic(2), 10**9)
     assert len(build_c(cyclic(1), 300).levels) == 301
@@ -350,13 +356,11 @@ def test_cone_morse_critical_cells():
         ("S4", [134, 444, 216]),
     ]:
         G = catalog_group(name)
-        levels = CosetPoset(G, closed_abelian_subgroups(G)).chains(4)
+        levels = CosetPoset(G, closed_abelian_subgroups(G, continuation_counts(G, 0))).chains(4)
         assert [len(level) for level in levels if level] == sizes, name
         d = [_chain_boundary(levels, k) for k in range(1, len(levels))]
         for d_out, d_in in zip(d, d[1:]):
             assert (d_out @ d_in).is_zero()
-    with pytest.raises(ValidationError):
-        check_truncation(catalog_group("S3"), -1, 100, 0, "tuples")
 
 
 @pytest.mark.parametrize("name, N", [("Z2", 10), ("Z3", 6)])
@@ -521,9 +525,9 @@ def test_morse_complex_builds_the_chains_of_the_flow_only():
         chains.append(t)
         return build(G, t)
 
-    def recording_flow(G, matching, chain, critical, memo):
+    def recording_flow(G, matching, chain, critical, memo, budget):
         memos[id(memo)] = memo
-        return flow(G, matching, chain, critical, memo)
+        return flow(G, matching, chain, critical, memo, budget)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplicial, "_bar_chain", counting_chain)
@@ -546,7 +550,7 @@ def test_bar_gradient_flow_refuses_a_cycle():
             return {**pairs, **{up: down for down, up in pairs.items()}}.get(t)
 
     with pytest.raises(MathInvariantError, match="meets"):
-        _gradient_flow(cyclic(4), Cyclic(), {(2,): 1}, {}, {})
+        _gradient_flow(cyclic(4), Cyclic(), {(2,): 1}, {}, {}, Budget())
 
 
 def test_bar_gradient_flow_refuses_a_face_neither_critical_nor_matched():
@@ -558,7 +562,7 @@ def test_bar_gradient_flow_refuses_a_face_neither_critical_nor_matched():
     nondegenerate = [t for t in commuting_tuples(G, 1) if 0 not in t]
     critical = {t: r for r, t in enumerate(nondegenerate[1:])}
     with pytest.raises(MathInvariantError, match="neither critical nor matched"):
-        _gradient_flow(G, _BarMatching(G), {(1,): 1}, critical, {})
+        _gradient_flow(G, _BarMatching(G), {(1,): 1}, critical, {}, Budget())
 
 
 def _homology_exit(capsys, command, name, max_dim):

@@ -417,12 +417,13 @@ def test_single_commutator_cover_matches_brute_force():
 
 def test_single_commutator_cover_charges_the_rows_it_scans():
     # perm_s3 at denominator 2 finds its last witness in row 4 of a pool of
-    # 10,368: 4 rows of pairs are charged, not the 107,495,424 of the square
+    # 10,368: its 4 targets, the pool and 4 rows of pairs are charged, not
+    # the 107,495,424 pairs of the square
     E = catalog_extension("perm_s3")
-    message = "commutator pairs: enumeration size 41472 exceeds budget 41471"
+    message = "commutator pairs: charging 10368 brings the total to 51844, which exceeds budget 51843"
     with pytest.raises(BudgetExceededError, match=message):
-        single_commutator_cover(E, 2, budget=41471)
-    assert single_commutator_cover(E, 2, budget=41472).covered
+        single_commutator_cover(E, 2, budget=51843)
+    assert single_commutator_cover(E, 2, budget=51844).covered
 
 
 def test_single_commutator_cover_builds_no_element_per_pair(monkeypatch):
