@@ -48,7 +48,7 @@ def criterion_1(budget: int = DEFAULT_BUDGET):
     checked = 0
     for name, G in catalog_groups(24):
         co = coinvariants(G, budget=budget)
-        ab = AbelianGroupInvariants(0, tuple(abelianization(G)))
+        ab = AbelianGroupInvariants(0, tuple(abelianization(G, budget)))
         if co != ab:
             return False, f"{name}: coinvariants {co} != abelianization {ab}"
         checked += 1
@@ -64,7 +64,7 @@ def criterion_2(budget: int = DEFAULT_BUDGET):
     for name, G in catalog_groups(16):
         h2 = moore_h2(G, budget=budget)
         if G.is_abelian:
-            own = AbelianGroupInvariants(0, tuple(invariant_factors_of_abelian(G)))
+            own = AbelianGroupInvariants(0, tuple(invariant_factors_of_abelian(G, budget)))
             if h2 != own:
                 return False, f"{name}: moore_h2 {h2} != group {own}"
         co = coinvariants(G, budget=budget)

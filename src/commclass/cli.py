@@ -138,7 +138,7 @@ def cmd_homology_e2g(args):
 def cmd_coinvariants(args):
     G = parse_group(args.group, budget=args.budget)
     co = coinvariants(G, budget=args.budget)
-    ab = AbelianGroupInvariants(0, tuple(abelianization(G)))
+    ab = AbelianGroupInvariants(0, tuple(abelianization(G, args.budget)))
     rows = [
         _row("coinvariants", co, "augmentation-ideal-coinvariants"),
         _row("abelianization", ab, "abelianization-invariants"),

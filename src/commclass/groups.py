@@ -288,7 +288,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label=None) -> FiniteGroup:
     return FiniteGroup(table, names=names, label=label, check=False)
 
 
-def invariant_factors_of_abelian(G: FiniteGroup) -> list:
+def invariant_factors_of_abelian(G: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list:
     """Invariant factor list of an abelian group (empty list for trivial).
 
     G is presented on e_a, one per element, by e_a + e_b - e_ab for a in {1}
@@ -300,8 +300,6 @@ def invariant_factors_of_abelian(G: FiniteGroup) -> list:
     if not G.is_abelian:
         raise ValidationError("invariant factors require an abelian group")
     n = G.order
-    if n == 1:
-        return []
     cols = []
     for a in [0] + generators(G):
         for b in range(n):
@@ -309,17 +307,16 @@ def invariant_factors_of_abelian(G: FiniteGroup) -> list:
             for idx, s in ((a, 1), (b, 1), (G.table[a][b], -1)):
                 col[idx] = col.get(idx, 0) + s
             cols.append(col)
-    h = homology_range([IntMatrix.from_column_dicts(cols, n)])[0]
+    h = homology_range([IntMatrix.from_column_dicts(cols, n)], budget=budget)[0]
     if h.free_rank:
         raise MathInvariantError("abelian presentation has unexpected rank")
     return list(h.torsion)
 
 
-def abelianization(G: FiniteGroup) -> list:
-    """Invariant factors of G/[G,G]."""
-    D = commutator_subgroup(G)
-    Q, _ = quotient_group(G, D)
-    return invariant_factors_of_abelian(Q)
+def abelianization(G: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list:
+    """Invariant factors of G/[G,G]; its elimination is charged to budget."""
+    Q, _ = quotient_group(G, commutator_subgroup(G))
+    return invariant_factors_of_abelian(Q, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -673,7 +673,7 @@ def homology_range(boundaries, reduced: bool = False, budget=DEFAULT_BUDGET) -> 
     return out
 
 
-def homology_at(d_out: IntMatrix, d_in: IntMatrix, budget=DEFAULT_BUDGET) -> AbelianGroupInvariants:
+def homology_at(d_out: IntMatrix, d_in: IntMatrix) -> AbelianGroupInvariants:
     """Homology ker(d_out)/im(d_in) at the middle slot of
     Z^m --d_in--> Z^n --d_out--> Z^p, with d_out o d_in = 0."""
-    return homology_range([d_out, d_in], budget=budget)[1]
+    return homology_range([d_out, d_in])[1]

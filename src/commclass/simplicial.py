@@ -183,7 +183,7 @@ def _boundaries(S: SimplicialTruncation, top: int, bottom: int = 1) -> list:
     return [S.boundary_matrix(k) for k in range(bottom, top + 2)]
 
 
-def homology(S: SimplicialTruncation, k: int, budget=DEFAULT_BUDGET) -> AbelianGroupInvariants:
+def homology(S: SimplicialTruncation, k: int) -> AbelianGroupInvariants:
     """Integral homology H_k of the normalized chain complex of S.
 
     Needs the boundary out of degree k+1, so the truncation must extend at
@@ -192,8 +192,8 @@ def homology(S: SimplicialTruncation, k: int, budget=DEFAULT_BUDGET) -> AbelianG
     if k < 0:
         raise ValidationError("homology degree must be nonnegative")
     if k == 0:
-        return homology_range(_boundaries(S, 0), budget=budget)[0]
-    return homology_at(*_boundaries(S, k, bottom=k), budget=budget)
+        return homology_range(_boundaries(S, 0))[0]
+    return homology_at(*_boundaries(S, k, bottom=k))
 
 
 def reduced_homology_range(S: SimplicialTruncation, top: int, budget=DEFAULT_BUDGET) -> list:
@@ -372,11 +372,11 @@ class _BarMatching:
         return None
 
 
-def _scan_levels(G: FiniteGroup, steps: list, counts: dict, N: int):
+def _scan_levels(G: FiniteGroup, steps: list, counts: dict, N: int, budget):
     """Scan the nondegenerate commuting tuples level by level and yield, for
     k = 1..N, the critical k-tuples in lexicographic order with the numbers
     of k-tuples matched up and down, the matched ones counted without
-    listing them.
+    listing them; budget is charged each critical tuple before it is listed.
 
     The scan runs over the configurations (p, a, S): a, the last entry of a
     critical prefix (the identity at the start), p the entry before it, S
@@ -398,6 +398,7 @@ def _scan_levels(G: FiniteGroup, steps: list, counts: dict, N: int):
             for b in sorted(S)[1:]:  # every S holds the identity, index 0
                 s, T = steps[a][b], S & G.commuting_set(b)
                 if s is None:
+                    budget.charge(len(cells), f"critical cells of level {k}")
                     nxt.setdefault((a, b, T), []).extend(c + (b,) for c in cells)
                     continue
                 u = s[0]
@@ -515,21 +516,20 @@ def morse_complex(G: FiniteGroup, N: int, budget: int = DEFAULT_BUDGET) -> Morse
     incidence is (-1)^i all the same, as the merge face d_i, 0 < i < k, of a
     nondegenerate tuple equals no other face.  A failure raises
     MathInvariantError.  The Morse d_k takes each critical tuple to the
-    gradient flow of its chain; each level's critical tuples are charged first.
+    gradient flow of its chain; the scan charges each critical tuple first.
     """
     budget = meter(budget)
     counts = continuation_counts(G, N, budget)
     counted, matching = counts[frozenset(range(G.order))], _BarMatching(G)
     # the critical tuples of the level below, numbered, and their matched-up count
     boundaries, below, up_below = [], {(): 0}, 0
-    for k, (cells, up, down) in enumerate(_scan_levels(G, matching.steps, counts, N), 1):
+    for k, (cells, up, down) in enumerate(_scan_levels(G, matching.steps, counts, N, budget), 1):
         if len(cells) + up + down != counted[k] or down != up_below:
             raise MathInvariantError(
                 f"bar matching at level {k}: {len(cells)} critical + {up} matched up + "
                 f"{down} matched down of {counted[k]} nondegenerate cells, against "
                 f"{up_below} matched up at level {k - 1}"
             )
-        budget.charge(len(cells), f"critical cells of level {k}")
         memo = {}
         columns = [_gradient_flow(G, matching, _bar_chain(G, c), below, memo, budget) for c in cells]
         boundaries.append(IntMatrix.from_column_dicts(columns, len(below)))

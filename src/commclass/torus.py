@@ -154,10 +154,8 @@ class TorusExtension:
         if rank < 0:
             raise ValidationError("rank must be nonnegative")
         budget = meter(budget)
-        budget.charge(F.order * rank * rank, f"action of {F.order} elements on rank {rank}")
-        self.rank = rank
-        self.F = F
-        self.label = label
+        self.rank, self.F, self.label = rank, F, label
+        self.charge_images(budget)
         ident = IntMatrix.identity(rank)
         rho = {0: ident}
         for g, M in action.items():
@@ -238,6 +236,11 @@ class TorusExtension:
     @property
     def is_split(self):
         return len(self.z_elements) == 1
+
+    def charge_images(self, budget) -> None:
+        """Charge budget the |F|·rank^2 entries of the action's images."""
+        order, rank = self.F.order, self.rank
+        meter(budget).charge(order * rank * rank, f"action of {order} elements on rank {rank}")
 
     def _canonical(self, n, d, f):
         """Canonical representative of (n/d, f), reduced to lowest terms."""
@@ -583,7 +586,7 @@ def catalog_extension(name: str, budget: int = DEFAULT_BUDGET) -> TorusExtension
     if name not in _ext_cache:
         _ext_cache[name] = extension_from_spec({**CATALOG_SPECS[name], "label": name}, where=name)
     E = _ext_cache[name]
-    meter(budget).charge(E.F.order * E.rank**2, f"action of {E.F.order} elements on rank {E.rank}")
+    E.charge_images(budget)
     return E
 
 

@@ -13,6 +13,7 @@ from commclass import acceptance, cli
 from commclass.catalog import catalog_group, catalog_groups
 from commclass.errors import Budget
 from commclass.groupring import coinvariants, moore_h2
+from commclass.groups import abelianization
 
 
 def run(capsys, *argv):
@@ -188,11 +189,24 @@ def test_budget_exit_code(capsys):
     code, out, err = run(capsys, "coinvariants", "--group", "S4", "--budget", "68")
     assert code == 3
     assert "charging 69 brings the total to 69" in err and out == ""
-    for command, total in (("coinvariants", 403), ("moore-h2", 1043)):
+    # coinvariants also spends 1 on S4's abelianization, whose quotient Z2
+    # leaves a 1x1 dense tail
+    for command, total in (("coinvariants", 404), ("moore-h2", 1043)):
         code, out, err = run(capsys, command, "--group", "S4", "--budget", str(total - 1))
         assert code == 3 and out == ""
         assert run(capsys, command, "--group", "S4", "--budget", str(total))[0] == 0
 
+
+def test_coinvariants_charges_the_abelianization_to_the_run(capsys):
+    # the command eliminates the abelianization's presentation on the run's
+    # meter: Q8's costs 22 on top of the 71 charged by coinvariants
+    Q8, meter = catalog_group("Q8"), Budget()
+    coinvariants(Q8, meter)
+    assert meter.spent == 71
+    assert abelianization(Q8, meter) == [2, 2] and meter.spent == 93
+    code, out, err = run(capsys, "coinvariants", "--group", "Q8", "--budget", "92")
+    assert code == 3 and out == "" and "elimination" in err and "exceeds budget 92" in err
+    assert run(capsys, "coinvariants", "--group", "Q8", "--budget", "93")[0] == 0
 
 def test_one_run_spends_one_budget(capsys):
     # moore-h2 runs moore_h2 and coinvariants on one meter: a budget that

@@ -17,6 +17,11 @@ Z = AbelianGroupInvariants
 def test_abelian_subgroup_counts():
     # S3: trivial, three <transposition>, <3-cycle>
     assert len(abelian_subgroups(catalog_group("S3"))) == 5
+    # each subgroup found after the trivial one is charged
+    message = "abelian subgroup enumeration: charging 1 brings the total to 4, which exceeds budget 3"
+    with pytest.raises(BudgetExceededError, match=message):
+        abelian_subgroups(catalog_group("S3"), budget=3)
+    assert len(abelian_subgroups(catalog_group("S3"), budget=4)) == 5
     # Q8: trivial, center, <i>, <j>, <k>
     assert len(abelian_subgroups(catalog_group("Q8"))) == 5
     # a prime-order group: trivial and itself

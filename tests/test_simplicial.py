@@ -428,6 +428,32 @@ def test_morse_complex_steps_the_scan_once_per_level(monkeypatch):
             assert stepped == list(range(1, N + 1)) and len(M.boundaries) == N, (name, N)
 
 
+def test_morse_complex_charges_a_level_before_listing_it(monkeypatch):
+    # S3's trivial centre leaves every nondegenerate tuple critical: a budget
+    # spent up to the end of level N - 1 refuses level N at its first cells,
+    # before the scan lists the level, and N one lower answers
+    from commclass import simplicial
+
+    scan = simplicial._scan_levels
+    spent = []
+
+    def spy(*args):
+        for level in scan(*args):
+            spent.append(args[-1].spent)
+            yield level
+
+    monkeypatch.setattr(simplicial, "_scan_levels", spy)
+    S3, N = catalog_group("S3"), 6
+    morse_complex(S3, N, Budget())
+    assert spent == [39, 46, 57, 76, 111, 178]  # 2^k + 3 cells at level k
+    limit = spent[-2]
+    spent.clear()
+    with pytest.raises(BudgetExceededError, match=f"critical cells of level {N}:"):
+        morse_complex(S3, N, limit)
+    assert len(spent) == N - 1
+    assert len(morse_complex(S3, N - 1, limit).boundaries) == N - 1
+
+
 @pytest.mark.parametrize("corrupted", [1, 2, 3])
 def test_cone_matching_count_invariant_detects_a_corrupted_level(capsys, monkeypatch, corrupted):
     # the last critical cell missing from a level, the top level too: the

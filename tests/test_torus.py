@@ -251,6 +251,15 @@ def test_su2_normalizer_central_quotient():
     assert torus_pi1_lattice(E) == (1, Lattice.full(1))
 
 
+def test_central_quotient_elements_are_charged():
+    # the action's one entry, then each element found after the identity
+    z = [((Fraction(1, 3),), 0)]
+    message = "central quotient elements: charging 1 brings the total to 3, which exceeds budget 2"
+    with pytest.raises(BudgetExceededError, match=message):
+        TorusExtension(1, cyclic(1), {}, central_quotient=z, budget=2)
+    assert len(TorusExtension(1, cyclic(1), {}, central_quotient=z, budget=3).z_elements) == 3
+
+
 def test_o2_half_fractional_pi1():
     E = catalog_extension("o2_half")
     assert not E.is_split
