@@ -4,17 +4,16 @@ kernels, lattices in Z^k, and homology of integer chain complexes.
 All arithmetic uses Python's arbitrary-precision integers.  Matrices are
 stored sparsely (one dict per row) so that boundary matrices of large chain
 complexes stay affordable.  Each job has one eliminator.  Invariant factors
-of every matrix come from greedy unit-pivot sparse elimination along the
-short side of the matrix (its rows, or its columns when it is wider than
-tall), then the dense Smith routine on the block left without a +-1 entry;
-that dense routine returns the diagonal only and is also the independent
-oracle of the sparse path.  Lattice jobs (bases, sums, kernels, saturation,
-complements) use the row Hermite form alone.  One reduction of [B | I],
-with the given vectors as the columns of B, carries a unimodular U: its
-rows that vanish on B span the vectors orthogonal to the given ones (an
-integer kernel), and the lattice orthogonal to its pivot rows is a
-complement.  Saturation is the orthogonal of the orthogonal, two such
-reductions.
+of every matrix come from one sparse elimination along the short side of
+the matrix (its rows, or its columns when it is wider than tall): greedy
+unit pivots first, then pivots of least absolute value with extended-gcd
+mixes on the lines left without a +-1 entry.  Lattice jobs (bases, sums,
+kernels, saturation, complements) use the row Hermite form alone.  One
+reduction of [B | I], with the given vectors as the columns of B, carries
+a unimodular U: its rows that vanish on B span the vectors orthogonal to
+the given ones (an integer kernel), and the lattice orthogonal to its
+pivot rows is a complement.  Saturation is the orthogonal of the
+orthogonal, two such reductions.
 """
 
 from __future__ import annotations
@@ -183,25 +182,7 @@ class IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# dense Smith normal form
-
-
-def _find_pivot(A, m, n, t):
-    """Smallest absolute nonzero entry of A[t:, t:], ties by lowest (row, col)."""
-    best = None
-    for i in range(t, m):
-        Ai = A[i]
-        for j in range(t, n):
-            v = Ai[j]
-            if v:
-                a = -v if v < 0 else v
-                if best is None or a < best[0]:
-                    best = (a, i, j)
-                    if a == 1:
-                        return best
-        if best is not None and best[0] == 1:
-            return best
-    return best
+# sparse elimination for invariant factors
 
 
 def _ext_gcd(a, b):
@@ -219,92 +200,119 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def _dense_smith(rows, m, n):
-    """Diagonal of the Smith normal form of the dense m x n matrix rows:
-    min(m, n) entries, the nonzero ones a positive divisibility chain
-    followed by zeros.
+def _clear_column(rows, cols, prow, j, lines):
+    """Cancel column j of the given rows, which prow[j] divides, by
+    multiples of prow; the caller keeps cols[j]."""
+    p = prow[j]
+    for i2 in lines:
+        r2 = rows[i2]
+        q = r2.pop(j) // p
+        for j2, pv in prow.items():
+            if j2 == j:
+                continue
+            new = r2.get(j2, 0) - q * pv
+            if new:
+                if j2 not in r2:
+                    cols[j2].add(i2)
+                r2[j2] = new
+            elif j2 in r2:
+                del r2[j2]
+                cols[j2].discard(i2)
+        if not r2:
+            del rows[i2]
 
-    Pivot rule: smallest absolute nonzero entry, ties broken by lowest
-    (row, column) index.  Entries are cleared with single extended-gcd
-    row/column mixes rather than repeated division.  Once elimination ends
-    A is diagonal, and the divisibility chain is restored on that list alone
-    by replacing pairs with their gcd and lcm.  Coefficient growth is
-    unbounded in general: on some sparse random matrices the entries grow
-    exponentially with the pivot count.  It has two callers: the dense tail
-    of snf_diagonal (the block left without a +-1 entry) and the tests,
-    where it is the oracle of that sparse path.
-    """
-    A = [row[:] for row in rows]
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        piv = _find_pivot(A, m, n, t)
-        if piv is None:
-            break
-        _, pi, pj = piv
-        if pi != t:
-            A[t], A[pi] = A[pi], A[t]
-        if pj != t:
-            for row in A:
-                row[t], row[pj] = row[pj], row[t]
+
+def _mix_rows(rows, cols, i, i2, j, budget):
+    """Replace rows i and i2 by the unimodular mix that leaves
+    gcd(rows[i][j], rows[i2][j]) at (i, j) and 0 at (i2, j)."""
+    r, r2 = rows[i], rows[i2]
+    budget.charge(len(r) + len(r2), "elimination: gcd mix of rows")
+    g, x, y = _ext_gcd(r[j], r2[j])
+    a, b = r[j] // g, r2[j] // g
+    for k in r.keys() | r2.keys():
+        u, w = r.get(k, 0), r2.get(k, 0)
+        for line, row, v in ((i, r, x * u + y * w), (i2, r2, a * w - b * u)):
+            if v:
+                if k not in row:
+                    cols[k].add(line)
+                row[k] = v
+            elif k in row:
+                del row[k]
+                cols[k].discard(line)
+    if not r2:
+        del rows[i2]
+
+
+def _mix_columns(rows, cols, i, j, j2, budget):
+    """Replace columns j and j2 by the unimodular mix that leaves
+    gcd(rows[i][j], rows[i][j2]) at (i, j) and 0 at (i, j2); column j
+    holds row i alone, so the other rows of column j2 fill column j."""
+    budget.charge(len(cols[j]) + len(cols[j2]), "elimination: gcd mix of columns")
+    r = rows[i]
+    g, _, y = _ext_gcd(r[j], r.pop(j2))
+    a = r[j] // g
+    r[j] = g
+    cols[j2].discard(i)
+    for i2 in cols[j2]:
+        r2 = rows[i2]
+        r2[j] = y * r2[j2]
+        r2[j2] *= a
+        cols[j].add(i2)
+
+
+def _nonunit_pivots(rows, cols, budget):
+    """|pivot| of each pivot that diagonalises rows (line -> {cross index:
+    entry}; cols, the transpose index, is kept in step), consuming both.
+    Each pivot is an entry of least |value|, ties broken by the Markowitz
+    cost (len(row) - 1)(len(col) - 1), then by line order.  Its column is
+    cleared by row operations, then its row by column operations: the
+    column holds the pivot alone, so an entry the pivot divides is dropped,
+    and one it does not divide is mixed in by gcd, which refills the
+    column.  Each clearing of the column is charged its Markowitz cost."""
+    low = {i: min(map(abs, r.values())) for i, r in rows.items()}
+    diagonal = []
+    while rows:
+        a = min(low.values())
+        best = None
+        for i, m in low.items():
+            if m == a:
+                n = len(rows[i]) - 1
+                for j, v in rows[i].items():
+                    if v == a or v == -a:
+                        cost = n * (len(cols[j]) - 1)
+                        if best is None or cost < best[0]:
+                            best = (cost, i, j)
+        _, i, j = best
+        touched = set()
         while True:
-            for i in range(t + 1, m):
-                b = A[i][t]
-                if not b:
-                    continue
-                a = A[t][t]
-                if b % a == 0:
-                    q = b // a
-                    Ai, At = A[i], A[t]
-                    for j in range(t, n):
-                        Ai[j] -= q * At[j]
-                else:
-                    g, x, y = _ext_gcd(a, b)
-                    a1, b1 = a // g, b // g
-                    Ai, At = A[i], A[t]
-                    for j in range(t, n):
-                        at, ai = At[j], Ai[j]
-                        At[j] = x * at + y * ai
-                        Ai[j] = a1 * ai - b1 * at
-            # column phase: exact-division clears leave column t alone,
-            # gcd mixes can refill it and shrink the pivot, so loop
-            column_dirtied = False
-            for j in range(t + 1, n):
-                b = A[t][j]
-                if not b:
-                    continue
-                a = A[t][t]
-                if b % a == 0:
-                    q = b // a
-                    for row in A:
-                        row[j] -= q * row[t]
-                else:
-                    g, x, y = _ext_gcd(a, b)
-                    a1, b1 = a // g, b // g
-                    for row in A:
-                        rt, rj = row[t], row[j]
-                        row[t] = x * rt + y * rj
-                        row[j] = a1 * rj - b1 * rt
-                    column_dirtied = True
-            if not column_dirtied:
+            budget.charge((len(rows[i]) - 1) * (len(cols[j]) - 1), "elimination: non-unit pivot")
+            # a mix leaves a pivot that divides the one before, so the rows
+            # it divided stay divisible and are cleared after every mix
+            lines = [i2 for i2 in cols[j] if i2 != i]
+            touched.update(lines)
+            for i2 in lines:
+                if rows[i2][j] % rows[i][j]:
+                    _mix_rows(rows, cols, i, i2, j, budget)
+            _clear_column(rows, cols, rows[i], j, [i2 for i2 in cols[j] if i2 != i])
+            cols[j] = {i}
+            r = rows[i]
+            j2 = next((j2 for j2, b in r.items() if b % r[j]), None)
+            if j2 is None:
                 break
-        if A[t][t] < 0:
-            A[t] = [-v for v in A[t]]
-        t += 1
-    # A is diagonal now; replacing a pair by (gcd, lcm) keeps the invariant
-    # factors, and doing so for every pair i < j makes a divisibility chain
-    d = [A[i][i] for i in range(limit)]
-    for i in range(t):
-        for j in range(i + 1, t):
-            a, b = d[i], d[j]
-            if b % a:
-                g = gcd(a, b)
-                d[i], d[j] = g, a // g * b
-    return d
-
-
-# ---------------------------------------------------------------------------
-# sparse elimination for invariant factors
+            touched.update(cols[j2])
+            _mix_columns(rows, cols, i, j, j2, budget)
+        r = rows.pop(i)
+        del low[i]
+        for j2 in r:
+            cols[j2].discard(i)
+        del cols[j]
+        diagonal.append(abs(r[j]))
+        for i2 in touched:
+            if i2 in rows:
+                low[i2] = min(map(abs, rows[i2].values()))
+            else:
+                low.pop(i2, None)
+    return diagonal
 
 
 def snf_diagonal(M: IntMatrix, budget=DEFAULT_BUDGET):
@@ -314,15 +322,18 @@ def snf_diagonal(M: IntMatrix, budget=DEFAULT_BUDGET):
     from shortest to longest and pivot each on its +-1 entry in the
     sparsest cross line.  Each pivot is a unimodular equivalence splitting
     off diag(1).  Fill-in can create units in lines already swept, so
-    sweeps repeat until one finds no pivot; the block left without a +-1
-    entry is finished densely.
+    sweeps repeat until one finds no pivot; the lines left without a +-1
+    entry are finished on the same sparse rows by _nonunit_pivots, and the
+    divisibility chain is restored on its pivots above 1 by gcd/lcm
+    replacements.
 
     The swept lines are the short side of M: its rows, unless M is wider
     than tall, in which case they are its columns.  M and its transpose
     have the same invariant factors, and sweeping the short lines fills
-    in far less; the dense tail then has at most min(rows, cols) columns.
-    Each pivot is charged the (len(row) - 1)(len(col) - 1) entries it
-    updates, and the m x n dense tail m·n·min(m, n), before the work.
+    in far less; what is left then has at most min(rows, cols) cross
+    indices.  Each pivot is charged the (len(row) - 1)(len(col) - 1) entries
+    it updates, and each gcd mix the entries of the two lines it rewrites,
+    before the work.
     """
     budget = meter(budget)
     # rows: swept line -> {cross index: entry}; cols: cross index -> lines
@@ -380,21 +391,20 @@ def snf_diagonal(M: IntMatrix, budget=DEFAULT_BUDGET):
             ones += 1
             pivoted = True
 
-    divisors = [1] * ones
-    if rows:
-        # no +-1 entries remain; finish densely on the remaining block
-        live_cols = dict.fromkeys(j for r in rows.values() for j in r)
-        colpos = {j: a for a, j in enumerate(live_cols)}
-        m, n = len(rows), len(colpos)
-        budget.charge(m * n * min(m, n), f"elimination: dense tail of {m}x{n}")
-        block = []
-        for r in rows.values():
-            row = [0] * n
-            for j, v in r.items():
-                row[colpos[j]] = v
-            block.append(row)
-        divisors.extend(d for d in _dense_smith(block, m, n) if d)
-    return divisors
+    if not rows:
+        return [1] * ones
+    # the pivots above 1 are a diagonal; replacing a pair by (gcd, lcm)
+    # keeps the invariant factors, and doing so for every pair i < j makes
+    # a divisibility chain
+    pivots = _nonunit_pivots(rows, cols, budget)
+    d = [p for p in pivots if p > 1]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            if b % a:
+                g = gcd(a, b)
+                d[i], d[j] = g, a // g * b
+    return [1] * (ones + len(pivots) - len(d)) + d
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_group_ring_criteria_charge_the_budget():
     # the largest group-ring call of each criterion, columns and pivots
     # charged to one meter: Q8oZ4's coinvariants, Q8oZ4's moore_h2, and
     # pi2-e2 over Z2xZ2 (Cayley tables, columns and pivots)
-    for n, largest in ((1, 432), (2, 701), (3, 73)):
+    for n, largest in ((1, 367), (2, 300), (3, 50)):
         _, _, fn = acceptance.CRITERIA[n - 1]
         with pytest.raises(BudgetExceededError, match=f"brings the total to {largest},"):
             fn(budget=largest - 1)

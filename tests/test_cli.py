@@ -182,16 +182,16 @@ def test_budget_exit_code(capsys):
     code, out, err = run(capsys, "pi2-e2", "--pi1", "400", "--budget", "1000")
     assert code == 3
     assert "160000" in err and out == ""
-    assert run(capsys, "pi2-e2", "--pi1", "2,4", "--budget", "185")[0] == 3
-    assert run(capsys, "pi2-e2", "--pi1", "2,4", "--budget", "186")[0] == 0
+    assert run(capsys, "pi2-e2", "--pi1", "2,4", "--budget", "128")[0] == 3
+    assert run(capsys, "pi2-e2", "--pi1", "2,4", "--budget", "129")[0] == 0
     # the group-ring commands charge the columns they build, one per element
     # and generator, 3·23 for coinvariants of S4, before building them
     code, out, err = run(capsys, "coinvariants", "--group", "S4", "--budget", "68")
     assert code == 3
     assert "charging 69 brings the total to 69" in err and out == ""
-    # coinvariants also spends 1 on S4's abelianization, whose quotient Z2
-    # leaves a 1x1 dense tail
-    for command, total in (("coinvariants", 404), ("moore-h2", 1043)):
+    # the command also eliminates S4's abelianization, whose quotient Z2 is
+    # one non-unit pivot of Markowitz cost 0, so it spends what coinvariants does
+    for command, total in (("coinvariants", 367), ("moore-h2", 898)):
         code, out, err = run(capsys, command, "--group", "S4", "--budget", str(total - 1))
         assert code == 3 and out == ""
         assert run(capsys, command, "--group", "S4", "--budget", str(total))[0] == 0
@@ -199,14 +199,14 @@ def test_budget_exit_code(capsys):
 
 def test_coinvariants_charges_the_abelianization_to_the_run(capsys):
     # the command eliminates the abelianization's presentation on the run's
-    # meter: Q8's costs 22 on top of the 71 charged by coinvariants
+    # meter: Q8's costs 6 on top of the 35 charged by coinvariants
     Q8, meter = catalog_group("Q8"), Budget()
     coinvariants(Q8, meter)
-    assert meter.spent == 71
-    assert abelianization(Q8, meter) == [2, 2] and meter.spent == 93
-    code, out, err = run(capsys, "coinvariants", "--group", "Q8", "--budget", "92")
-    assert code == 3 and out == "" and "elimination" in err and "exceeds budget 92" in err
-    assert run(capsys, "coinvariants", "--group", "Q8", "--budget", "93")[0] == 0
+    assert meter.spent == 35
+    assert abelianization(Q8, meter) == [2, 2] and meter.spent == 41
+    code, out, err = run(capsys, "coinvariants", "--group", "Q8", "--budget", "40")
+    assert code == 3 and out == "" and "elimination" in err and "exceeds budget 40" in err
+    assert run(capsys, "coinvariants", "--group", "Q8", "--budget", "41")[0] == 0
 
 def test_one_run_spends_one_budget(capsys):
     # moore-h2 runs moore_h2 and coinvariants on one meter: a budget that
@@ -217,9 +217,9 @@ def test_one_run_spends_one_budget(capsys):
         meter = Budget()
         fn(S4, meter)
         spent.append(meter.spent)
-    assert spent == [640, 403]
+    assert spent == [531, 367]
     code, out, err = run(capsys, "moore-h2", "--group", "S4", "--budget", str(max(spent)))
-    assert code == 3 and out == "" and "exceeds budget 640" in err
+    assert code == 3 and out == "" and "exceeds budget 531" in err
     assert run(capsys, "moore-h2", "--group", "S4", "--budget", str(sum(spent)))[0] == 0
 
 
@@ -277,7 +277,7 @@ def test_homology_e2g_walks_the_centraliser_lattice_once(capsys, monkeypatch):
 def test_elimination_is_charged_to_the_budget(capsys, tmp_path):
     # A6's closure-reduced coset poset has 84,060 chains of dimension 1: the
     # unit pivots of its elimination run past the default budget, which
-    # refuses them long before the dense tail
+    # refuses them long before the non-unit finish
     path = tmp_path / "a6.json"
     generators = [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]
     path.write_text(json.dumps({"format": "perm", "degree": 6, "generators": generators}))

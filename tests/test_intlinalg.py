@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from commclass.intlinalg import (
     AbelianGroupInvariants,
     IntMatrix,
     Lattice,
+    _ext_gcd,
     complement,
     homology_at,
     homology_range,
@@ -46,6 +48,106 @@ def determinant(M: IntMatrix) -> int:
             A[i][t] = 0
         prev = A[t][t]
     return sign * A[n - 1][n - 1]
+
+
+def _find_pivot(A, m, n, t):
+    """Smallest absolute nonzero entry of A[t:, t:], ties by lowest (row, col)."""
+    best = None
+    for i in range(t, m):
+        Ai = A[i]
+        for j in range(t, n):
+            v = Ai[j]
+            if v:
+                a = -v if v < 0 else v
+                if best is None or a < best[0]:
+                    best = (a, i, j)
+                    if a == 1:
+                        return best
+        if best is not None and best[0] == 1:
+            return best
+    return best
+
+
+def _dense_smith(rows, m, n):
+    """Diagonal of the Smith normal form of the dense m x n matrix rows:
+    min(m, n) entries, the nonzero ones a positive divisibility chain
+    followed by zeros.  The oracle of snf_diagonal's sparse elimination.
+
+    Pivot rule: smallest absolute nonzero entry, ties broken by lowest
+    (row, column) index.  Entries are cleared with single extended-gcd
+    row/column mixes rather than repeated division.  Once elimination ends
+    A is diagonal, and the divisibility chain is restored on that list alone
+    by replacing pairs with their gcd and lcm.  Coefficient growth is
+    unbounded in general: on some sparse random matrices the entries grow
+    exponentially with the pivot count.
+    """
+    A = [row[:] for row in rows]
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        piv = _find_pivot(A, m, n, t)
+        if piv is None:
+            break
+        _, pi, pj = piv
+        if pi != t:
+            A[t], A[pi] = A[pi], A[t]
+        if pj != t:
+            for row in A:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            for i in range(t + 1, m):
+                b = A[i][t]
+                if not b:
+                    continue
+                a = A[t][t]
+                if b % a == 0:
+                    q = b // a
+                    Ai, At = A[i], A[t]
+                    for j in range(t, n):
+                        Ai[j] -= q * At[j]
+                else:
+                    g, x, y = _ext_gcd(a, b)
+                    a1, b1 = a // g, b // g
+                    Ai, At = A[i], A[t]
+                    for j in range(t, n):
+                        at, ai = At[j], Ai[j]
+                        At[j] = x * at + y * ai
+                        Ai[j] = a1 * ai - b1 * at
+            # column phase: exact-division clears leave column t alone,
+            # gcd mixes can refill it and shrink the pivot, so loop
+            column_dirtied = False
+            for j in range(t + 1, n):
+                b = A[t][j]
+                if not b:
+                    continue
+                a = A[t][t]
+                if b % a == 0:
+                    q = b // a
+                    for row in A:
+                        row[j] -= q * row[t]
+                else:
+                    g, x, y = _ext_gcd(a, b)
+                    a1, b1 = a // g, b // g
+                    for row in A:
+                        rt, rj = row[t], row[j]
+                        row[t] = x * rt + y * rj
+                        row[j] = a1 * rj - b1 * rt
+                    column_dirtied = True
+            if not column_dirtied:
+                break
+        if A[t][t] < 0:
+            A[t] = [-v for v in A[t]]
+        t += 1
+    # A is diagonal now; replacing a pair by (gcd, lcm) keeps the invariant
+    # factors, and doing so for every pair i < j makes a divisibility chain
+    d = [A[i][i] for i in range(limit)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            a, b = d[i], d[j]
+            if b % a:
+                g = gcd(a, b)
+                d[i], d[j] = g, a // g * b
+    return d
 
 
 def random_matrix(max_dim=12, lo=-9, hi=9):
@@ -98,8 +200,6 @@ def check_smith_diagonal(M, local):
     """The invariant factors of M: the dense routine's diagonal, a positive
     divisibility chain followed by zeros, unchanged by unimodular U and V on
     either side and by transposition, and |det M| for a square M."""
-    from commclass.intlinalg import _dense_smith
-
     divs = snf_diagonal(M)
     dense = _dense_smith(M.to_rows(), M.rows, M.cols)
     assert len(dense) == min(M.rows, M.cols)
@@ -134,10 +234,8 @@ def test_smith_normal_form_random():
 
 
 def test_sparse_path_matches_dense():
-    # every matrix takes the unit-pivot route and its dense tail; the dense
+    # the unit sweeps, then the non-unit finish on what they leave; the dense
     # routine on the whole matrix is the oracle
-    from commclass.intlinalg import _dense_smith
-
     def check(rows, m, n):
         M = IntMatrix(m, n, [dict(enumerate(r)) for r in rows])
         dense = _dense_smith([list(r) for r in rows], m, n)
@@ -157,7 +255,7 @@ def test_sparse_path_matches_dense():
         for _ in range(m + n):
             rows[rng.randrange(m)][rng.randrange(n)] = rng.randint(-4, 4)
         check(rows, m, n)
-    # no +-1 entry: everything goes to the dense tail
+    # no +-1 entry: everything goes to the non-unit finish
     rows = [[rng.choice([0, 0, 2, -3, 4, 6]) for _ in range(12)] for _ in range(9)]
     check(rows, 9, 12)
     # the unit appears only after fill-in, in a row already swept
@@ -166,20 +264,20 @@ def test_sparse_path_matches_dense():
 
 
 def test_dense_tail_lies_along_the_short_side(monkeypatch):
-    # the sweeps run along the short side of M, so the block handed to the
-    # dense routine has at most min(rows, cols) columns
+    # the sweeps run along the short side of M, so the lines left to the
+    # non-unit finish have at most min(rows, cols) live cross indices
     from commclass import intlinalg
     from commclass.catalog import catalog_group
     from commclass.simplicial import build_c
 
-    dense_smith = intlinalg._dense_smith
+    finish = intlinalg._nonunit_pivots
     blocks = []
 
-    def spy(rows, m, n):
-        blocks.append((m, n))
-        return dense_smith(rows, m, n)
+    def spy(rows, cols, budget):
+        blocks.append((len(rows), len({j for r in rows.values() for j in r})))
+        return finish(rows, cols, budget)
 
-    monkeypatch.setattr(intlinalg, "_dense_smith", spy)
+    monkeypatch.setattr(intlinalg, "_nonunit_pivots", spy)
 
     def check(M):
         blocks.clear()
@@ -188,22 +286,26 @@ def test_dense_tail_lies_along_the_short_side(monkeypatch):
         # M and its transpose share invariant factors; the dense oracle
         # runs on whichever orientation has fewer columns
         O = M.transpose() if M.cols > M.rows else M
-        dense = dense_smith(O.to_rows(), O.rows, O.cols)
+        dense = _dense_smith(O.to_rows(), O.rows, O.cols)
         assert divs == [d for d in dense if d]
+        return list(blocks)
 
-    # the bar-model top boundary of Z3xZ3 for --max-dim 3: 512 x 4096, with
-    # torsion; sweeping its rows left a 21 x 2332 dense tail
+    # the bar-model boundaries of Z3xZ3 for --max-dim 3, 64 x 512 and
+    # 512 x 4096, with torsion; sweeping their columns leaves 96 and 947
+    # lines on 6 and 25 cross indices
     S = build_c(catalog_group("Z3xZ3"), 4)
-    for k in (3, 4):
-        check(S.boundary_matrix(k))
+    assert check(S.boundary_matrix(3)) == [(96, 6)]
+    assert check(S.boundary_matrix(4)) == [(947, 25)]
     local = random.Random(20261018)
+    finished = 0
     for _ in range(40):
         short, long = local.randrange(1, 30), local.randrange(30, 90)
         m, n = (short, long) if local.random() < 0.5 else (long, short)
         rows = [dict() for _ in range(m)]
         for _ in range(2 * (m + n)):
             rows[local.randrange(m)][local.randrange(n)] = local.choice([-2, -1, 1, 1, 2, 3])
-        check(IntMatrix(m, n, rows))
+        finished += len(check(IntMatrix(m, n, rows)))
+    assert finished >= 10
 
 
 def test_integer_kernel():
@@ -225,13 +327,14 @@ def test_integer_kernel():
 
 def test_lattice_jobs_use_only_the_hermite_form(monkeypatch):
     # kernels, saturation and complements come from row_hnf with a carried
-    # identity block; the dense Smith routine is left to snf_diagonal
+    # identity block; neither snf_diagonal nor its non-unit finish runs
     from commclass import intlinalg
 
-    def no_dense_smith(*args):
-        raise AssertionError("a lattice job called _dense_smith")
+    def no_smith(*args):
+        raise AssertionError("a lattice job called the Smith elimination")
 
-    monkeypatch.setattr(intlinalg, "_dense_smith", no_dense_smith)
+    monkeypatch.setattr(intlinalg, "snf_diagonal", no_smith)
+    monkeypatch.setattr(intlinalg, "_nonunit_pivots", no_smith)
     for _ in range(40):
         M = random_matrix(6, -4, 4)
         assert (M @ integer_kernel(M)).is_zero()
@@ -394,3 +497,65 @@ def test_complement_refuses_unsaturated_lattices():
         with pytest.raises(ValidationError):
             complement(L)
         complement(saturate(L))
+
+
+def test_nonunit_finish_mixes_rows_and_columns(monkeypatch):
+    # matrices without a +-1 entry reach the non-unit finish at once; a pivot
+    # that does not divide an entry of its column mixes rows by gcd, one that
+    # does not divide an entry of its row mixes columns
+    from commclass import intlinalg
+
+    mixes = []
+    for name in ("_mix_rows", "_mix_columns"):
+        def spy(*args, _name=name, _fn=getattr(intlinalg, name)):
+            mixes.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(intlinalg, name, spy)
+
+    def run(rows):
+        mixes.clear()
+        return snf_diagonal(IntMatrix.from_rows(rows)), sorted(set(mixes))
+
+    assert run([[2, 3], [0, 5]]) == ([1, 10], ["_mix_columns"])
+    assert run([[2, 0], [3, 5]]) == ([1, 10], ["_mix_rows"])
+    assert run([[4, 6], [6, 9]]) == ([1], ["_mix_columns", "_mix_rows"])
+    local = random.Random(20261020)
+    for rows in ([[2, 3], [0, 5]], [[4, 6], [6, 9]]):
+        check_smith_diagonal(IntMatrix.from_rows(rows), local)
+    counts = {"_mix_rows": 0, "_mix_columns": 0}
+    for _ in range(60):
+        m, n = local.randrange(1, 9), local.randrange(1, 9)
+        M = IntMatrix.from_rows(
+            [[local.choice([0, 0, 2, -2, 3, -3, 4, 6, -9]) for _ in range(n)] for _ in range(m)]
+        )
+        mixes.clear()
+        check_smith_diagonal(M, local)
+        for name in mixes:
+            counts[name] += 1
+    assert all(counts.values()), counts
+
+
+def test_s4_bar_boundary_matches_the_oracle(monkeypatch):
+    # d_4 of S4's Morse complex, the top boundary of homology-b2g --max-dim 3,
+    # leaves 262 lines on 33 cross indices to the non-unit finish
+    from commclass import intlinalg
+    from commclass.catalog import catalog_group
+    from commclass.simplicial import morse_complex
+
+    finish = intlinalg._nonunit_pivots
+    blocks = []
+
+    def spy(rows, cols, budget):
+        blocks.append((len(rows), len({j for r in rows.values() for j in r})))
+        return finish(rows, cols, budget)
+
+    monkeypatch.setattr(intlinalg, "_nonunit_pivots", spy)
+    d = morse_complex(catalog_group("S4"), 4).boundaries[3]
+    assert (d.rows, d.cols, d.nnz) == (215, 625, 2457)
+    T = d.transpose()
+    dense = _dense_smith(T.to_rows(), T.rows, T.cols)
+    divs = snf_diagonal(d)
+    assert blocks == [(262, 33)]
+    assert divs == [x for x in dense if x]
+    assert [x for x in divs if x > 1] == [2, 2, 2, 2, 2, 6, 12, 12, 12]
