@@ -52,6 +52,14 @@ class IntMatrix:
                 self._data.append(d)
 
     @classmethod
+    def _of(cls, rows, cols, data):  # data: checked row dicts
+        if rows < 0:
+            raise ValidationError("matrix dimensions must be nonnegative")
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._data = rows, cols, data
+        return m
+
+    @classmethod
     def from_rows(cls, rows_list):
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
@@ -60,39 +68,29 @@ class IntMatrix:
             if len(row) != cols:
                 raise ValidationError("ragged rows")
             data.append({j: v for j, v in enumerate(row) if v})
-        m = cls(rows, cols)
-        m._data = data
         cls._check_entries(data)
-        return m
+        return cls._of(rows, cols, data)
 
     @classmethod
     def from_columns(cls, cols_list, nrows):
-        data = [dict() for _ in range(nrows)]
-        for j, col in enumerate(cols_list):
-            if len(col) != nrows:
-                raise ValidationError("column length does not match nrows")
-            for i, v in enumerate(col):
-                if v:
-                    data[i][j] = v
-        m = cls(nrows, len(cols_list))
-        m._data = data
-        cls._check_entries(data)
-        return m
+        if any(len(col) != nrows for col in cols_list):
+            raise ValidationError("column length does not match nrows")
+        return cls.from_column_dicts([dict(enumerate(col)) for col in cols_list], nrows)
 
     @classmethod
     def from_column_dicts(cls, col_dicts, nrows):
-        """Build from sparse columns: col_dicts[j] maps row index to entry."""
-        data = [dict() for _ in range(nrows)]
+        """Build from sparse columns: col_dicts[j] maps row index to entry.
+        Checks each entry as it places it, dropping zeros."""
+        data = [{} for _ in range(nrows)]
         for j, col in enumerate(col_dicts):
             for i, v in col.items():
                 if not 0 <= i < nrows:
                     raise ValidationError(f"row index {i} out of range")
                 if v:
+                    if not isinstance(v, int) or isinstance(v, bool):
+                        raise ValidationError("entries must be ints")
                     data[i][j] = v
-        m = cls(nrows, len(col_dicts))
-        m._data = data
-        cls._check_entries(data)
-        return m
+        return cls._of(nrows, len(col_dicts), data)
 
     @staticmethod
     def _check_entries(data):
@@ -107,10 +105,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m._data[i][i] = 1
-        return m
+        return cls._of(n, n, [{i: 1} for i in range(n)])
 
     def to_rows(self):
         return [[self._data[i].get(j, 0) for j in range(self.cols)] for i in range(self.rows)]
@@ -126,11 +121,7 @@ class IntMatrix:
         return cols
 
     def transpose(self):
-        t = IntMatrix(self.cols, self.rows)
-        for i, row in enumerate(self._data):
-            for j, v in row.items():
-                t._data[j][i] = v
-        return t
+        return IntMatrix._of(self.cols, self.rows, self.column_dicts())
 
     @property
     def nnz(self):
@@ -146,9 +137,8 @@ class IntMatrix:
             raise ValidationError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = IntMatrix(self.rows, other.cols)
-        odata = other._data
-        for i, row in enumerate(self._data):
+        out, odata = [], other._data
+        for row in self._data:
             acc = {}
             for k, v in row.items():
                 for j, w in odata[k].items():
@@ -157,8 +147,8 @@ class IntMatrix:
                         acc[j] = s
                     elif j in acc:
                         del acc[j]
-            out._data[i] = acc
-        return out
+            out.append(acc)
+        return IntMatrix._of(self.rows, other.cols, out)
 
     def times_vector(self, vec):
         """Matrix-vector product; the vector may hold ints or Fractions."""
@@ -320,12 +310,12 @@ def snf_diagonal(M: IntMatrix, budget=DEFAULT_BUDGET):
 
     Greedy unit-pivot elimination (Dumas-Saunders-Villard): sweep the lines
     from shortest to longest and pivot each on its +-1 entry in the
-    sparsest cross line.  Each pivot is a unimodular equivalence splitting
-    off diag(1).  Fill-in can create units in lines already swept, so
-    sweeps repeat until one finds no pivot; the lines left without a +-1
-    entry are finished on the same sparse rows by _nonunit_pivots, and the
-    divisibility chain is restored on its pivots above 1 by gcd/lcm
-    replacements.
+    sparsest cross line, the first such, found in one scan.
+    Each pivot is a unimodular equivalence splitting off diag(1).  Fill-in
+    can create units in lines already swept, so sweeps repeat until one
+    finds no pivot; the lines left without a +-1 entry are finished on the
+    same sparse rows by _nonunit_pivots, and the divisibility chain is
+    restored on its pivots above 1 by gcd/lcm replacements.
 
     The swept lines are the short side of M: its rows, unless M is wider
     than tall, in which case they are its columns.  M and its transpose
@@ -363,12 +353,13 @@ def snf_diagonal(M: IntMatrix, budget=DEFAULT_BUDGET):
             prow = rows.get(i)
             if prow is None:
                 continue
-            units = [j for j, v in prow.items() if v == 1 or v == -1]
-            if not units:
+            j = None
+            for j2, x in prow.items():
+                if (x == 1 or x == -1) and (j is None or len(cols[j2]) < least):
+                    j, v, least = j2, x, len(cols[j2])
+            if j is None:
                 continue
-            j = min(units, key=lambda j: len(cols[j]))
-            budget.charge((len(prow) - 1) * (len(cols[j]) - 1), "elimination: unit pivot")
-            v = prow[j]
+            budget.charge((len(prow) - 1) * (least - 1), "elimination: unit pivot")
             del rows[i]
             for j2 in prow:
                 cols[j2].discard(i)
@@ -669,7 +660,11 @@ def homology_range(boundaries, reduced: bool = False, budget=DEFAULT_BUDGET) -> 
         if d_in.cols and d_out.rows and not (d_out @ d_in).is_zero():
             raise MathInvariantError(f"composite d_{k} o d_{k + 1} is nonzero")
     if reduced and boundaries:
-        if any(sum(col.values()) for col in boundaries[0].column_dicts()):
+        sums = [0] * boundaries[0].cols
+        for row in boundaries[0]._data:
+            for j, v in row.items():
+                sums[j] += v
+        if any(sums):
             raise MathInvariantError("augmentation o d_1 is nonzero")
     rank_out = 1 if reduced and boundaries and boundaries[0].rows else 0
     out = []

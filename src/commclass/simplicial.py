@@ -20,9 +20,10 @@ collapsing scheme on the normal forms x = r(x)·z(x) (a coset letter of
 G/Z(G), then a polycyclic word in the centre) on the first model: one
 level-by-level scan lists the critical cells only and counts the matched
 ones, each level is checked and built as soon as it is scanned, and each
-boundary column comes from one memoised gradient flow; the second model's
-homology is read from the coset poset (cosetposet).  build_c and build_e
-stay as the unreduced oracle, and level_sizes counts a model's levels.
+boundary column comes from one gradient flow, memoised on matched faces;
+the second model's homology is read from the coset poset (cosetposet).
+build_c and build_e stay as the unreduced oracle, and level_sizes counts
+a model's levels.
 p_map projects the second model onto the first, and commutator_map records
 successive commutators.
 """
@@ -421,14 +422,16 @@ def _scan_levels(G: FiniteGroup, steps: list, counts: dict, N: int, budget):
 def _bar_chain(G: FiniteGroup, t: tuple) -> dict:
     """The normalized boundary Σ(-1)^i d_i t of a nondegenerate commuting
     tuple t as {face: coefficient}, without degenerate faces or zero
-    coefficients."""
-    chain = {}
-    sign = 1
-    for i in range(len(t) + 1):
-        face = bar_face(G, t, i)
-        if 0 not in face:
+    coefficients, read off G.table: only a merged entry can be the identity."""
+    table, end = G.table, t[:-1]
+    chain, sign = {t[1:]: 1}, -1
+    for i in range(1, len(t)):
+        x = table[t[i - 1]][t[i]]
+        if x:
+            face = t[: i - 1] + (x,) + t[i + 1 :]
             chain[face] = chain.get(face, 0) + sign
         sign = -sign
+    chain[end] = chain.get(end, 0) + sign
     return {face: c for face, c in chain.items() if c}
 
 
@@ -437,24 +440,29 @@ def _gradient_flow(
 ) -> dict:
     """The gradient flow of a chain {tuple: coefficient} of one level onto
     its critical tuples c as {critical[c]: coefficient}; memo keeps the flow
-    of every tuple met, and the Budget is charged each matched tuple met.
+    of each matched tuple met, each charged to the Budget.
 
-    A critical tuple flows to itself and a matched-down tuple to 0.  A tuple
-    x matched up with X, of incidence e = ±1 in dX, flows as -e times the
-    flow of dX - e·x (Sköldberg, Trans. AMS 2006), on an explicit stack, so
-    no gradient path meets the recursion limit.  A partner not matched back,
-    another incidence, or a cycle (a path meeting a tuple open on it) raises
+    A critical tuple maps straight to its row, off the stack, and a
+    matched-down tuple flows to 0.  A tuple x matched up with X, of
+    incidence e = ±1 in dX, flows as -e times the flow of dX - e·x
+    (Sköldberg, Trans. AMS 2006), on an explicit stack, so no gradient path
+    meets the recursion limit.  A partner not matched back, another
+    incidence, or a cycle (a path meeting a tuple open on it) raises
     MathInvariantError.
     """
 
     def flow_of(terms, sign=1):
         flow = {}
         for z, c in terms.items():
+            r = critical.get(z)
+            if r is not None:
+                flow[r] = flow.get(r, 0) + sign * c
+                continue
             for r, v in memo[z].items():
                 flow[r] = flow.get(r, 0) + sign * c * v
         return {r: v for r, v in flow.items() if v}
 
-    stack = list(chain)
+    stack = [x for x in chain if x not in critical]
     path = {}  # the open tuples: -e and the rest of their partner's boundary
     while stack:
         x = stack[-1]
@@ -463,9 +471,6 @@ def _gradient_flow(
         elif x in path:  # every face of its partner has its flow now
             sign, rest = path.pop(x)
             memo[x] = flow_of(rest, sign)
-            stack.pop()
-        elif x in critical:
-            memo[x] = {critical[x]: 1}
             stack.pop()
         else:
             budget.charge(1, "gradient flow")
@@ -496,7 +501,7 @@ def _gradient_flow(
             for z in rest:
                 if z in path:
                     raise MathInvariantError(f"bar matching: a gradient path meets {z} twice")
-                if z not in memo:
+                if z not in critical and z not in memo:
                     stack.append(z)
     return flow_of(chain)
 

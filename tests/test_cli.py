@@ -197,6 +197,33 @@ def test_budget_exit_code(capsys):
         assert run(capsys, command, "--group", "S4", "--budget", str(total))[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, spent",
+    [
+        (("homology-b2g", "--group", "S4", "--max-dim", "3"), 9447),
+        (("homology-b2g", "--group", "Q16", "--max-dim", "3"), 2373),
+        (("homology-b2g", "--group", "Z16", "--max-dim", "3"), 498),
+        (("homology-e2g", "--group", "A4", "--max-dim", "2"), 212),
+        (("coset-poset", "--group", "D12", "--max-dim", "2"), 824),
+    ],
+)
+def test_one_run_spends_exactly_its_pinned_work(capsys, monkeypatch, argv, spent):
+    # the work charged by the critical cells, the matched cells the gradient
+    # flow meets and every pivot of the elimination, pinned to the unit
+    meters = []
+
+    class Recording(Budget):
+        __slots__ = ()
+
+        def __init__(self, limit):
+            super().__init__(limit)
+            meters.append(self)
+
+    monkeypatch.setattr(cli, "Budget", Recording)
+    assert run(capsys, *argv)[0] == 0
+    assert [m.spent for m in meters] == [spent]
+
+
 def test_coinvariants_charges_the_abelianization_to_the_run(capsys):
     # the command eliminates the abelianization's presentation on the run's
     # meter: Q8's costs 6 on top of the 35 charged by coinvariants

@@ -181,6 +181,27 @@ def test_intmatrix_shape_errors():
         IntMatrix.from_columns([[1, 2, 3]], 2)
 
 
+@pytest.mark.parametrize(
+    "column, message",
+    [
+        ({0: True}, "entries must be ints"),
+        ({1: 1.5}, "entries must be ints"),
+        ({-1: 1}, "row index -1 out of range"),
+        ({2: 1}, "row index 2 out of range"),
+    ],
+)
+def test_from_column_dicts_refuses_bad_entries(column, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        IntMatrix.from_column_dicts([{0: 1}, column], 2)
+
+
+def test_from_column_dicts_drops_zero_entries():
+    M = IntMatrix.from_column_dicts([{0: 0, 1: 3}, {1: 0}, {}], 2)
+    assert M.to_rows() == [[0, 0, 0], [3, 0, 0]]
+    assert M.nnz == 1 and M == IntMatrix.from_rows([[0, 0, 0], [3, 0, 0]])
+    assert IntMatrix.from_column_dicts([{0: 0}], 1).is_zero()
+
+
 def random_unimodular(n, local):
     """A product of random elementary integer row operations on I_n."""
     U = [[int(i == j) for j in range(n)] for i in range(n)]

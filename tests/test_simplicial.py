@@ -539,6 +539,23 @@ def test_bar_matching_is_mutual_on_small_groups():
                 assert _bar_chain(G, other).get(t) in (1, -1), (name, t, other)
 
 
+def test_bar_chain_matches_the_bar_faces():
+    # the chain the flow builds from the Cayley table, against the alternating
+    # sum of bar_face with degenerate faces and zero coefficients dropped,
+    # term for term and in the same order
+    from commclass.simplicial import _bar_chain
+
+    for name, G in catalog_groups(8):
+        for t in [t for k in range(1, 5) for t in commuting_tuples(G, k) if 0 not in t]:
+            want = {}
+            for i in range(len(t) + 1):
+                face = bar_face(G, t, i)
+                if 0 not in face:
+                    want[face] = want.get(face, 0) + (-1) ** i
+            want = [(face, c) for face, c in want.items() if c]
+            assert list(_bar_chain(G, t).items()) == want, (name, t)
+
+
 def test_morse_complex_builds_the_chains_of_the_flow_only():
     # one chain per critical cell and per matched-up cell the flow visits:
     # Z2xZ2 keeps 1, 2, ..., 7 critical cells of its 3^k nondegenerate ones
@@ -706,10 +723,18 @@ def test_bar_matching_detects_an_incidence_other_than_a_unit(
 ):
     from commclass import simplicial
 
-    def moved(G, t, j):
-        return face if (t, j) == (cell, i) else bar_face(G, t, j)
+    chain = simplicial._bar_chain
 
-    monkeypatch.setattr(simplicial, "bar_face", moved)
+    def moved(G, t):
+        # the chain of cell with its face d_i replaced by face
+        out = chain(G, t)
+        if t == cell:
+            sign, old = (-1) ** i, bar_face(G, t, i)
+            out[old] = out.get(old, 0) - sign
+            out[face] = out.get(face, 0) + sign
+        return {f: c for f, c in out.items() if c}
+
+    monkeypatch.setattr(simplicial, "_bar_chain", moved)
     code, err = _homology_exit(capsys, command, "Z4", 2)
     assert code == 4
     merged = (2,) + cell[2:]
