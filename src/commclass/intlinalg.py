@@ -29,47 +29,31 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, rows, cols, row_dicts=None):
+    def __init__(self, rows, cols, data):
+        """The trusted constructor: data holds one checked dict per row,
+        mapping column indices in range(cols) to nonzero ints.  Outside
+        input comes in through the checked builders below."""
         if rows < 0 or cols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        if row_dicts is None:
-            self._data = [dict() for _ in range(rows)]
-        else:
-            if len(row_dicts) != rows:
-                raise ValidationError("row_dicts length does not match rows")
-            self._data = []
-            for r in row_dicts:
-                d = {}
-                for j, v in r.items():
-                    if not isinstance(j, int) or j < 0 or j >= cols:
-                        raise ValidationError(f"column index {j} out of range")
-                    if not isinstance(v, int) or isinstance(v, bool):
-                        raise ValidationError("entries must be ints")
-                    if v:
-                        d[j] = v
-                self._data.append(d)
-
-    @classmethod
-    def _of(cls, rows, cols, data):  # data: checked row dicts
-        if rows < 0:
-            raise ValidationError("matrix dimensions must be nonnegative")
-        m = cls.__new__(cls)
-        m.rows, m.cols, m._data = rows, cols, data
-        return m
+        self.rows, self.cols, self._data = rows, cols, data
 
     @classmethod
     def from_rows(cls, rows_list):
+        """Build from dense rows, checking each entry and dropping zeros."""
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
         data = []
         for row in rows_list:
             if len(row) != cols:
                 raise ValidationError("ragged rows")
-            data.append({j: v for j, v in enumerate(row) if v})
-        cls._check_entries(data)
-        return cls._of(rows, cols, data)
+            d = {}
+            for j, v in enumerate(row):
+                if v:
+                    if not isinstance(v, int) or isinstance(v, bool):
+                        raise ValidationError("entries must be ints")
+                    d[j] = v
+            data.append(d)
+        return cls(rows, cols, data)
 
     @classmethod
     def from_columns(cls, cols_list, nrows):
@@ -90,22 +74,15 @@ class IntMatrix:
                     if not isinstance(v, int) or isinstance(v, bool):
                         raise ValidationError("entries must be ints")
                     data[i][j] = v
-        return cls._of(nrows, len(col_dicts), data)
-
-    @staticmethod
-    def _check_entries(data):
-        for row in data:
-            for v in row.values():
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ValidationError("entries must be ints")
+        return cls(nrows, len(col_dicts), data)
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols)
+        return cls(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
-        return cls._of(n, n, [{i: 1} for i in range(n)])
+        return cls(n, n, [{i: 1} for i in range(n)])
 
     def to_rows(self):
         return [[self._data[i].get(j, 0) for j in range(self.cols)] for i in range(self.rows)]
@@ -121,7 +98,7 @@ class IntMatrix:
         return cols
 
     def transpose(self):
-        return IntMatrix._of(self.cols, self.rows, self.column_dicts())
+        return IntMatrix(self.cols, self.rows, self.column_dicts())
 
     @property
     def nnz(self):
@@ -148,7 +125,7 @@ class IntMatrix:
                     elif j in acc:
                         del acc[j]
             out.append(acc)
-        return IntMatrix._of(self.rows, other.cols, out)
+        return IntMatrix(self.rows, other.cols, out)
 
     def times_vector(self, vec):
         """Matrix-vector product; the vector may hold ints or Fractions."""
@@ -310,7 +287,8 @@ def snf_diagonal(M: IntMatrix, budget=DEFAULT_BUDGET):
 
     Greedy unit-pivot elimination (Dumas-Saunders-Villard): sweep the lines
     from shortest to longest and pivot each on its +-1 entry in the
-    sparsest cross line, the first such, found in one scan.
+    sparsest cross line, the first such, found in one scan; _clear_column
+    then cancels the rest of its column.
     Each pivot is a unimodular equivalence splitting off diag(1).  Fill-in
     can create units in lines already swept, so sweeps repeat until one
     finds no pivot; the lines left without a +-1 entry are finished on the
@@ -321,29 +299,16 @@ def snf_diagonal(M: IntMatrix, budget=DEFAULT_BUDGET):
     than tall, in which case they are its columns.  M and its transpose
     have the same invariant factors, and sweeping the short lines fills
     in far less; what is left then has at most min(rows, cols) cross
-    indices.  Each pivot is charged the (len(row) - 1)(len(col) - 1) entries
-    it updates, and each gcd mix the entries of the two lines it rewrites,
-    before the work.
+    indices.  One set-up serves both sides: the swept lines as dicts, the
+    cross index as the sets of the other side's lines.  Each pivot is
+    charged the (len(row) - 1)(len(col) - 1) entries it updates, and each
+    gcd mix the entries of the two lines it rewrites, before the work.
     """
     budget = meter(budget)
     # rows: swept line -> {cross index: entry}; cols: cross index -> lines
-    if M.cols > M.rows:
-        lines = [dict() for _ in range(M.cols)]
-        cols = {}
-        for i, r in enumerate(M._data):
-            if r:
-                cols[i] = set(r)
-                for j, v in r.items():
-                    lines[j][i] = v
-        rows = {j: line for j, line in enumerate(lines) if line}
-    else:
-        rows = {}
-        cols = {}
-        for i, r in enumerate(M._data):
-            if r:
-                rows[i] = dict(r)
-                for j in r:
-                    cols.setdefault(j, set()).add(i)
+    wide = M.cols > M.rows
+    cols = {j: set(r) for j, r in enumerate(M._data if wide else M.column_dicts()) if r}
+    rows = {i: r for i, r in enumerate(M.column_dicts() if wide else map(dict, M._data)) if r}
 
     ones = 0
     pivoted = True
@@ -356,29 +321,14 @@ def snf_diagonal(M: IntMatrix, budget=DEFAULT_BUDGET):
             j = None
             for j2, x in prow.items():
                 if (x == 1 or x == -1) and (j is None or len(cols[j2]) < least):
-                    j, v, least = j2, x, len(cols[j2])
+                    j, least = j2, len(cols[j2])
             if j is None:
                 continue
             budget.charge((len(prow) - 1) * (least - 1), "elimination: unit pivot")
             del rows[i]
             for j2 in prow:
                 cols[j2].discard(i)
-            for i2 in cols.pop(j):
-                r2 = rows[i2]
-                f = r2.pop(j) * v
-                for j2, pv in prow.items():
-                    if j2 == j:
-                        continue
-                    new = r2.get(j2, 0) - f * pv
-                    if new:
-                        if j2 not in r2:
-                            cols[j2].add(i2)
-                        r2[j2] = new
-                    elif j2 in r2:
-                        del r2[j2]
-                        cols[j2].discard(i2)
-                if not r2:
-                    del rows[i2]
+            _clear_column(rows, cols, prow, j, cols.pop(j))
             ones += 1
             pivoted = True
 
@@ -518,15 +468,8 @@ class Lattice:
     @property
     def is_full(self):
         return self.rank == self.ambient and all(
-            self._rows[i][self._pivot(i)] == 1 for i in range(self.rank)
+            next(v for v in row if v) == 1 for row in self._rows
         )
-
-    def _pivot(self, i):
-        row = self._rows[i]
-        for c, v in enumerate(row):
-            if v:
-                return c
-        raise MathInvariantError("zero row in HNF basis")  # pragma: no cover
 
     def contains(self, vec) -> bool:
         """Exact membership; accepts int or Fraction coordinates."""

@@ -133,18 +133,18 @@ class SimplicialTruncation:
                         checked += 1
         return checked
 
-    def boundary_matrix(self, k, normalized=True):
-        """The degree-k boundary Σ(-1)^i d_i as an IntMatrix.
+    def boundary_matrix(self, k):
+        """The degree-k boundary Σ(-1)^i d_i of the normalized chain complex
+        as an IntMatrix.
 
-        Columns are k-simplices, rows (k-1)-simplices.  With normalized=True
-        both sides hold only nondegenerate simplices and degenerate faces
-        are dropped (the normalized chain complex): every face outside the
-        stored levels is refused, so a face outside the rows is degenerate.
+        Columns are nondegenerate k-simplices, rows nondegenerate
+        (k-1)-simplices, and degenerate faces are dropped: every face
+        outside the stored levels is refused, so a face outside the rows is
+        degenerate.
         """
         self._check_degree(k, 1, self.max_degree, "boundary")
-        levels = self._nondegen if normalized else self.levels
-        row_of = {x: r for r, x in enumerate(levels[k - 1])}
-        return face_boundary(levels[k], k, partial(self.face, k), row_of)
+        row_of = {x: r for r, x in enumerate(self._nondegen[k - 1])}
+        return face_boundary(self._nondegen[k], k, partial(self.face, k), row_of)
 
     def __repr__(self):
         tag = f"{self.label}, " if self.label else ""

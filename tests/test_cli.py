@@ -681,8 +681,8 @@ def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, arg
     snf = intlinalg.snf_diagonal
     matmul = intlinalg.IntMatrix.__matmul__
 
-    def counting_build(S, k, normalized=True):
-        M = build(S, k, normalized=normalized)
+    def counting_build(S, k):
+        M = build(S, k)
         built.setdefault(k, []).append(M)
         return M
 
@@ -785,9 +785,9 @@ def test_single_degree_homology_builds_and_reduces_two_boundaries(monkeypatch):
     build = simplicial.SimplicialTruncation.boundary_matrix
     snf = intlinalg.snf_diagonal
 
-    def counting_build(S, k, normalized=True):
+    def counting_build(S, k):
         built.append(k)
-        return build(S, k, normalized=normalized)
+        return build(S, k)
 
     def counting_snf(M, budget):
         reduced.append(M)

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from commclass.errors import MathInvariantError, ValidationError
+from commclass.errors import Budget, MathInvariantError, ValidationError
 from commclass.intlinalg import (
     AbelianGroupInvariants,
     IntMatrix,
@@ -179,6 +179,9 @@ def test_intmatrix_shape_errors():
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValidationError):
         IntMatrix.from_columns([[1, 2, 3]], 2)
+    for entry in (True, 1.5):
+        with pytest.raises(ValidationError, match="^entries must be ints$"):
+            IntMatrix.from_rows([[entry]])
 
 
 @pytest.mark.parametrize(
@@ -214,7 +217,7 @@ def random_unimodular(n, local):
             U[i] = [a + c * b for a, b in zip(U[i], U[j])]
     if n > 1 and local.random() < 0.5:
         U[0], U[1] = U[1], U[0]
-    return IntMatrix(n, n, [dict(enumerate(r)) for r in U])
+    return IntMatrix.from_rows(U)
 
 
 def check_smith_diagonal(M, local):
@@ -258,7 +261,7 @@ def test_sparse_path_matches_dense():
     # the unit sweeps, then the non-unit finish on what they leave; the dense
     # routine on the whole matrix is the oracle
     def check(rows, m, n):
-        M = IntMatrix(m, n, [dict(enumerate(r)) for r in rows])
+        M = IntMatrix.from_rows(rows) if m else IntMatrix.zero(0, n)
         dense = _dense_smith([list(r) for r in rows], m, n)
         assert len(dense) == min(m, n)
         divs = [d for d in dense if d]
@@ -282,6 +285,25 @@ def test_sparse_path_matches_dense():
     # the unit appears only after fill-in, in a row already swept
     check([[2, 3, 0], [1, 1, 5]], 2, 3)
     assert snf_diagonal(IntMatrix.from_rows([[2, 3, 0], [1, 1, 5]])) == [1, 1]
+
+
+def test_snf_diagonal_is_the_same_on_the_transpose():
+    # the rows of a tall M and the columns of a wide M are set up alike, so
+    # a non-square M and its transpose give the same factors for the same work
+    local = random.Random(7)
+    checked = 0
+    for _ in range(400):
+        m, n = local.randint(1, 24), local.randint(1, 24)
+        if m == n:
+            continue
+        rows = [[0] * n for _ in range(m)]
+        for _ in range(2 * (m + n)):
+            rows[local.randrange(m)][local.randrange(n)] = local.choice([-1, 1, 1, 2])
+        M, meters = IntMatrix.from_rows(rows), (Budget(), Budget())
+        assert snf_diagonal(M, meters[0]) == snf_diagonal(M.transpose(), meters[1]), rows
+        assert meters[0].spent == meters[1].spent, rows
+        checked += 1
+    assert checked == 381
 
 
 def test_dense_tail_lies_along_the_short_side(monkeypatch):
@@ -322,10 +344,10 @@ def test_dense_tail_lies_along_the_short_side(monkeypatch):
     for _ in range(40):
         short, long = local.randrange(1, 30), local.randrange(30, 90)
         m, n = (short, long) if local.random() < 0.5 else (long, short)
-        rows = [dict() for _ in range(m)]
+        rows = [[0] * n for _ in range(m)]
         for _ in range(2 * (m + n)):
             rows[local.randrange(m)][local.randrange(n)] = local.choice([-2, -1, 1, 1, 2, 3])
-        finished += len(check(IntMatrix(m, n, rows)))
+        finished += len(check(IntMatrix.from_rows(rows)))
     assert finished >= 10
 
 
@@ -411,8 +433,8 @@ def random_complex(top, reduced):
     for _ in range(top + 1):
         K = integer_kernel(prev)
         s = rng.randrange(0, 5)
-        rows = [{j: rng.randint(-3, 3) for j in range(s)} for _ in range(K.cols)]
-        R = IntMatrix(K.cols, s, rows)
+        rows = [[rng.randint(-3, 3) for _ in range(s)] for _ in range(K.cols)]
+        R = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, s)
         divs = snf_diagonal(R)
         homology.append(AbelianGroupInvariants.from_divisors(K.cols - len(divs), divs))
         prev = K @ R
