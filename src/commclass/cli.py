@@ -52,28 +52,23 @@ OUTPUT_VERSION = 1
 
 
 def _element_doc(E, t, f) -> dict:
-    return {"t": [str(Fraction(x)) for x in t], "f": E.F.name_of(f)}
+    return {"t": [Fraction(x) for x in t], "f": E.F.name_of(f)}
 
 
-def _machine_value(v):
+def _json_default(v):
+    """The json.dumps hook: the JSON form of each value type json does not know."""
     if isinstance(v, AbelianGroupInvariants):
-        return {"free_rank": v.free_rank, "invariant_factors": list(v.torsion)}
+        return {"free_rank": v.free_rank, "invariant_factors": v.torsion}
     if isinstance(v, Lattice):
-        return {"ambient": v.ambient, "basis_rows": [list(r) for r in v.basis_rows()]}
+        return {"ambient": v.ambient, "basis_rows": v.basis_rows()}
     if isinstance(v, IntMatrix):
         return {"rows": v.to_rows()}
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, dict):
-        return {k: _machine_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_machine_value(x) for x in v]
-    return v
+    raise TypeError(f"no machine form for {type(v).__name__}")
 
 
 def _text_value(v) -> str:
-    if isinstance(v, AbelianGroupInvariants):
-        return str(v)
     if isinstance(v, Lattice):
         rows = v.basis_rows()
         body = ", ".join("(" + ", ".join(str(x) for x in r) + ")" for r in rows)
@@ -82,8 +77,6 @@ def _text_value(v) -> str:
         return str(v.to_rows())
     if isinstance(v, bool):
         return "yes" if v else "no"
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, dict):
         return "{" + ", ".join(f"{k}: {_text_value(x)}" for k, x in v.items()) + "}"
     if isinstance(v, (list, tuple)):
@@ -232,17 +225,14 @@ def cmd_clutch(args):
     E, cocycle = parse_cocycle(args.cocycle, budget=args.budget)
     if args.invert:
         cocycle = cocycle.invert()
-    rows = []
-    for check in cocycle.validate():
-        rows.append(
-            _row(
-                f"check-{check['check']}-{check['location']}",
-                check["ok"],
-                "cocycle-validation",
-            )
-        )
+    rows = [
+        _row(f"check-{c['check']}-{c['location']}", c["ok"], "cocycle-validation") for c in cocycle.validate()
+    ]
     result = clutch(cocycle)
-    winding = None if result.winding is None else [int(x) for x in result.winding]
+    winding = result.winding
+    # a loop through the central quotient can wind a fraction of a turn, written "p/q"
+    if winding is not None:
+        winding = [int(x) if x.denominator == 1 else x for x in winding]
     rows += [
         _row("winding", winding, "clutching-loop-winding"),
         _row("marker", result.marker, "identity-component-marker"),
@@ -289,6 +279,38 @@ def cmd_verify_all(args):
 # parser and entry point
 
 
+_SPEC = {"required": True, "help": "catalog name or spec file"}
+_GROUP, _EXT, _MAX_DIM = ("--group", _SPEC), ("--ext", _SPEC), ("--max-dim", {"type": int, "default": 2})
+
+# every subcommand in --help order: name, handler, help, then its own arguments
+_COMMANDS = (
+    ("homology-b2g", cmd_homology_b2g, "homology of the commuting-tuple simplicial space", _GROUP, _MAX_DIM),
+    ("homology-e2g", cmd_homology_e2g, "homology of the homogeneous total-space model", _GROUP, _MAX_DIM),
+    ("coinvariants", cmd_coinvariants, "augmentation-ideal coinvariants", _GROUP),
+    ("moore-h2", cmd_moore_h2, "middle homology of the Moore complex", _GROUP),
+    (
+        "coset-poset", cmd_coset_poset, "reduced homology of the coset poset of abelian subgroups",
+        _GROUP, _MAX_DIM,
+    ),
+    (
+        "pi2-e2", cmd_pi2_e2, "pi2 of the connected total-space model",
+        ("--pi1", {"required": True, "help": "invariant factors, e.g. 2,2"}),
+    ),
+    ("torus-analyze", cmd_torus_analyze, "commutator lattice analysis of a torus extension", _EXT),
+    (
+        "single-comm", cmd_single_comm, "single-commutator coverage of the commutator subtorus", _EXT,
+        ("--denominator", {"type": int, "required": True}),
+        ("--search-denominator", {"type": int}),
+    ),
+    (
+        "clutch", cmd_clutch, "clutching winding of a patch cocycle",
+        ("--cocycle", {"required": True, "help": "cocycle spec file"}),
+        ("--invert", {"action": "store_true", "help": "invert pointwise before clutching"}),
+    ),
+    ("verify-all", cmd_verify_all, "run the full acceptance suite"),
+)
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="commclass",
@@ -296,83 +318,20 @@ def _parser() -> argparse.ArgumentParser:
         "commutator lattices, and clutching windings of commutative cocycles.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--output", choices=("text", "machine"), default="text")
-        p.add_argument("--fixtures", metavar="PATH", default=None)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    def group_cmd(name, handler, help_text, with_dim=False, dim_default=2):
+    for name, handler, help_text, *arguments in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--group", required=True, help="catalog name or spec file")
-        if with_dim:
-            p.add_argument("--max-dim", type=int, default=dim_default)
-        common(p)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--output", choices=("text", "machine"), default="text")
+        p.add_argument("--fixtures", metavar="PATH")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.set_defaults(handler=handler)
-        return p
-
-    group_cmd(
-        "homology-b2g",
-        cmd_homology_b2g,
-        "homology of the commuting-tuple simplicial space",
-        with_dim=True,
-    )
-    group_cmd(
-        "homology-e2g",
-        cmd_homology_e2g,
-        "homology of the homogeneous total-space model",
-        with_dim=True,
-    )
-    group_cmd("coinvariants", cmd_coinvariants, "augmentation-ideal coinvariants")
-    group_cmd("moore-h2", cmd_moore_h2, "middle homology of the Moore complex")
-    group_cmd(
-        "coset-poset",
-        cmd_coset_poset,
-        "reduced homology of the coset poset of abelian subgroups",
-        with_dim=True,
-    )
-
-    p = sub.add_parser("pi2-e2", help="pi2 of the connected total-space model")
-    p.add_argument("--pi1", required=True, help="invariant factors, e.g. 2,2")
-    common(p)
-    p.set_defaults(handler=cmd_pi2_e2)
-
-    p = sub.add_parser("torus-analyze", help="commutator lattice analysis of a torus extension")
-    p.add_argument("--ext", required=True, help="catalog name or spec file")
-    common(p)
-    p.set_defaults(handler=cmd_torus_analyze)
-
-    p = sub.add_parser("single-comm", help="single-commutator coverage of the commutator subtorus")
-    p.add_argument("--ext", required=True, help="catalog name or spec file")
-    p.add_argument("--denominator", type=int, required=True)
-    p.add_argument("--search-denominator", type=int, default=None)
-    common(p)
-    p.set_defaults(handler=cmd_single_comm)
-
-    p = sub.add_parser("clutch", help="clutching winding of a patch cocycle")
-    p.add_argument("--cocycle", required=True, help="cocycle spec file")
-    p.add_argument("--invert", action="store_true", help="invert pointwise before clutching")
-    common(p)
-    p.set_defaults(handler=cmd_clutch)
-
-    p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    common(p)
-    p.set_defaults(handler=cmd_verify_all)
-
     return top
 
 
 def _machine_doc(command: str, inputs: dict, rows: list) -> str:
-    doc = {
-        "version": OUTPUT_VERSION,
-        "command": command,
-        "inputs": _machine_value(inputs),
-        "results": [
-            {"name": r["name"], "value": _machine_value(r["value"]), "ref": r["ref"]}
-            for r in rows
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    doc = {"version": OUTPUT_VERSION, "command": command, "inputs": inputs, "results": rows}
+    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
 def _print_text(rows) -> None:
@@ -388,13 +347,13 @@ def _print_text(rows) -> None:
 
 def _handle_fixtures(path: str, machine_text: str) -> tuple:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             pinned = fh.read()
     except FileNotFoundError:
         # write beside the target and rename, so no reader sees half a file
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w") as fh:
+            with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(machine_text)
             os.replace(tmp, path)
         except OSError as e:
@@ -404,11 +363,13 @@ def _handle_fixtures(path: str, machine_text: str) -> tuple:
         return "pinned", 0
     except OSError as e:
         raise ValidationError(f"cannot read fixtures file {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise ParseError(f"fixtures file {path} is not a machine document")
     if pinned == machine_text:
         return "match", 0
     try:
         pinned_rows = {r["name"]: r["value"] for r in json.loads(pinned).get("results", [])}
-    except (ValueError, TypeError, KeyError, AttributeError):
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError):
         raise ParseError(f"fixtures file {path} is not a machine document")
     new_rows = {r["name"]: r["value"] for r in json.loads(machine_text)["results"]}
     drifted = sorted(
@@ -434,7 +395,8 @@ def main(argv=None) -> int:
                 raise ValidationError(f"{flag} must be nonnegative")
         args.budget = Budget(args.budget)
         rows, inputs, code = args.handler(args)
-        machine_text = _machine_doc(args.command, inputs, rows)
+        if args.output == "machine" or args.fixtures:
+            machine_text = _machine_doc(args.command, inputs, rows)
         if args.output == "machine":
             sys.stdout.write(machine_text)
         else:

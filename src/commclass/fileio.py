@@ -22,12 +22,14 @@ from .torus import TorusExtension, catalog_extension, extension_names, rational
 
 def load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
         raise ParseError(f"{path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # not UTF-8, nested too deep, or an int too long
+        raise ParseError(f"{path}: {e}") from None
 
 
 def parse_rational(value, where: str) -> Fraction:

@@ -11,7 +11,9 @@ import pytest
 
 from commclass import acceptance, cli
 from commclass.catalog import catalog_group, catalog_groups
+from commclass.cocycles import clutch
 from commclass.errors import Budget
+from commclass.fileio import parse_cocycle
 from commclass.groupring import coinvariants, moore_h2
 from commclass.groups import abelianization
 
@@ -100,6 +102,19 @@ def test_single_comm(capsys):
     assert rows["covered"] is False
 
 
+def test_clutch_reports_a_fractional_winding_exactly(capsys, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    spec = "specs/o2_half_loop.cocycle.json"
+    winding = clutch(parse_cocycle(spec)[1]).winding
+    assert any(winding)
+    with open(os.path.join(FIXTURE_DIR, "clutch_o2_half_loop.json")) as fh:
+        pinned = {r["name"]: r["value"] for r in json.load(fh)["results"]}
+    assert pinned["winding"] == [str(x) for x in winding] == ["1/2"]
+    code, out, _ = run(capsys, "clutch", "--cocycle", spec)
+    assert code == 0
+    assert ["winding", "[1/2]"] in [line.split() for line in out.splitlines()]
+
+
 def test_clutch_and_invert(capsys):
     spec = os.path.join(SPEC_DIR, "o2_alpha.cocycle.json")
     code, out, _ = run(capsys, "clutch", "--cocycle", spec, "--output", "machine")
@@ -159,11 +174,26 @@ def test_coset_poset_builds_no_boundary_past_its_dimension(capsys, monkeypatch):
     assert counts == [[24, 0]] * 4
 
 
-def test_parse_error_exit_code(capsys):
+# spec or fixtures contents that JSON refuses without a JSONDecodeError
+MALFORMED = {
+    "not-utf8": b"\xff\xfe",
+    "nested": b"[" * 200_000,
+    "long-int": b'{"n": ' + b"9" * 5000 + b"}",
+}
+
+
+def test_parse_error_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "moore-h2", "--group", "Nope")
     assert code == 2
     assert "Nope" in err
     assert out == ""
+    for name, content in MALFORMED.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(content)
+        for command, flag in (("moore-h2", "--group"), ("torus-analyze", "--ext"), ("clutch", "--cocycle")):
+            code, out, err = run(capsys, command, flag, str(path))
+            assert (code, out) == (2, ""), (name, flag)
+            assert str(path) in err and "Traceback" not in err
 
 
 def test_budget_exit_code(capsys):
@@ -581,6 +611,9 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
         # pinned under a budget raised past the |G|^9 tuples the build was
         # charged for, none of which it lists
         ("homology-b2g_Q8_8", ("homology-b2g", "--group", "Q8", "--max-dim", "8")),
+        # a loop in the central quotient of o2_half: half a turn, pinned by
+        # the build that writes non-integral windings as "p/q"
+        ("clutch_o2_half_loop", ("clutch", "--cocycle", "specs/o2_half_loop.cocycle.json")),
     ],
 )
 def test_machine_documents_match_pinned_fixtures(capsys, monkeypatch, name, argv):
@@ -745,6 +778,124 @@ def test_homology_builds_and_reduces_each_boundary_once(capsys, monkeypatch, arg
     assert all(any(A is d and B is e for d, e in checks) for A, B in products)
 
 
+def _options(parser) -> list:
+    """Each argument of parser in order, as _opt writes it."""
+    return [
+        _opt(
+            a.option_strings,
+            a.dest,
+            type=getattr(a.type, "__name__", a.type),
+            default=a.default,
+            required=a.required,
+            choices=tuple(a.choices) if a.choices else None,
+            metavar=a.metavar,
+            action=type(a).__name__,
+            help=a.help,
+        )
+        for a in parser._actions
+    ]
+
+
+# the fields an _opt call does not name
+_UNNAMED = {
+    "type": None,
+    "default": None,
+    "required": False,
+    "choices": None,
+    "metavar": None,
+    "action": "_StoreAction",
+    "help": None,
+}
+
+
+def _opt(strings, dest, **fields) -> dict:
+    return {"strings": strings, "dest": dest, **_UNNAMED, **fields}
+
+
+_HELP = _opt(
+    ["-h", "--help"],
+    "help",
+    default="==SUPPRESS==",
+    action="_HelpAction",
+    help="show this help message and exit",
+)
+_SHARED = [
+    _opt(["--output"], "output", default="text", choices=("text", "machine")),
+    _opt(["--fixtures"], "fixtures", metavar="PATH"),
+    _opt(["--budget"], "budget", type="int", default=10_000_000),
+]
+_SPEC_HELP = "catalog name or spec file"
+_GROUP = _opt(["--group"], "group", required=True, help=_SPEC_HELP)
+_MAX_DIM = _opt(["--max-dim"], "max_dim", type="int", default=2)
+_EXT = _opt(["--ext"], "ext", required=True, help=_SPEC_HELP)
+
+# each subcommand in order: its help, then the arguments it takes between -h and _SHARED
+_SURFACE = {
+    "homology-b2g": ("homology of the commuting-tuple simplicial space", [_GROUP, _MAX_DIM]),
+    "homology-e2g": ("homology of the homogeneous total-space model", [_GROUP, _MAX_DIM]),
+    "coinvariants": ("augmentation-ideal coinvariants", [_GROUP]),
+    "moore-h2": ("middle homology of the Moore complex", [_GROUP]),
+    "coset-poset": ("reduced homology of the coset poset of abelian subgroups", [_GROUP, _MAX_DIM]),
+    "pi2-e2": (
+        "pi2 of the connected total-space model",
+        [_opt(["--pi1"], "pi1", required=True, help="invariant factors, e.g. 2,2")],
+    ),
+    "torus-analyze": ("commutator lattice analysis of a torus extension", [_EXT]),
+    "single-comm": (
+        "single-commutator coverage of the commutator subtorus",
+        [
+            _EXT,
+            _opt(["--denominator"], "denominator", type="int", required=True),
+            _opt(["--search-denominator"], "search_denominator", type="int"),
+        ],
+    ),
+    "clutch": (
+        "clutching winding of a patch cocycle",
+        [
+            _opt(["--cocycle"], "cocycle", required=True, help="cocycle spec file"),
+            _opt(
+                ["--invert"], "invert", default=False, action="_StoreTrueAction",
+                help="invert pointwise before clutching",
+            ),
+        ],
+    ),
+    "verify-all": ("run the full acceptance suite", []),
+}
+
+
+def test_cli_surface_is_pinned():
+    top = cli._parser()
+    assert top.prog == "commclass"
+    assert top.description == (
+        "Homology of commuting-tuple spaces, torus-extension commutator lattices, "
+        "and clutching windings of commutative cocycles."
+    )
+    sub = top._actions[1]
+    assert _options(top) == [
+        _HELP,
+        _opt([], "command", required=True, choices=tuple(_SURFACE), action="_SubParsersAction"),
+    ]
+    assert [(c.dest, c.help) for c in sub._choices_actions] == [(k, v[0]) for k, v in _SURFACE.items()]
+    for name, (_, own) in _SURFACE.items():
+        assert _options(sub.choices[name]) == [_HELP, *own, *_SHARED], name
+
+
+def test_text_run_encodes_no_machine_document(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a text run encoded a machine document")
+
+    monkeypatch.setattr(cli, "_machine_doc", refuse)
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.chdir(REPO_ROOT)
+    for argv in (
+        ("moore-h2", "--group", "Z3"),
+        ("torus-analyze", "--ext", "o2_half"),
+        ("clutch", "--cocycle", "specs/o2_alpha.cocycle.json", "--output", "text"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
     built = []
     make = cli._parser
@@ -876,11 +1027,16 @@ def test_torus_analyze_builds_each_lattice_once(capsys, monkeypatch):
     assert calls["row_hnf"] < 27
 
 
-@pytest.mark.parametrize("content", ["not json\n", '{"results": 5}\n', None])
+@pytest.mark.parametrize(
+    "content",
+    ["not json\n", '{"results": 5}\n', None] + [pytest.param(c, id=k) for k, c in MALFORMED.items()],
+)
 def test_unreadable_fixtures_exit_2(capsys, tmp_path, content):
     path = tmp_path / "fixture"
     if content is None:
         path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
     else:
         path.write_text(content)
     code, _, err = run(capsys, "moore-h2", "--group", "Z3", "--fixtures", str(path))

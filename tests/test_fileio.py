@@ -16,6 +16,10 @@ from commclass.intlinalg import IntMatrix
 from commclass.torus import CATALOG_SPECS, catalog_extension
 
 
+# file contents the JSON reader refuses without a JSONDecodeError
+MALFORMED_CONTENTS = (b"\xff\xfe", b"[" * 200_000, b'{"n": ' + b"9" * 5000 + b"}")
+
+
 def write(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -40,6 +44,12 @@ def test_load_json_errors(tmp_path):
     assert str(p) + ":2:3:" in str(e.value)
     with pytest.raises(ParseError):
         load_json(str(tmp_path / "missing.json"))
+    # not UTF-8, nested past the parser's stack, an integer too long to convert
+    for content in MALFORMED_CONTENTS:
+        p.write_bytes(content)
+        with pytest.raises(ParseError) as e:
+            load_json(str(p))
+        assert str(p) in str(e.value)
 
 
 def test_parse_group_catalog_and_files(tmp_path):
