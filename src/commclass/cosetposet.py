@@ -13,28 +13,33 @@ homology-e2g reduces Q; coset-poset reports P, an independent check of it.
 from __future__ import annotations
 
 from .errors import DEFAULT_BUDGET, ValidationError, meter
-from .groups import FiniteGroup, Subgroup, closure
+from .groups import FiniteGroup, Subgroup
 from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
 from .simplicial import drop_entry, face_boundary
 
 
 def abelian_subgroups(G: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list:
     """All abelian subgroups of G as Subgroup objects, trivial included,
-    sorted by (order, elements).  Each subgroup found is charged."""
+    sorted by (order, elements).  Each A found is carried with its
+    centraliser C and grown by each g of C outside A, in increasing order, to
+    <A, g>: the union of the cosets A·g^k, k = 0, 1, ..., up to the first
+    whose lead g^k it already holds, with centraliser C ∩ C_G(g).  Each
+    subgroup found is charged."""
     budget = meter(budget)
-    seen, frontier = {(0,)}, [(0,)]
+    seen, frontier = {(0,)}, [((0,), frozenset(range(G.order)))]
     while frontier:
         nxt = []
-        for els in frontier:
-            elset = set(els)
-            for g in range(1, G.order):
-                if g in elset or not all(G.commute(g, h) for h in els):
-                    continue
-                grown = closure(G, els + (g,))
+        for els, C in frontier:
+            for g in sorted(C.difference(els)):
+                grown, lead = set(els), g
+                while lead not in grown:
+                    grown.update(G.table[a][lead] for a in els)
+                    lead = G.table[lead][g]
+                grown = tuple(sorted(grown))
                 if grown not in seen:
                     seen.add(grown)
                     budget.charge(1, "abelian subgroup enumeration")
-                    nxt.append(grown)
+                    nxt.append((grown, C & G.commuting_set(g)))
         frontier = nxt
     subs = [Subgroup(G, els, check=False) for els in seen]
     return sorted(subs, key=lambda s: (s.order, s.elements))

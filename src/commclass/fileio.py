@@ -73,6 +73,11 @@ def group_from_spec(doc, where: str = "group", budget: int = DEFAULT_BUDGET) -> 
         names = doc.get("names")
         if names is not None and not isinstance(names, list):
             raise ParseError(f"{where}.names: expected a list")
+        for i, name in enumerate(names or ()):
+            try:
+                str(name).encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate such as "\ud800"
+                raise ParseError(f"{where}.names[{i}]: not encodable as UTF-8") from None
         label = doc.get("label")
         return FiniteGroup(table, names=names, label=label)
     if fmt == "perm":

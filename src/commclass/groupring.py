@@ -11,8 +11,9 @@ finite abelian fundamental group.
 
 from __future__ import annotations
 
+from .catalog import cyclic
 from .errors import DEFAULT_BUDGET, MathInvariantError, meter
-from .groups import FiniteGroup, generators
+from .groups import FiniteGroup, direct_product, generators
 from .intlinalg import AbelianGroupInvariants, IntMatrix, homology_range
 
 
@@ -78,9 +79,6 @@ def pi2_e2_connected(invariant_factors, budget: int = DEFAULT_BUDGET) -> Abelian
     for d in expected.torsion:
         order *= d
         budget.charge(order * order, "pi2-e2: Cayley table of A")
-    from .catalog import cyclic
-    from .groups import direct_product
-
     A = cyclic(1)
     for d in expected.torsion:
         A = direct_product(A, cyclic(d))

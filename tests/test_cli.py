@@ -16,6 +16,7 @@ from commclass.errors import Budget
 from commclass.fileio import parse_cocycle
 from commclass.groupring import coinvariants, moore_h2
 from commclass.groups import abelianization
+from test_groups import z600_intercalate
 
 
 def run(capsys, *argv):
@@ -194,6 +195,18 @@ def test_parse_error_exit_code(capsys, tmp_path):
             code, out, err = run(capsys, command, flag, str(path))
             assert (code, out) == (2, ""), (name, flag)
             assert str(path) in err and "Traceback" not in err
+
+
+def test_unprintable_element_name_exit_code(capsys, tmp_path):
+    # JSON's "\ud800" loads as a lone surrogate, which no output stream can encode
+    finite = {"format": "table", "table": [[0, 1], [1, 0]], "names": ["e", "\ud800"]}
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps({"rank": 1, "finite": finite, "action": {"\ud800": [[-1]]}}))
+    for argv in (("torus-analyze",), ("single-comm", "--denominator", "2")):
+        for output in ("text", "machine"):
+            code, out, err = run(capsys, *argv, "--ext", str(path), "--output", output)
+            assert (code, out) == (2, ""), (argv, output)
+            assert f"{path}.finite.names[1]" in err and "Traceback" not in err
 
 
 def test_budget_exit_code(capsys):
@@ -386,10 +399,16 @@ def test_spec_parsing_is_charged_against_the_budget(capsys, tmp_path, command, f
     assert "exceeds budget" in err and "Traceback" not in err
 
 
-def test_validation_error_exit_code(capsys):
+def test_validation_error_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "pi2-e2", "--pi1", "3,2")
     assert code == 2
     assert "divisibility" in err
+    path = tmp_path / "z600.json"
+    path.write_text(json.dumps({"format": "table", "table": z600_intercalate()}))
+    for command in ("coinvariants", "homology-b2g"):
+        code, out, err = run(capsys, command, "--group", str(path))
+        assert (code, out) == (2, ""), command
+        assert "associativity fails" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["homology-b2g", "homology-e2g"])

@@ -8,7 +8,7 @@ from commclass.cosetposet import (
     coset_poset_homology,
 )
 from commclass.errors import BudgetExceededError
-from commclass.groups import continuation_counts
+from commclass.groups import commuting_tuples, continuation_counts
 from commclass.intlinalg import AbelianGroupInvariants
 
 Z = AbelianGroupInvariants
@@ -27,6 +27,26 @@ def test_abelian_subgroup_counts():
     # a prime-order group: trivial and itself
     assert len(abelian_subgroups(cyclic(5))) == 2
     assert len(abelian_subgroups(cyclic(1))) == 1
+
+
+def test_abelian_subgroups_are_the_subgroups_of_commuting_triples():
+    # no catalog group of order <= 16 has an abelian subgroup of rank 4, so
+    # each abelian subgroup is generated by a commuting triple: the products
+    # a^i b^j c^k of its powers
+    for name, G in catalog_groups(16):
+        t = G.table
+        powers = {}
+        for a in range(G.order):
+            powers[a], p = [0], a
+            while p:
+                powers[a].append(p)
+                p = t[p][a]
+        want = set()
+        for a, b, c in commuting_tuples(G, 3):
+            want.add(tuple(sorted({t[t[x][y]][z] for x in powers[a] for y in powers[b] for z in powers[c]})))
+        got = [s.elements for s in abelian_subgroups(G)]
+        assert set(got) == want, name
+        assert got == sorted(want, key=lambda els: (len(els), els)), name
 
 
 def test_abelian_subgroups_are_abelian_and_closed():

@@ -55,6 +55,19 @@ def test_table_validation():
     ]
     with pytest.raises(ValidationError):
         FiniteGroup(bad)
+    # Z600 with the intercalate at rows and columns {1, 301} shifted by 300:
+    # a Latin square with identity whose few failing triples a sample of
+    # triples misses, but not the check on a generating set
+    with pytest.raises(ValidationError, match="associativity fails"):
+        FiniteGroup(z600_intercalate())
+
+
+def z600_intercalate():
+    table = [[(a + b) % 600 for b in range(600)] for a in range(600)]
+    for a in (1, 301):
+        for b in (1, 301):
+            table[a][b] = (table[a][b] + 300) % 600
+    return table
 
 
 def test_catalog_is_valid_and_ordered():
