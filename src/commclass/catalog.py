@@ -96,7 +96,9 @@ def _cycle_name(p):
 def permutation_group(generators, label=None, budget: int = DEFAULT_BUDGET) -> FiniteGroup:
     """Group generated by permutations (tuples mapping i to p[i]), with
     elements sorted lexicographically so the identity sits at index 0.  The
-    n-th element found is charged its 2n - 1 new Cayley-table entries."""
+    n-th element found is charged its 2n - 1 new Cayley-table entries.  A
+    table of composed permutations is a group by construction, so it is
+    not checked again."""
     gens = [tuple(p) for p in generators]
     if not gens:
         raise ValidationError("need at least one generator")
@@ -121,7 +123,7 @@ def permutation_group(generators, label=None, budget: int = DEFAULT_BUDGET) -> F
     pos = {p: i for i, p in enumerate(elems)}
     table = [[pos[_perm_mul(p, q)] for q in elems] for p in elems]
     names = [_cycle_name(p) for p in elems]
-    return FiniteGroup(table, names=names, label=label)
+    return FiniteGroup(table, names=names, label=label, check=False)
 
 
 def symmetric(n: int) -> FiniteGroup:

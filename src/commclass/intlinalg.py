@@ -14,6 +14,13 @@ a unimodular U: its rows that vanish on B span the vectors orthogonal to
 the given ones (an integer kernel), and the lattice orthogonal to its
 pivot rows is a complement.  Saturation is the orthogonal of the
 orthogonal, two such reductions.
+
+homology_range eliminates the boundaries of a complex from the bottom up,
+each after the first without the rows that the unit pivots of the one
+below paired.  A pair (a in C_k, b in C_{k-1}) with <d a, b> = +-1 cancels
+without changing the homology, and what is left of d_{k+1} is d_{k+1}
+without row a (Kaczynski-Mrozek-Slusarek, "Homology computation by
+reduction of chain complexes", 1998).
 """
 
 from __future__ import annotations
@@ -231,11 +238,13 @@ def _nonunit_pivots(rows, cols, budget):
     """|pivot| of each pivot that diagonalises rows (line -> {cross index:
     entry}; cols, the transpose index, is kept in step), consuming both.
     Each pivot is an entry of least |value|, ties broken by the Markowitz
-    cost (len(row) - 1)(len(col) - 1), then by line order.  Its column is
-    cleared by row operations, then its row by column operations: the
-    column holds the pivot alone, so an entry the pivot divides is dropped,
-    and one it does not divide is mixed in by gcd, which refills the
-    column.  Each clearing of the column is charged its Markowitz cost."""
+    cost (len(row) - 1)(len(col) - 1), then by line, then by cross index.
+    Its column is cleared by row operations, its lines taken in increasing
+    order, then its row by column operations: the column holds the pivot
+    alone, so an entry the pivot divides is dropped, and the least cross
+    index it does not divide is mixed in by gcd, which refills the column.
+    Each clearing of the column is charged its Markowitz cost.  So the
+    charges depend on the matrix alone, not on the order of dicts or sets."""
     low = {i: min(map(abs, r.values())) for i, r in rows.items()}
     diagonal = []
     while rows:
@@ -246,16 +255,16 @@ def _nonunit_pivots(rows, cols, budget):
                 n = len(rows[i]) - 1
                 for j, v in rows[i].items():
                     if v == a or v == -a:
-                        cost = n * (len(cols[j]) - 1)
-                        if best is None or cost < best[0]:
-                            best = (cost, i, j)
+                        key = (n * (len(cols[j]) - 1), i, j)
+                        if best is None or key < best:
+                            best = key
         _, i, j = best
         touched = set()
         while True:
             budget.charge((len(rows[i]) - 1) * (len(cols[j]) - 1), "elimination: non-unit pivot")
             # a mix leaves a pivot that divides the one before, so the rows
             # it divided stay divisible and are cleared after every mix
-            lines = [i2 for i2 in cols[j] if i2 != i]
+            lines = sorted(i2 for i2 in cols[j] if i2 != i)
             touched.update(lines)
             for i2 in lines:
                 if rows[i2][j] % rows[i][j]:
@@ -263,7 +272,7 @@ def _nonunit_pivots(rows, cols, budget):
             _clear_column(rows, cols, rows[i], j, [i2 for i2 in cols[j] if i2 != i])
             cols[j] = {i}
             r = rows[i]
-            j2 = next((j2 for j2, b in r.items() if b % r[j]), None)
+            j2 = min((j2 for j2, b in r.items() if b % r[j]), default=None)
             if j2 is None:
                 break
             touched.update(cols[j2])
@@ -282,8 +291,9 @@ def _nonunit_pivots(rows, cols, budget):
     return diagonal
 
 
-def snf_diagonal(M: IntMatrix, budget=DEFAULT_BUDGET):
+def snf_diagonal(M: IntMatrix, budget=DEFAULT_BUDGET, paired=None):
     """Nonzero invariant factors of M (the nonzero diagonal of its SNF).
+    If paired is a set, the column of M of each unit pivot is added to it.
 
     Greedy unit-pivot elimination (Dumas-Saunders-Villard): sweep the lines
     from shortest to longest and pivot each on its +-1 entry in the
@@ -329,6 +339,8 @@ def snf_diagonal(M: IntMatrix, budget=DEFAULT_BUDGET):
             for j2 in prow:
                 cols[j2].discard(i)
             _clear_column(rows, cols, prow, j, cols.pop(j))
+            if paired is not None:
+                paired.add(i if wide else j)
             ones += 1
             pivoted = True
 
@@ -581,7 +593,7 @@ class AbelianGroupInvariants:
 
 def homology_range(boundaries, reduced: bool = False, budget=DEFAULT_BUDGET) -> list:
     """Homology H_0..H_top of the complex with boundaries [d_1, ..., d_{top+1}],
-    d_k: C_k -> C_{k-1}, reducing each boundary once.
+    d_k: C_k -> C_{k-1}, eliminating each boundary once.
 
     ker(d_k) is a saturated summand of C_k, so the torsion of H_k is that of
     C_k / im(d_{k+1}) (the invariant factors of d_{k+1} above 1) and its free
@@ -592,6 +604,18 @@ def homology_range(boundaries, reduced: bool = False, budget=DEFAULT_BUDGET) -> 
     d_k o d_{k+1} = 0, and with reduced=True the augmentation vanishes on
     im(d_1) (every column of d_1 sums to zero).  Non-composable shapes raise
     ValidationError, a nonzero composite or augmentation MathInvariantError.
+
+    Then each boundary after the first is eliminated without the rows
+    indexed by the columns of the unit pivots of the one below.  This is
+    the reduction lemma of Kaczynski-Mrozek-Slusarek ("Homology computation
+    by reduction of chain complexes", 1998).  A unit pivot e = <d_k a, b>
+    = +-1 pairs a in C_k with b in C_{k-1}.  Rebase C_{k-1} on d_k a in
+    place of b, and C_k on c - e <d_k c, b> a in place of each other cell
+    c: this splits off the acyclic a -> d_k a, and is the pivot's Schur
+    step.  Since d_k o d_{k+1} = 0, no d_{k+1} x has a coefficient on a in
+    the new basis, and its other coefficients are unchanged.  So d_{k+1}
+    without row a has the rank and invariant factors of d_{k+1}, and each
+    later pivot does the same in the complex that is left.
     """
     budget = meter(budget)
     for k, (d_out, d_in) in enumerate(zip(boundaries, boundaries[1:]), start=1):
@@ -610,9 +634,11 @@ def homology_range(boundaries, reduced: bool = False, budget=DEFAULT_BUDGET) -> 
         if any(sums):
             raise MathInvariantError("augmentation o d_1 is nonzero")
     rank_out = 1 if reduced and boundaries and boundaries[0].rows else 0
-    out = []
+    out, paired = [], set()
     for d_in in boundaries:
-        div_in = snf_diagonal(d_in, budget)
+        kept = [r for i, r in enumerate(d_in._data) if i not in paired]
+        paired = set()
+        div_in = snf_diagonal(IntMatrix(len(kept), d_in.cols, kept), budget, paired)
         free = d_in.rows - rank_out - len(div_in)
         if free < 0:
             raise MathInvariantError("negative free rank; matrices are inconsistent")

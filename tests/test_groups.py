@@ -132,6 +132,10 @@ def test_permutation_group_s3():
     assert sorted(G.element_order(g) for g in range(6)) == [1, 2, 2, 2, 3, 3]
     assert symmetric(4).order == 24
     assert alternating(4).order == 12
+    # permutation_group skips the table check; the tables pass it all the same
+    for G in (symmetric(5), alternating(6)):
+        H = FiniteGroup(G.table, names=G.names)
+        assert (H.order, H.table) == (G.order, G.table)
 
 
 def test_dihedral_quaternion_presentations():
@@ -200,7 +204,7 @@ def test_direct_product_and_invariant_factors():
 
 def test_short_abelian_presentation_is_an_internal_fault(monkeypatch):
     # the presentation has full rank by construction; a short diagonal is a bug, not a usage error
-    monkeypatch.setattr(intlinalg, "snf_diagonal", lambda M, budget: [1] * (M.rows - 1))
+    monkeypatch.setattr(intlinalg, "snf_diagonal", lambda M, budget, paired: [1] * (M.rows - 1))
     with pytest.raises(MathInvariantError, match="unexpected rank"):
         invariant_factors_of_abelian(cyclic(4))
 

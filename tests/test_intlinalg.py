@@ -453,6 +453,72 @@ def test_homology_range_matches_homology_at_per_slot(reduced):
         assert homology_range(ds, reduced=reduced) == per_slot == expected
 
 
+def dense_homology(boundaries, reduced):
+    """H_0..H_top from the dense Smith form of each full boundary: torsion
+    from the factors of d_{k+1} above 1, free rank from the ranks."""
+    diagonals = [[x for x in _dense_smith(d.to_rows(), d.rows, d.cols) if x] for d in boundaries]
+    ranks = [1 if reduced and boundaries[0].rows else 0] + [len(diag) for diag in diagonals]
+    return [
+        AbelianGroupInvariants.from_divisors(d.rows - r_out - len(diag), diag)
+        for d, r_out, diag in zip(boundaries, ranks, diagonals)
+    ]
+
+
+def check_paired_rows_dropped(boundaries, calls):
+    """calls holds (matrix, paired) for each snf_diagonal call of one
+    homology_range on boundaries.  The first boundary is eliminated in full
+    and each later one without exactly the rows indexed by the unit-pivot
+    columns of the one below.  Those columns of the matrix they came from
+    have invariant factors all 1 (dense oracle), so their image is a direct
+    summand: the reduction lemma's condition for dropping the rows."""
+    assert len(calls) == len(boundaries)
+    paired = set()
+    for d, (M, cols) in zip(boundaries, calls):
+        kept = [row for i, row in enumerate(d.to_rows()) if i not in paired]
+        assert (M.rows, M.cols, M.to_rows()) == (len(kept), d.cols, kept)
+        sub = [[row[j] for j in sorted(cols)] for row in kept]
+        assert _dense_smith(sub, len(kept), len(cols)) == [1] * len(cols)
+        paired = cols
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_homology_range_drops_paired_rows_and_matches_the_dense_oracle(monkeypatch, reduced):
+    from commclass import intlinalg
+
+    calls = []
+    snf = intlinalg.snf_diagonal
+
+    def spy(M, budget, paired):
+        calls.append((M, paired))
+        return snf(M, budget, paired)
+
+    monkeypatch.setattr(intlinalg, "snf_diagonal", spy)
+    dropped = torsion = 0
+    for _ in range(60):
+        ds, _ = random_complex(rng.randrange(1, 4), reduced)
+        calls.clear()
+        got = homology_range(ds, reduced=reduced)
+        assert got == dense_homology(ds, reduced)
+        check_paired_rows_dropped(ds, calls)
+        dropped += sum(len(paired) for _, paired in calls[:-1])
+        torsion += sum(len(h.torsion) for h in got)
+    # the rows were dropped, and the complexes had torsion
+    assert dropped and torsion
+
+
+def test_snf_diagonal_reports_the_columns_of_its_unit_pivots():
+    # the columns of M whichever side is swept; the non-unit finish pairs none
+    for rows, cols in [
+        ([[0, 0, 1]], {2}),
+        ([[0], [-1]], {0}),
+        ([[2, 3, 0], [1, 1, 5]], {0, 1}),
+        ([[2, 0], [0, 3]], set()),
+    ]:
+        paired = set()
+        snf_diagonal(IntMatrix.from_rows(rows), paired=paired)
+        assert paired == cols, rows
+
+
 def test_homology_range_rejects_noncomplex():
     d_1 = IntMatrix.from_rows([[1, 0]])
     with pytest.raises(ValidationError, match="non-composable"):
@@ -577,6 +643,24 @@ def test_nonunit_finish_mixes_rows_and_columns(monkeypatch):
         for name in mixes:
             counts[name] += 1
     assert all(counts.values()), counts
+
+
+def test_nonunit_finish_charges_depend_on_the_matrix_alone():
+    # two matrices equal as IntMatrix whose row dicts hold their keys in
+    # opposite orders are charged the same work by the non-unit finish; a
+    # wide M's columns are swept, and the set of lines at each cross index
+    # is built from a row dict of M, so it may iterate in either order
+    local = random.Random(200)
+    for _ in range(200):
+        m, n = local.randrange(4, 13), local.randrange(10, 41)
+        M = IntMatrix.from_rows(
+            [[local.choice([0, 0, 0, 0, 2, -2, 3, -3, 4]) for _ in range(n)] for _ in range(m)]
+        )
+        R = IntMatrix(m, n, [dict(reversed(row.items())) for row in M._data])
+        assert R == M
+        meters = Budget(), Budget()
+        assert snf_diagonal(M, meters[0]) == snf_diagonal(R, meters[1])
+        assert meters[0].spent == meters[1].spent, M.to_rows()
 
 
 def test_s4_bar_boundary_matches_the_oracle(monkeypatch):
